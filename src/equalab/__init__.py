@@ -21,6 +21,7 @@ from .dfe import (
     StepTrace,
     combiner,
     dfe_step,
+    equalize,
     form_error,
     initial_state,
     quantize,

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .dfe import MODE_DECISION_DIRECTED, MODE_TRAINED
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 from .experiment import (
     ExperimentConfig,
     RunRecord,
@@ -222,7 +222,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config file: {exc}", file=sys.stderr)
         return 2
-    record = run_experiment(config)
+    try:
+        record = run_experiment(config)
+    except InputError as exc:
+        print(f"error: run failed: {exc}", file=sys.stderr)
+        return 3
     try:
         emit_curves_csv(record, config.out_curves)
         emit_summary(record, config.out_summary)

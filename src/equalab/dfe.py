@@ -7,8 +7,11 @@ and the combiner output drives the weight update.  In decision-directed
 mode the reference is the quantizer output itself; a training preamble can
 use the true (delayed) transmitted symbols instead.
 
-State is an explicit value: each step returns a fresh `DfeState` plus a
-`StepTrace` of what happened, so runs are replayable and side-effect free.
+State is an explicit value: each `dfe_step` returns a fresh `DfeState` plus
+a `StepTrace` of what happened, so runs are replayable and side-effect free.
+`dfe_step` is the executable specification.  Whole runs go through
+`equalize`, which steps a batch of independent runs in lockstep and
+reproduces `dfe_step` bit for bit.
 """
 
 from __future__ import annotations
@@ -183,6 +186,119 @@ def dfe_step(
     return StepTrace(state.iteration, y, d, e, step), nxt
 
 
+def equalize(received, cfg: DfeConfig, transmitted=None):
+    """Run S independent equalizers in lockstep, one per row of `received`.
+
+    `received` is (S, N).  In trained mode row s uses transmitted[s] as its
+    reference symbols, so `transmitted` is (S, M); the reference for
+    iteration n is transmitted[s, n - delay] (+1 while n < delay), and after
+    `training_len` iterations every row switches to its own decisions.
+
+    Each row is bit-identical to stepping it alone through `dfe_step`: every
+    step forms the same products and sums in the same order, and the row
+    dot products go through the same BLAS routine as `np.dot`, which needs
+    contiguous, positive-stride operands.
+
+    Returns (sq_errors, decisions, states): both arrays (S, N) float64, the
+    squared errors in C order and the decisions a view into the feedback
+    buffer, and a tuple of each row's final `DfeState`.  A non-finite sample
+    or combiner output raises InputError naming the first failing row and
+    its iteration.
+    """
+    rx = np.asarray(received, dtype=np.float64)
+    if rx.ndim != 2:
+        raise InputError("received batch must be 2-D: one row per run")
+    if rx.size == 0:
+        raise InputError("received sequence is empty")
+    _raise_first_non_finite(rx, "non-finite sample")
+    rows, n = rx.shape
+    delay = cfg.delay
+    train = min(cfg.training_len, n) if cfg.mode == MODE_TRAINED else 0
+    refs = _training_references(transmitted, rows, train, delay) if train > 0 else None
+
+    # Newest-first delay lines are contiguous windows, so nothing is ever
+    # shifted: R holds each row reversed and zero-padded, and the FF line at
+    # step i is R[:, n-1-i : n-1-i+n_ff]; decision i is written to
+    # D[:, n-1-i], so the FB line at step i is D[:, n-i : n-i+n_fb].
+    R = np.zeros((rows, n + cfg.n_ff - 1))
+    R[:, :n] = rx[:, ::-1]
+    D = np.zeros((rows, n + cfg.n_fb))
+    W = np.zeros((rows, cfg.n_ff))
+    if cfg.center_spike:
+        W[:, delay] = 1.0
+    B = np.zeros((rows, cfg.n_fb))
+    E = np.empty((rows, n))
+    mu, floor, cap = cfg.mu, cfg.step_floor, cfg.step_cap
+    improved = cfg.algo == ALGO_IMPROVED
+    e_prev = np.zeros(rows)
+    # A diverging row turns to inf/nan and stays so; it is reported after the loop.
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            a = n - 1 - i
+            x = R[:, a : a + cfg.n_ff]
+            f = D[:, a + 1 : a + 1 + cfg.n_fb]
+            y = np.vecdot(W, x) - np.vecdot(B, f)
+            # quantize(): +1 for y >= 0.  Adding +0.0 turns -0.0 into +0.0.
+            d = np.copysign(1.0, y + 0.0, out=D[:, a])
+            e = np.subtract(refs[i] if i < train else d, y, out=E[:, i])
+            if improved:
+                scale = np.abs(e - e_prev)
+                if floor > 0.0:  # max(|de|, 0) is |de| itself
+                    scale = np.maximum(scale, floor)
+                step = mu * scale
+                if cap is not None:
+                    step = np.minimum(step, cap)
+                e_prev = e
+            else:
+                step = mu
+            g = (step * e)[:, None]
+            W += g * x
+            B -= g * f  # fb + g * (-f): the combiner subtracts the FB output
+    # e(n) = reference - y(n) with a +/-1 reference: non-finite exactly when y(n) is.
+    _raise_first_non_finite(E, "non-finite quantizer input")
+
+    states = tuple(
+        DfeState(
+            W[s].copy(), B[s].copy(), R[s, : cfg.n_ff].copy(), D[s, : cfg.n_fb].copy(),
+            float(E[s, -1]), n,
+        )
+        for s in range(rows)
+    )
+    sq = np.multiply(E, E, out=E)
+    decisions = D[:, n - 1 :: -1]  # a view: time runs backwards in D
+    return sq, decisions, states
+
+
+def _raise_first_non_finite(a: np.ndarray, what: str) -> None:
+    """Raise InputError at the first non-finite entry of (rows, iterations) `a`,
+    in row-major order: lowest row first, then its earliest iteration."""
+    if np.isfinite(a).all():
+        return
+    row, i = (int(k) for k in np.argwhere(~np.isfinite(a))[0])
+    raise InputError(f"{what} at iteration {i}", row=row)
+
+
+def _training_references(transmitted, rows: int, train: int, delay: int) -> np.ndarray:
+    """The reference symbols of the first `train` iterations, (train, rows)."""
+    if transmitted is None:
+        raise InputError("trained mode requires the transmitted symbols")
+    tx = np.asarray(transmitted, dtype=np.float64)
+    if tx.ndim != 2 or tx.shape[0] != rows:
+        raise InputError("transmitted batch must have one row per received row")
+    if tx.shape[1] + delay < train:
+        raise InputError("transmitted sequence too short for the training preamble")
+    refs = np.full((train, rows), PAD_SYMBOL)
+    refs[delay:] = tx[:, : max(train - delay, 0)].T
+    bad = (refs != 1.0) & (refs != -1.0)
+    if bad.any():
+        row, i = (int(k) for k in np.argwhere(bad.T)[0])
+        raise InputError(
+            f"training reference must be +1 or -1, got {refs[i, row]!r} at iteration {i}",
+            row=row,
+        )
+    return refs
+
+
 @dataclass(slots=True)
 class EqualizerRun:
     """Arrays collected from one full pass: e(n)^2 and the hard decisions."""
@@ -193,32 +309,8 @@ class EqualizerRun:
 
 
 def run_equalizer(received, cfg: DfeConfig, transmitted=None) -> EqualizerRun:
-    """Run the equalizer over a whole received sequence.
-
-    In trained mode the reference for iteration n is transmitted[n - delay]
-    (padded with +1 while n < delay); after `training_len` iterations the
-    equalizer switches to its own decisions.
-    """
-    r = np.ascontiguousarray(received, dtype=np.float64)
-    if r.size == 0:
-        raise InputError("received sequence is empty")
-    train_until = cfg.training_len if cfg.mode == MODE_TRAINED else 0
-    tx = None
-    if train_until > 0:
-        if transmitted is None:
-            raise InputError("trained mode requires the transmitted symbols")
-        tx = np.asarray(transmitted, dtype=np.float64)
-        if tx.size + cfg.delay < min(train_until, r.size):
-            raise InputError("transmitted sequence too short for the training preamble")
-    delay = cfg.delay
-    state = initial_state(cfg)
-    sq = np.empty(r.size, dtype=np.float64)
-    dec = np.empty(r.size, dtype=np.float64)
-    for i in range(r.size):
-        ts = None
-        if i < train_until:
-            ts = tx[i - delay] if i >= delay else PAD_SYMBOL
-        trace, state = dfe_step(state, r[i], ts, cfg)
-        sq[i] = trace.error * trace.error
-        dec[i] = trace.decision
-    return EqualizerRun(sq, dec, state)
+    """Run the equalizer over one received sequence: `equalize` on a single row."""
+    rx = np.asarray(received, dtype=np.float64).reshape(1, -1)
+    tx = None if transmitted is None else np.asarray(transmitted, dtype=np.float64).reshape(1, -1)
+    sq, decisions, (state,) = equalize(rx, cfg, tx)
+    return EqualizerRun(sq[0], decisions[0], state)

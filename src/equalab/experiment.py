@@ -21,9 +21,9 @@ from .dfe import (
     MODE_DECISION_DIRECTED,
     MODE_TRAINED,
     DfeConfig,
-    run_equalizer,
+    equalize,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 from .metrics import ComparisonReport, LearningCurve, ber, learning_curve, speedup
 from .txrx import ChannelModel, apply_channel, generate_bpsk
 
@@ -161,53 +161,87 @@ class RunRecord:
     tool_version: str = TOOL_VERSION
 
 
-def _run_seed(config: ExperimentConfig, seed: int) -> dict[str, tuple[np.ndarray, float]]:
-    """One seed, every algorithm: returns {algo: (sq_errors, ber)}."""
-    tx = generate_bpsk(config.n_symbols, seed)
-    ch = ChannelModel(
-        np.asarray(config.channel, dtype=np.float64),
-        config.noise_variance,
-        seed + NOISE_SEED_OFFSET,
-    )
-    rx = apply_channel(tx, ch)
-    out = {}
-    for algo in config.algos:
-        run = run_equalizer(rx, config.dfe_config(algo), transmitted=tx)
-        out[algo] = (
-            run.sq_errors,
-            ber(run.decisions, tx, config.resolved_delay, config.ber_skip),
-        )
+# Most rows x symbols one `equalize` call steps at once.  A block holds about
+# six float64 arrays of that shape (tx, rx, the equalizer's buffers and the
+# previous rule's squared errors), so this bounds the working memory
+# whatever the number of seeds.  Runs longer than this step one seed at a time.
+_BLOCK_ELEMENTS = 2**16
+
+
+def _run_chunk(
+    config: ExperimentConfig, seeds: tuple[int, ...]
+) -> dict[str, tuple[list[np.ndarray], list[float]]]:
+    """A contiguous run of seeds, every algorithm: {algo: (squared errors, BERs)}.
+
+    The seeds are stepped in blocks of at most `_BLOCK_ELEMENTS` samples
+    (rows x symbols), which leaves every row's bytes as they are.  The
+    squared errors come as a list of (rows, n_symbols) blocks in seed order,
+    the BERs as one per seed.  Each block draws its own symbols and noise,
+    so with `jobs` > 1 only the pool workers load numpy.random.  A run that
+    fails raises the InputError the serial order (seed, then algorithm)
+    would meet first.
+    """
+    channel = np.asarray(config.channel, dtype=np.float64)
+    n = config.n_symbols
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    out: dict[str, tuple[list[np.ndarray], list[float]]] = {a: ([], []) for a in config.algos}
+    for lo in range(0, len(seeds), rows):
+        block = seeds[lo : lo + rows]
+        tx = np.empty((len(block), n))
+        rx = np.empty_like(tx)
+        for k, s in enumerate(block):
+            tx[k] = generate_bpsk(n, s)
+            noise = ChannelModel(channel, config.noise_variance, s + NOISE_SEED_OFFSET)
+            rx[k] = apply_channel(tx[k], noise)
+        failures = []
+        for k, algo in enumerate(config.algos):
+            try:
+                e, decisions, _ = equalize(rx, config.dfe_config(algo), tx)
+            except InputError as exc:
+                failures.append((exc.row or 0, k, algo, exc))  # no row: the whole block
+                continue
+            sq, bers = out[algo]
+            sq.append(e)
+            bers += [ber(d, t, config.resolved_delay, config.ber_skip) for d, t in zip(decisions, tx)]
+            del decisions  # a view of the feedback buffer: drop it before the next rule runs
+        if failures:
+            row, _, algo, exc = min(failures, key=lambda f: f[:2])
+            raise InputError(f"algorithm {algo}, seed {block[row]}: {exc}") from None
     return out
 
 
-def _seed_worker(args):
-    return _run_seed(*args)
+def _chunk_worker(args):
+    return _run_chunk(*args)
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Run all seeds and algorithms and aggregate into curves and a report.
 
-    Seeds may run in parallel (`config.jobs`); results are folded in
-    ascending seed order regardless, so the output is schedule-independent.
+    With `config.jobs` > 1 the seeds are split into min(jobs, seeds)
+    contiguous chunks, one pool task each.  Rows are joined in seed order,
+    so the fold is the same sum in the same order whatever the split.
     """
     seeds = config.seeds
-    if config.jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            per_seed = list(pool.map(_seed_worker, [(config, s) for s in seeds]))
+    n_chunks = min(config.jobs, len(seeds))
+    if n_chunks > 1:
+        bounds = [len(seeds) * k // n_chunks for k in range(n_chunks + 1)]
+        chunks = [seeds[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            parts = list(pool.map(_chunk_worker, [(config, c) for c in chunks]))
     else:
-        per_seed = [_run_seed(config, s) for s in seeds]
+        parts = [_run_chunk(config, seeds)]
 
     curves: dict[str, LearningCurve] = {}
     steady: dict[str, float] = {}
     conv: dict[str, int | None] = {}
     bers: dict[str, float] = {}
     for algo in config.algos:
-        ensemble = np.mean(np.stack([res[algo][0] for res in per_seed]), axis=0)
+        ensemble = np.mean(np.concatenate([b for part in parts for b in part[algo][0]]), axis=0)
         curve = learning_curve(ensemble, config.window, config.conv_ratio, config.tail_frac)
         curves[algo] = curve
         steady[algo] = curve.steady_state_mse
         conv[algo] = curve.convergence_iter
-        bers[algo] = float(np.mean([res[algo][1] for res in per_seed]))
+        bers[algo] = float(np.mean([b for part in parts for b in part[algo][1]]))
 
     ratio = None
     if ALGO_LMS in conv and ALGO_ILMS in conv:

@@ -85,6 +85,21 @@ class TestConfigErrors:
         with pytest.raises(SystemExit):
             run_cli(tmp_path, "--snr-db", "10", "--noiseless")
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_divergence_exits_3_naming_rule_seed_iteration(self, tmp_path, capsys, jobs):
+        # Stepped through dfe_step, ilms reaches a non-finite combiner output
+        # on seed 1 at iteration 30 and on seed 2 already at iteration 24; the
+        # serial order (seed, then rule) names seed 1.
+        code, curves, summary = run_cli(
+            tmp_path, "--mode", "trained", "--train-len", "500", "--mu", "0.2",
+            "--algo", "ilms", "--jobs", jobs,
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "ilms" in err and "seed 1:" in err and "iteration 30" in err
+        assert not curves.exists() and not summary.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2

@@ -11,13 +11,14 @@ from equalab import (
     combiner,
     delay_line,
     dfe_step,
+    equalize,
     form_error,
     initial_state,
     quantize,
     run_equalizer,
     taps,
 )
-from equalab.dfe import MODE_TRAINED
+from equalab.dfe import MODE_TRAINED, PAD_SYMBOL
 
 
 def cfg_dd(**kw):
@@ -246,3 +247,116 @@ class TestRunEqualizer:
             outs[i] = trace.combiner_out
         expected = np.convolve(rx, w0)[: rx.size]
         np.testing.assert_allclose(outs, expected, atol=1e-12, rtol=0)
+
+
+def _step_loop(rx, tx, cfg):
+    """The executable spec: one row stepped through `dfe_step`."""
+    st = initial_state(cfg)
+    train = cfg.training_len if cfg.mode == MODE_TRAINED else 0
+    sq = np.empty(rx.size)
+    dec = np.empty(rx.size)
+    for i, r in enumerate(rx):
+        ts = None
+        if i < train:
+            ts = tx[i - cfg.delay] if i >= cfg.delay else PAD_SYMBOL
+        trace, st = dfe_step(st, float(r), ts, cfg)
+        sq[i] = trace.error * trace.error
+        dec[i] = trace.decision
+    return sq, dec, st
+
+
+def _batch(rows, n, seed=6):
+    rng = np.random.default_rng(seed)
+    tx = np.where(rng.random((rows, n)) < 0.5, 1.0, -1.0)
+    rx = np.stack([np.convolve(t, [0.84, 0.543])[:n] for t in tx])
+    return rx + 0.1 * rng.normal(size=rx.shape), tx
+
+
+N_ORACLE = 240
+
+
+class TestEqualizeOracle:
+    """`equalize` must reproduce the `dfe_step` loop bit for bit, row by row."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(n_fb=5), dict(n_fb=0), dict(n_fb=3, step_floor=0.01, step_cap=0.05)],
+        ids=["fb5", "fb0", "floor-cap"],
+    )
+    @pytest.mark.parametrize("spike", [False, True], ids=["zero", "spike"])
+    @pytest.mark.parametrize(
+        "training",
+        [None, 150, 2, N_ORACLE + 50],  # dd; trained; shorter than the delay; longer than N
+        ids=["dd", "trained", "train-lt-delay", "train-gt-n"],
+    )
+    @pytest.mark.parametrize("algo", ["conventional", "improved"])
+    def test_matches_step_loop(self, algo, training, spike, shape, rows):
+        mode = {} if training is None else dict(mode=MODE_TRAINED, training_len=training)
+        cfg = DfeConfig(n_ff=11, mu=0.03, algo=algo, center_spike=spike, **mode, **shape)
+        rx, tx = _batch(rows, N_ORACLE)
+        sq, dec, states = equalize(rx, cfg, tx)
+        assert sq.shape == dec.shape == (rows, N_ORACLE)
+        for s in range(rows):
+            want_sq, want_dec, want = _step_loop(rx[s], tx[s], cfg)
+            assert sq[s].tobytes() == want_sq.tobytes()
+            assert dec[s].tobytes() == want_dec.tobytes()
+            got = states[s]
+            assert got.ff_weights.tobytes() == want.ff_weights.tobytes()
+            assert got.fb_weights.tobytes() == want.fb_weights.tobytes()
+            assert got.ff_line.tobytes() == want.ff_line.tobytes()
+            assert got.fb_line.tobytes() == want.fb_line.tobytes()
+            assert (got.prev_error, got.iteration) == (want.prev_error, want.iteration)
+
+    @pytest.mark.parametrize("algo", ["conventional", "improved"])
+    def test_rows_are_independent(self, algo):
+        cfg = DfeConfig(n_ff=7, n_fb=3, mu=0.03, algo=algo, mode=MODE_TRAINED, training_len=40)
+        rx, tx = _batch(5, 300, seed=7)
+        sq, dec, _ = equalize(rx, cfg, tx)
+        for s in range(5):
+            alone_sq, alone_dec, _ = equalize(rx[s : s + 1], cfg, tx[s : s + 1])
+            assert sq[s].tobytes() == alone_sq[0].tobytes()
+            assert dec[s].tobytes() == alone_dec[0].tobytes()
+
+    def test_divergence_names_first_row_and_iteration(self):
+        cfg = DfeConfig(
+            n_ff=11, n_fb=5, mu=0.2, algo="improved", mode=MODE_TRAINED, training_len=500
+        )
+        rx, tx = _batch(4, 200, seed=8)
+        failures = []
+        with np.errstate(invalid="ignore"):
+            for s in range(4):
+                st = initial_state(cfg)
+                for i, r in enumerate(rx[s]):
+                    ts = tx[s, i - cfg.delay] if i >= cfg.delay else PAD_SYMBOL
+                    try:
+                        _, st = dfe_step(st, float(r), ts, cfg)
+                    except InputError:
+                        failures.append((s, i))
+                        break
+        # The first row to fail is not the one that fails earliest.
+        assert len(failures) > 1 and failures[0][1] > min(i for _, i in failures)
+        with pytest.raises(InputError) as exc:
+            equalize(rx, cfg, tx)
+        assert exc.value.row == failures[0][0]
+        assert str(exc.value).endswith(f"at iteration {failures[0][1]}")
+
+    def test_rejects_non_finite_sample(self):
+        rx = np.zeros((3, 20))
+        rx[2, 4] = np.inf
+        rx[1, 9] = np.nan
+        with pytest.raises(InputError) as exc:
+            equalize(rx, cfg_dd())
+        assert exc.value.row == 1 and str(exc.value).endswith("at iteration 9")
+
+    def test_rejects_bad_training_reference(self):
+        cfg = cfg_dd(mode=MODE_TRAINED, training_len=5, decision_delay=0)
+        tx = np.ones((2, 10))
+        tx[1, 3] = 0.5
+        with pytest.raises(InputError) as exc:
+            equalize(np.zeros((2, 10)), cfg, tx)
+        assert exc.value.row == 1 and str(exc.value).endswith("at iteration 3")
+
+    def test_rejects_one_dimensional_batch(self):
+        with pytest.raises(InputError):
+            equalize(np.zeros(10), cfg_dd())

@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from equalab import ConfigurationError, smooth, steady_state_mse
+from equalab import (
+    ChannelModel,
+    ConfigurationError,
+    InputError,
+    apply_channel,
+    dfe_step,
+    generate_bpsk,
+    initial_state,
+    smooth,
+    steady_state_mse,
+)
+from equalab import experiment
 from equalab.experiment import (
     NOISE_SEED_OFFSET,
     ExperimentConfig,
@@ -17,6 +28,29 @@ def tiny_config(**kw):
     base = dict(n_symbols=400, n_seeds=4, window=20, mu=0.02)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def _first_step_failure(cfg):
+    """(algorithm, seed, iteration) of the first run to fail when every seed and
+    algorithm is stepped through `dfe_step` in the serial order; None if none does."""
+    with np.errstate(all="ignore"):
+        for seed in cfg.seeds:
+            tx = generate_bpsk(cfg.n_symbols, seed)
+            ch = ChannelModel(np.asarray(cfg.channel), cfg.noise_variance, seed + NOISE_SEED_OFFSET)
+            rx = apply_channel(tx, ch)
+            for algo in cfg.algos:
+                dfe_cfg = cfg.dfe_config(algo)
+                train = cfg.training_len if cfg.mode == "trained" else 0
+                st = initial_state(dfe_cfg)
+                for i, r in enumerate(rx):
+                    ts = None
+                    if i < train:
+                        ts = tx[i - dfe_cfg.delay] if i >= dfe_cfg.delay else 1.0
+                    try:
+                        _, st = dfe_step(st, float(r), ts, dfe_cfg)
+                    except InputError:
+                        return algo, seed, i
+    return None
 
 
 class TestExperimentConfig:
@@ -85,15 +119,47 @@ class TestRunExperiment:
         for algo in a.curves:
             assert a.curves[algo].sq_errors.tobytes() == b.curves[algo].sq_errors.tobytes()
 
-    def test_parallel_fold_matches_serial(self):
-        serial = run_experiment(tiny_config())
-        parallel = run_experiment(tiny_config(jobs=3))
-        for algo in serial.curves:
-            assert (
-                serial.curves[algo].sq_errors.tobytes()
-                == parallel.curves[algo].sq_errors.tobytes()
-            )
-        assert serial.report.ber == parallel.report.ber
+    def test_parallel_fold_matches_serial(self, monkeypatch):
+        serial = run_experiment(tiny_config(n_seeds=6))
+        # 4 splits the 6 seeds unevenly; 7 is clamped to one chunk per seed.
+        splits = [(jobs, None) for jobs in (2, 3, 4, 7)]
+        # One process, blocks of 1 and 4 rows (the last block short).
+        splits += [(1, 1), (1, 4)]
+        for jobs, block_rows in splits:
+            if block_rows is not None:
+                monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", block_rows * 400)
+            parallel = run_experiment(tiny_config(n_seeds=6, jobs=jobs))
+            for algo in serial.curves:
+                assert (
+                    serial.curves[algo].sq_errors.tobytes()
+                    == parallel.curves[algo].sq_errors.tobytes()
+                ), f"jobs={jobs}, block_rows={block_rows}"
+            assert serial.report.ber == parallel.report.ber, f"jobs={jobs}, block_rows={block_rows}"
+
+    @pytest.mark.parametrize(
+        "algos,jobs,block_rows",
+        [
+            (("lms", "ilms"), 1, None),
+            (("lms", "ilms"), 3, None),
+            (("ilms", "lms"), 1, None),
+            (("lms", "ilms"), 1, 1),
+        ],
+    )
+    def test_failure_names_first_run_in_serial_order(self, monkeypatch, algos, jobs, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", block_rows * 300)
+        # At mu=6 ilms blows up within a few dozen symbols on every seed and
+        # lms much later on some: the serial order (seed, then algorithm)
+        # decides which failure is reported, not the earliest iteration.
+        cfg = tiny_config(
+            n_symbols=300, n_seeds=6, mu=6.0, mode="trained", training_len=500,
+            algos=algos, jobs=jobs,
+        )
+        algo, seed, i = _first_step_failure(cfg)
+        expected = f"algorithm {algo}, seed {seed}: non-finite quantizer input at iteration {i}"
+        with pytest.raises(InputError) as exc:
+            run_experiment(cfg)
+        assert str(exc.value) == expected
 
 
 class TestEmission:
