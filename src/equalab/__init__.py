@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .adapt import AdaptParams, conventional_step, effective_step, improved_step, lms_update
 from .dfe import (
-    ALGO_CONVENTIONAL,
-    ALGO_IMPROVED,
+    ALGO_ILMS,
+    ALGO_LMS,
     MODE_DECISION_DIRECTED,
     MODE_TRAINED,
     DfeConfig,

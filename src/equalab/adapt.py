@@ -1,16 +1,18 @@
 """Weight-adaptation rules for the equalizer filters.
 
 Two rules share the canonical stochastic-gradient update w[k] += step*e*x[k]:
-the conventional rule uses a fixed step `mu`, the improved rule rescales it
-every iteration by |e(n) - e(n-1)|, so the step is large while the error is
-still changing fast and shrinks as the error settles.
+`lms` uses a fixed step `mu`, `ilms` rescales it every iteration by
+|e(n) - e(n-1)|, so the step is large while the error is still changing fast
+and shrinks as the error settles.
+
+The combiner subtracts the feedback filter output, so both filters descend
+the same squared-error surface only if the feedback gradient regressor is
+the negated decision history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dsp import DelayLine, TapWeights
 from .errors import ConfigurationError
@@ -65,8 +67,10 @@ def conventional_step(
     fb_regressor: DelayLine,
     e: float,
 ) -> tuple[TapWeights, TapWeights, float]:
-    """Fixed-step LMS on both filters; returns (ff', fb', step applied)."""
-    return _joint_update(ff_weights, ff_regressor, fb_weights, fb_regressor, e, params.mu)
+    """`lms` on both filters; returns (ff', fb', step applied)."""
+    step = params.mu
+    ff = lms_update(ff_weights, ff_regressor, e, step)
+    return ff, lms_update(fb_weights, -fb_regressor, e, step), step
 
 
 def improved_step(
@@ -78,15 +82,7 @@ def improved_step(
     e: float,
     e_prev: float,
 ) -> tuple[TapWeights, TapWeights, float]:
-    """Variable-step LMS on both filters; e_prev is 0 on the first iteration."""
+    """`ilms` on both filters; e_prev is 0 on the first iteration."""
     step = effective_step(params, e, e_prev)
-    return _joint_update(ff_weights, ff_regressor, fb_weights, fb_regressor, e, step)
-
-
-def _joint_update(ff_weights, ff_regressor, fb_weights, fb_regressor, e, step):
-    # The combiner subtracts the feedback filter output, so both filters
-    # descend the same squared-error surface only if the feedback gradient
-    # regressor is the negated decision history.
     ff = lms_update(ff_weights, ff_regressor, e, step)
-    fb = lms_update(fb_weights, -fb_regressor, e, step)
-    return ff, fb, step
+    return ff, lms_update(fb_weights, -fb_regressor, e, step), step

@@ -1,14 +1,16 @@
 """Command-line harness: `equalab run` with config-file and flag overrides.
 
-Config files are flat `key = value` text ('#' starts a comment); keys are
-listed in `CONFIG_KEYS` below.  Command-line flags win over file entries,
-which win over built-in defaults.
+Config files are flat `key = value` text ('#' starts a comment).  Every
+setting is one row of `SETTINGS` below: its file key, its flag, and the one
+parser both go through.  Command-line flags win over file entries, which win
+over built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from .dfe import MODE_DECISION_DIRECTED, MODE_TRAINED
 from .errors import ConfigurationError, InputError
@@ -58,33 +60,65 @@ def _optional(parse):
     return inner
 
 
-# Config-file key -> (ExperimentConfig field, value parser).  The `noiseless`
-# key has no field of its own: true forces snr_db to none.
-CONFIG_KEYS = {
-    "n_symbols": ("n_symbols", int),
-    "channel": ("channel", _parse_floats),
-    "snr_db": ("snr_db", _optional(float)),
-    "noiseless": ("noiseless", _parse_bool),
-    "n_ff": ("n_ff", int),
-    "n_fb": ("n_fb", int),
-    "mu": ("mu", float),
-    "algo": ("algos", _parse_algos),
-    "mode": ("mode", _parse_mode),
-    "training_len": ("training_len", int),
-    "decision_delay": ("decision_delay", _optional(int)),
-    "seeds": ("n_seeds", int),
-    "base_seed": ("base_seed", int),
-    "seed_list": ("seed_list", _optional(_parse_ints)),
-    "window": ("window", int),
-    "conv_ratio": ("conv_ratio", float),
-    "tail_frac": ("tail_frac", float),
-    "step_floor": ("step_floor", float),
-    "step_cap": ("step_cap", _optional(float)),
-    "center_spike": ("center_spike", _parse_bool),
-    "jobs": ("jobs", int),
-    "out_curves": ("out_curves", str),
-    "out_summary": ("out_summary", str),
-}
+class Setting(NamedTuple):
+    """One setting: config-file key, ExperimentConfig field, flag, parser, help.
+
+    `field` None is the `noiseless` switch: true forces snr_db to none.
+    `flag` None means the setting is read from config files only.
+    """
+
+    key: str
+    field: str | None
+    flag: str | None
+    parse: Callable[[str], object]
+    metavar: str
+    help: str
+
+
+SETTINGS = (
+    Setting("n_symbols", "n_symbols", "--n-symbols", int, "N", "symbols per run"),
+    Setting("channel", "channel", "--channel", _parse_floats, "a,b,c", "channel impulse response"),
+    Setting("snr_db", "snr_db", "--snr-db", _optional(float), "X", "SNR in dB, or none"),
+    Setting("noiseless", None, "--noiseless", _parse_bool, "BOOL", "true: zero-noise channel"),
+    Setting("n_ff", "n_ff", "--ff", int, "N", "feed-forward taps"),
+    Setting("n_fb", "n_fb", "--fb", int, "N", "feedback taps"),
+    Setting("mu", "mu", "--mu", float, "X", "base step size"),
+    Setting("algo", "algos", "--algo", _parse_algos, "lms,ilms", "algorithms to run"),
+    Setting("mode", "mode", "--mode", _parse_mode, "dd|trained", "error reference"),
+    Setting("training_len", "training_len", "--train-len", int, "N", "training preamble length"),
+    Setting(
+        "decision_delay", "decision_delay", "--delay", _optional(int), "D",
+        "reference delay, or none for the FF half-length",
+    ),
+    Setting("seeds", "n_seeds", "--seeds", int, "N", "number of seeds"),
+    Setting("base_seed", "base_seed", "--base-seed", int, "S", "first seed"),
+    Setting("seed_list", "seed_list", None, _optional(_parse_ints), "", ""),
+    Setting("window", "window", "--window", int, "W", "smoothing window"),
+    Setting("conv_ratio", "conv_ratio", "--conv-ratio", float, "R", "convergence threshold ratio"),
+    Setting("tail_frac", "tail_frac", "--tail-frac", float, "F", "steady-state tail fraction"),
+    Setting("step_floor", "step_floor", "--step-floor", float, "X", "ilms step-scale floor"),
+    Setting("step_cap", "step_cap", "--step-cap", _optional(float), "X", "ilms step cap, or none"),
+    Setting(
+        "center_spike", "center_spike", "--center-spike", _parse_bool, "BOOL",
+        "start the FF filter as a unit spike at the delay tap",
+    ),
+    Setting("jobs", "jobs", "--jobs", int, "N", "parallel seed workers"),
+    Setting("out_curves", "out_curves", "--out-curves", str, "PATH", "learning-curve CSV"),
+    Setting("out_summary", "out_summary", "--out-summary", str, "PATH", "key=value summary"),
+)
+_BY_KEY = {s.key: s for s in SETTINGS}
+
+
+def _apply(overrides: dict, setting: Setting, text: str, where: str = "") -> None:
+    """Parse `text` for `setting` into `overrides`; `where` prefixes errors."""
+    try:
+        value = setting.parse(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}{exc}", field=setting.key) from None
+    if setting.field is not None:
+        overrides[setting.field] = value
+    elif value:
+        overrides["snr_db"] = None
 
 
 def read_config_file(path: str) -> dict:
@@ -101,18 +135,9 @@ def read_config_file(path: str) -> dict:
                 )
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in CONFIG_KEYS:
+            if key not in _BY_KEY:
                 raise ConfigurationError("unknown configuration key", field=key)
-            field, parse = CONFIG_KEYS[key]
-            try:
-                parsed = parse(value.strip())
-            except ValueError as exc:
-                raise ConfigurationError(f"line {lineno}: {exc}", field=key) from None
-            if field == "noiseless":
-                if parsed:
-                    overrides["snr_db"] = None
-            else:
-                overrides[field] = parsed
+            _apply(overrides, _BY_KEY[key], value.strip(), f"line {lineno}: ")
     return overrides
 
 
@@ -124,75 +149,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an experiment and write curve/summary files")
     run.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    run.add_argument("--n-symbols", type=int, dest="n_symbols", metavar="N")
-    run.add_argument("--channel", metavar="a,b,c", help="channel impulse response")
     noise = run.add_mutually_exclusive_group()
-    noise.add_argument("--snr-db", type=float, dest="snr_db", metavar="X")
-    noise.add_argument("--noiseless", action="store_true", default=None)
-    run.add_argument("--ff", type=int, dest="n_ff", metavar="N", help="feed-forward taps")
-    run.add_argument("--fb", type=int, dest="n_fb", metavar="N", help="feedback taps")
-    run.add_argument("--mu", type=float, metavar="X", help="base step size")
-    run.add_argument("--algo", metavar="lms,ilms", help="algorithms to run")
-    run.add_argument("--mode", choices=("dd", "trained"))
-    run.add_argument("--train-len", type=int, dest="training_len", metavar="N")
-    run.add_argument("--delay", type=int, dest="decision_delay", metavar="D")
-    run.add_argument("--seeds", type=int, dest="n_seeds", metavar="N", help="number of seeds")
-    run.add_argument("--base-seed", type=int, dest="base_seed", metavar="S")
-    run.add_argument("--window", type=int, metavar="W", help="smoothing window")
-    run.add_argument("--conv-ratio", type=float, dest="conv_ratio", metavar="R")
-    run.add_argument("--tail-frac", type=float, dest="tail_frac", metavar="F")
-    run.add_argument("--step-floor", type=float, dest="step_floor", metavar="X")
-    run.add_argument("--step-cap", type=float, dest="step_cap", metavar="X")
-    run.add_argument("--center-spike", action="store_true", default=None)
-    run.add_argument("--jobs", type=int, metavar="N", help="parallel seed workers")
-    run.add_argument("--out-curves", dest="out_curves", metavar="PATH")
-    run.add_argument("--out-summary", dest="out_summary", metavar="PATH")
+    for s in SETTINGS:
+        if s.flag is None:
+            continue
+        group = noise if s.key in ("snr_db", "noiseless") else run
+        # A bare boolean flag means true; `--flag false` turns it off.
+        bare = dict(nargs="?", const="true") if s.parse is _parse_bool else {}
+        group.add_argument(s.flag, dest=s.key, metavar=s.metavar, help=s.help, **bare)
     return parser
-
-
-_DIRECT_FLAGS = (
-    "n_symbols",
-    "n_ff",
-    "n_fb",
-    "mu",
-    "training_len",
-    "decision_delay",
-    "n_seeds",
-    "base_seed",
-    "window",
-    "conv_ratio",
-    "tail_frac",
-    "step_floor",
-    "step_cap",
-    "jobs",
-    "out_curves",
-    "out_summary",
-)
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     overrides: dict = {}
     if args.config:
         overrides.update(read_config_file(args.config))
-    for name in _DIRECT_FLAGS:
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.channel is not None:
-        try:
-            overrides["channel"] = _parse_floats(args.channel)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc), field="channel") from None
-    if args.algo is not None:
-        overrides["algos"] = _parse_algos(args.algo)
-    if args.mode is not None:
-        overrides["mode"] = _parse_mode(args.mode)
-    if args.noiseless:
-        overrides["snr_db"] = None
-    elif args.snr_db is not None:
-        overrides["snr_db"] = args.snr_db
-    if args.center_spike:
-        overrides["center_spike"] = True
+    for s in SETTINGS:
+        text = getattr(args, s.key, None)  # None: not given, or no flag
+        if text is not None:
+            _apply(overrides, s, text)
     return ExperimentConfig(**overrides)
 
 

@@ -17,7 +17,7 @@ reproduces `dfe_step` bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,8 +26,9 @@ from .adapt import AdaptParams
 from .dsp import DelayLine, TapWeights, delay_line, dot, shift_in
 from .errors import ConfigurationError, InputError
 
-ALGO_CONVENTIONAL = "conventional"
-ALGO_IMPROVED = "improved"
+# The two adaptation rules: fixed-step LMS and error-difference-scaled LMS.
+ALGO_LMS = "lms"
+ALGO_ILMS = "ilms"
 MODE_DECISION_DIRECTED = "decision_directed"
 MODE_TRAINED = "trained"
 
@@ -42,28 +43,33 @@ class DfeConfig:
     """Static equalizer configuration.
 
     `decision_delay` is the lag of the reference symbol relative to the
-    current received sample; None selects the FF half-length (n_ff - 1) // 2.
-    `training_len` must be 0 in decision-directed mode.
+    current received sample; None selects the FF half-length (see `delay`).
+    `training_len` must be 0 in decision-directed mode.  `params` is the
+    validated step-size setting, built once here.
     """
 
     n_ff: int
     n_fb: int
     mu: float
-    algo: str = ALGO_CONVENTIONAL
+    algo: str = ALGO_LMS
     mode: str = MODE_DECISION_DIRECTED
     training_len: int = 0
     decision_delay: int | None = None
     step_floor: float = 0.0
     step_cap: float | None = None
     center_spike: bool = False
+    params: AdaptParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_ff < 1:
             raise ConfigurationError("must be >= 1", field="n_ff")
         if self.n_fb < 0:
             raise ConfigurationError("must be >= 0", field="n_fb")
-        if self.algo not in (ALGO_CONVENTIONAL, ALGO_IMPROVED):
-            raise ConfigurationError(f"unknown algorithm {self.algo!r}", field="algo")
+        if self.algo not in (ALGO_LMS, ALGO_ILMS):
+            raise ConfigurationError(
+                f"unknown algorithm {self.algo!r} (choose from {ALGO_LMS},{ALGO_ILMS})",
+                field="algo",
+            )
         if self.mode not in (MODE_DECISION_DIRECTED, MODE_TRAINED):
             raise ConfigurationError(f"unknown mode {self.mode!r}", field="mode")
         if self.training_len < 0:
@@ -72,7 +78,7 @@ class DfeConfig:
             raise ConfigurationError("must be 0 in decision-directed mode", field="training_len")
         if self.decision_delay is not None and self.decision_delay < 0:
             raise ConfigurationError("must be >= 0", field="decision_delay")
-        AdaptParams(self.mu, self.step_floor, self.step_cap)  # range checks
+        object.__setattr__(self, "params", AdaptParams(self.mu, self.step_floor, self.step_cap))
         if self.center_spike and not self.delay < self.n_ff:
             raise ConfigurationError(
                 "center-spike initialization needs decision_delay < n_ff", field="decision_delay"
@@ -82,10 +88,6 @@ class DfeConfig:
     def delay(self) -> int:
         """Resolved reference delay."""
         return (self.n_ff - 1) // 2 if self.decision_delay is None else self.decision_delay
-
-    @property
-    def adapt_params(self) -> AdaptParams:
-        return AdaptParams(self.mu, self.step_floor, self.step_cap)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,14 +174,14 @@ def dfe_step(
     else:
         reference = d
     e = form_error(y, reference)
-    params = AdaptParams(cfg.mu, cfg.step_floor, cfg.step_cap)
-    if cfg.algo == ALGO_IMPROVED:
+    if cfg.algo == ALGO_ILMS:
         ff_w, fb_w, step = adapt.improved_step(
-            params, mid.ff_weights, mid.ff_line, mid.fb_weights, mid.fb_line, e, state.prev_error
+            cfg.params, mid.ff_weights, mid.ff_line, mid.fb_weights, mid.fb_line, e,
+            state.prev_error,
         )
     else:
         ff_w, fb_w, step = adapt.conventional_step(
-            params, mid.ff_weights, mid.ff_line, mid.fb_weights, mid.fb_line, e
+            cfg.params, mid.ff_weights, mid.ff_line, mid.fb_weights, mid.fb_line, e
         )
     fb_line = shift_in(mid.fb_line, d)
     nxt = DfeState(ff_w, fb_w, mid.ff_line, fb_line, e, state.iteration + 1)
@@ -229,7 +231,7 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     B = np.zeros((rows, cfg.n_fb))
     E = np.empty((rows, n))
     mu, floor, cap = cfg.mu, cfg.step_floor, cfg.step_cap
-    improved = cfg.algo == ALGO_IMPROVED
+    ilms = cfg.algo == ALGO_ILMS
     e_prev = np.zeros(rows)
     # A diverging row turns to inf/nan and stays so; it is reported after the loop.
     with np.errstate(all="ignore"):
@@ -241,7 +243,7 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
             # quantize(): +1 for y >= 0.  Adding +0.0 turns -0.0 into +0.0.
             d = np.copysign(1.0, y + 0.0, out=D[:, a])
             e = np.subtract(refs[i] if i < train else d, y, out=E[:, i])
-            if improved:
+            if ilms:
                 scale = np.abs(e - e_prev)
                 if floor > 0.0:  # max(|de|, 0) is |de| itself
                     scale = np.maximum(scale, floor)

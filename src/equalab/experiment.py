@@ -10,29 +10,17 @@ byte-deterministic for a given config, including under parallel execution.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dfe import (
-    ALGO_CONVENTIONAL,
-    ALGO_IMPROVED,
-    MODE_DECISION_DIRECTED,
-    MODE_TRAINED,
-    DfeConfig,
-    equalize,
-)
+from . import __version__
+from .dfe import ALGO_ILMS, ALGO_LMS, MODE_DECISION_DIRECTED, DfeConfig, equalize
 from .errors import ConfigurationError, InputError
 from .metrics import ComparisonReport, LearningCurve, ber, learning_curve, speedup
 from .txrx import ChannelModel, apply_channel, generate_bpsk
-
-TOOL_VERSION = "0.1.0"
-
-# External names for the two adaptation rules.
-ALGO_LMS = "lms"
-ALGO_ILMS = "ilms"
-_RULES = {ALGO_LMS: ALGO_CONVENTIONAL, ALGO_ILMS: ALGO_IMPROVED}
 
 # Noise streams are decoupled from symbol streams by a fixed seed offset so
 # either can be held fixed independently.  Echoed in every summary.
@@ -82,11 +70,6 @@ class ExperimentConfig:
             raise ConfigurationError("must be >= 1", field="n_symbols")
         if not self.algos:
             raise ConfigurationError("select at least one algorithm", field="algo")
-        for a in self.algos:
-            if a not in _RULES:
-                raise ConfigurationError(
-                    f"unknown algorithm {a!r} (choose from {','.join(_RULES)})", field="algo"
-                )
         if len(set(self.algos)) != len(self.algos):
             raise ConfigurationError("duplicate algorithm", field="algo")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
@@ -106,9 +89,16 @@ class ExperimentConfig:
             raise ConfigurationError("must be >= 1", field="seeds")
         if self.jobs < 1:
             raise ConfigurationError("must be >= 1", field="jobs")
-        # Channel and equalizer field checks live with their owning types.
+        # Channel, rule and equalizer field checks live with their owning types.
         ChannelModel(np.asarray(self.channel, dtype=np.float64), self.noise_variance)
-        self.dfe_config(self.algos[0])
+        for a in self.algos:
+            self.dfe_config(a)
+        skip = self.ber_skip
+        if skip >= self.n_symbols:
+            raise ConfigurationError(
+                f"must be > ber_skip {skip} so that BER scores at least one symbol",
+                field="n_symbols",
+            )
 
     @property
     def noise_variance(self) -> float:
@@ -126,20 +116,17 @@ class ExperimentConfig:
         return tuple(s + NOISE_SEED_OFFSET for s in self.seeds)
 
     @property
-    def resolved_delay(self) -> int:
-        return (self.n_ff - 1) // 2 if self.decision_delay is None else self.decision_delay
-
-    @property
     def ber_skip(self) -> int:
         """BER is scored over the final 80% of symbols (never inside the delay)."""
-        return max(self.resolved_delay, self.n_symbols - math.floor(0.8 * self.n_symbols))
+        delay = self.dfe_config(self.algos[0]).delay
+        return max(delay, self.n_symbols - math.floor(0.8 * self.n_symbols))
 
     def dfe_config(self, algo: str) -> DfeConfig:
         return DfeConfig(
             n_ff=self.n_ff,
             n_fb=self.n_fb,
             mu=self.mu,
-            algo=_RULES[algo],
+            algo=algo,
             mode=self.mode,
             training_len=self.training_len,
             decision_delay=self.decision_delay,
@@ -158,7 +145,6 @@ class RunRecord:
     noise_seeds: tuple[int, ...]
     curves: dict[str, LearningCurve]
     report: ComparisonReport
-    tool_version: str = TOOL_VERSION
 
 
 # Most rows x symbols one `equalize` call steps at once.  A block holds about
@@ -183,6 +169,7 @@ def _run_chunk(
     """
     channel = np.asarray(config.channel, dtype=np.float64)
     n = config.n_symbols
+    skip = config.ber_skip
     rows = max(1, _BLOCK_ELEMENTS // n)
     out: dict[str, tuple[list[np.ndarray], list[float]]] = {a: ([], []) for a in config.algos}
     for lo in range(0, len(seeds), rows):
@@ -195,14 +182,15 @@ def _run_chunk(
             rx[k] = apply_channel(tx[k], noise)
         failures = []
         for k, algo in enumerate(config.algos):
+            cfg = config.dfe_config(algo)
             try:
-                e, decisions, _ = equalize(rx, config.dfe_config(algo), tx)
+                e, decisions, _ = equalize(rx, cfg, tx)
             except InputError as exc:
                 failures.append((exc.row or 0, k, algo, exc))  # no row: the whole block
                 continue
             sq, bers = out[algo]
             sq.append(e)
-            bers += [ber(d, t, config.resolved_delay, config.ber_skip) for d, t in zip(decisions, tx)]
+            bers += [ber(d, t, cfg.delay, skip) for d, t in zip(decisions, tx)]
             del decisions  # a view of the feedback buffer: drop it before the next rule runs
         if failures:
             row, _, algo, exc = min(failures, key=lambda f: f[:2])
@@ -218,15 +206,17 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Run all seeds and algorithms and aggregate into curves and a report.
 
     With `config.jobs` > 1 the seeds are split into min(jobs, seeds)
-    contiguous chunks, one pool task each.  Rows are joined in seed order,
-    so the fold is the same sum in the same order whatever the split.
+    contiguous chunks, one pool task each, run by at most one worker per
+    CPU this process may use.  Rows are joined in seed order, so the fold is
+    the same sum in the same order whatever the split.
     """
     seeds = config.seeds
     n_chunks = min(config.jobs, len(seeds))
     if n_chunks > 1:
         bounds = [len(seeds) * k // n_chunks for k in range(n_chunks + 1)]
         chunks = [seeds[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(max_workers=min(n_chunks, cpus or 1)) as pool:
             parts = list(pool.map(_chunk_worker, [(config, c) for c in chunks]))
     else:
         parts = [_run_chunk(config, seeds)]
@@ -299,7 +289,7 @@ def emit_summary(record: RunRecord, path) -> None:
     """
     cfg = record.config
     lines = [
-        ("tool_version", record.tool_version),
+        ("tool_version", __version__),
         ("n_symbols", cfg.n_symbols),
         ("channel", ",".join(repr(float(c)) for c in cfg.channel)),
         ("snr_db", None if cfg.snr_db is None else float(cfg.snr_db)),
@@ -310,7 +300,7 @@ def emit_summary(record: RunRecord, path) -> None:
         ("algo", ",".join(cfg.algos)),
         ("mode", cfg.mode),
         ("training_len", cfg.training_len),
-        ("decision_delay", cfg.resolved_delay),
+        ("decision_delay", cfg.dfe_config(cfg.algos[0]).delay),
         ("center_spike", cfg.center_spike),
         ("step_floor", float(cfg.step_floor)),
         ("step_cap", None if cfg.step_cap is None else float(cfg.step_cap)),
@@ -331,8 +321,3 @@ def emit_summary(record: RunRecord, path) -> None:
         lines.append(("speedup", float(rep.speedup)))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(f"{k} = {_fmt(v)}" for k, v in lines) + "\n")
-
-
-def config_fields() -> tuple[str, ...]:
-    """Names of the settable ExperimentConfig fields (config-file keys)."""
-    return tuple(f.name for f in fields(ExperimentConfig))

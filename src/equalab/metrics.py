@@ -36,7 +36,7 @@ class LearningCurve:
 class ComparisonReport:
     """Headline numbers per algorithm plus the convergence speedup ratio.
 
-    `speedup` is convergence_iter(conventional) / convergence_iter(improved)
+    `speedup` is convergence_iter(lms) / convergence_iter(ilms)
     and is None unless both algorithms ran and converged.
     """
 
@@ -82,7 +82,7 @@ def convergence_iteration(curve: LearningCurve, ratio: float) -> int | None:
 
 
 def speedup(conv_conventional: int | None, conv_improved: int | None) -> float | None:
-    """Iterations-to-convergence ratio, conventional over improved.
+    """Iterations-to-convergence ratio, `lms` over `ilms`.
 
     Defined only when both counts are present and positive; None otherwise.
     """

@@ -1,8 +1,11 @@
 """CLI tests: flag parsing, config files, precedence, exit codes, reproducibility."""
 
+from pathlib import Path
+
 import pytest
 
-from equalab.cli import main, read_config_file
+from equalab import experiment
+from equalab.cli import SETTINGS, build_parser, config_from_args, main, read_config_file
 from equalab.errors import ConfigurationError
 
 FAST = ["--n-symbols", "300", "--seeds", "3", "--window", "15"]
@@ -162,3 +165,130 @@ class TestConfigFile:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("noiseless = true\n")
         assert read_config_file(str(cfg)) == {"snr_db": None}
+
+
+def summary_entries(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().strip().split("\n"))
+
+
+def parse_config(*argv):
+    return config_from_args(build_parser().parse_args(["run", *argv]))
+
+
+class TestRunTooShortForBer:
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            (["--n-symbols", "1"], "window"),
+            (["--n-symbols", "1", "--window", "1"], "n_symbols"),
+            (["--n-symbols", "5", "--window", "1"], "n_symbols"),
+        ],
+    )
+    def test_exits_2_before_any_equalizer_step(self, tmp_path, capsys, monkeypatch, extra, field):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("the equalizer was stepped")
+
+        monkeypatch.setattr(experiment, "equalize", no_steps)
+        code, curves, summary = run_cli(tmp_path, *extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {field}: ")
+        assert not curves.exists() and not summary.exists()
+
+
+class TestBooleanFlags:
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            ([], True),
+            (["--center-spike"], True),
+            (["--center-spike", "--seeds", "3"], True),
+            (["--center-spike", "true"], True),
+            (["--center-spike", "false"], False),
+            (["--center-spike", "off"], False),
+            (["--center-spike", "0"], False),
+        ],
+    )
+    def test_center_spike(self, argv, expected):
+        assert parse_config(*argv).center_spike is expected
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            ([], 20.0),
+            (["--noiseless"], None),
+            (["--noiseless", "yes"], None),
+            (["--noiseless", "false"], 20.0),
+        ],
+    )
+    def test_noiseless(self, argv, expected):
+        assert parse_config(*argv).snr_db == expected
+
+    def test_noiseless_value_still_excludes_snr_db(self):
+        with pytest.raises(SystemExit):
+            parse_config("--snr-db", "12", "--noiseless", "false")
+
+    def test_bad_boolean_exits_2_naming_key(self, tmp_path, capsys):
+        code, *_ = run_cli(tmp_path, "--center-spike", "maybe")
+        assert code == 2
+        assert "center_spike" in capsys.readouterr().err
+
+    def test_center_spike_off_runs_like_config_file(self, tmp_path):
+        cfg = tmp_path / "nospike.cfg"
+        cfg.write_text("center_spike = false\n")
+        code1, c1, s1 = run_cli(tmp_path, "--center-spike", "false", name="flag")
+        code2, c2, s2 = run_cli(tmp_path, "--config", str(cfg), name="file")
+        assert code1 == code2 == 0
+        assert summary_entries(s1)["center_spike"] == "false"
+        assert c1.read_bytes() == c2.read_bytes()
+        assert s1.read_bytes() == s2.read_bytes()
+
+
+# Values to give each setting, as a file line and as a flag.  Settings a
+# value depends on are given the same way on both sides (`_CONTEXT`).
+_VALUES = {
+    "n_symbols": ["800"],
+    "channel": ["0.9,0.436", "1.0"],
+    "snr_db": ["12.5", "none"],
+    "noiseless": ["true", "false"],
+    "n_ff": ["9"],
+    "n_fb": ["0"],
+    "mu": ["0.01"],
+    "algo": ["ilms", "ilms,lms"],
+    "mode": ["trained", "dd", "decision_directed"],
+    "training_len": ["50"],
+    "decision_delay": ["3", "none"],
+    "seeds": ["7"],
+    "base_seed": ["11"],
+    "window": ["40"],
+    "conv_ratio": ["2.0"],
+    "tail_frac": ["0.5"],
+    "step_floor": ["0.01"],
+    "step_cap": ["0.05", "none"],
+    "center_spike": ["false", "true"],
+    "jobs": ["2"],
+    "out_curves": ["a.csv"],
+    "out_summary": ["b.txt"],
+}
+_CONTEXT = {"training_len": ("mode", "trained")}
+
+
+@pytest.mark.parametrize("setting", [s for s in SETTINGS if s.flag], ids=lambda s: s.key)
+def test_flag_and_file_key_give_same_config(tmp_path, setting):
+    flag_of = {s.key: s.flag for s in SETTINGS}
+    context = [_CONTEXT[setting.key]] if setting.key in _CONTEXT else []
+    for value in _VALUES[setting.key]:
+        pairs = [*context, (setting.key, value)]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs))
+        flags = [item for k, v in pairs for item in (flag_of[k], v)]
+        assert parse_config(*flags) == parse_config("--config", str(cfg)), value
+
+
+def test_readme_lists_every_setting():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for s in SETTINGS:
+        assert f"`{s.key}`" in readme, s.key
+        if s.flag:
+            assert s.flag in readme, s.flag

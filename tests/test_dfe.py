@@ -21,6 +21,11 @@ from equalab import (
 from equalab.dfe import MODE_TRAINED, PAD_SYMBOL
 
 
+# Ids of the `lms` and `ilms` cases, kept as they were so that results stay
+# comparable by id across versions.
+_RULE_IDS = ["conventional", "improved"]
+
+
 def cfg_dd(**kw):
     base = dict(n_ff=2, n_fb=0, mu=0.1)
     base.update(kw)
@@ -134,7 +139,7 @@ class TestDfeStep:
         assert nxt.ff_weights.tolist() == [0.1, -0.1]
 
     def test_improved_unit_difference_coincides(self):
-        cfg = cfg_dd(algo="improved")
+        cfg = cfg_dd(algo="ilms")
         st = DfeState(np.zeros(2), np.zeros(0), np.array([-1.0, 9.0]), delay_line(0))
         trace, nxt = dfe_step(st, 1.0, None, cfg)
         assert trace.effective_step == 0.1
@@ -161,7 +166,7 @@ class TestDfeStep:
         assert st.fb_line.tolist() == decisions[-1:-4:-1]
 
     def test_decisions_are_symbols(self):
-        cfg = cfg_dd(n_ff=4, n_fb=2, algo="improved")
+        cfg = cfg_dd(n_ff=4, n_fb=2, algo="ilms")
         st = initial_state(cfg)
         rng = np.random.default_rng(2)
         for r in rng.normal(size=100):
@@ -170,7 +175,7 @@ class TestDfeStep:
             assert trace.effective_step >= 0.0
 
     def test_perfect_decision_is_fixed_point(self):
-        for algo in ("conventional", "improved"):
+        for algo in ("lms", "ilms"):
             cfg = cfg_dd(n_ff=1, n_fb=0, algo=algo)
             st = DfeState(taps([1.0]), np.zeros(0), delay_line(1), delay_line(0), prev_error=0.3)
             trace, nxt = dfe_step(st, 1.0, None, cfg)
@@ -179,7 +184,7 @@ class TestDfeStep:
 
     def test_trained_and_decision_directed_agree_on_correct_decisions(self):
         rng = np.random.default_rng(3)
-        for algo in ("conventional", "improved"):
+        for algo in ("lms", "ilms"):
             dd = DfeConfig(n_ff=4, n_fb=2, mu=0.07, algo=algo)
             tr = DfeConfig(n_ff=4, n_fb=2, mu=0.07, algo=algo, mode="trained", training_len=10)
             st = DfeState(
@@ -207,7 +212,7 @@ class TestRunEqualizer:
             run_equalizer(np.ones(10), cfg)
 
     def test_matches_manual_stepping(self):
-        cfg = DfeConfig(n_ff=5, n_fb=3, mu=0.05, algo="improved", center_spike=True)
+        cfg = DfeConfig(n_ff=5, n_fb=3, mu=0.05, algo="ilms", center_spike=True)
         rng = np.random.default_rng(4)
         rx = rng.normal(size=50)
         run = run_equalizer(rx, cfg)
@@ -290,7 +295,7 @@ class TestEqualizeOracle:
         [None, 150, 2, N_ORACLE + 50],  # dd; trained; shorter than the delay; longer than N
         ids=["dd", "trained", "train-lt-delay", "train-gt-n"],
     )
-    @pytest.mark.parametrize("algo", ["conventional", "improved"])
+    @pytest.mark.parametrize("algo", ["lms", "ilms"], ids=_RULE_IDS)
     def test_matches_step_loop(self, algo, training, spike, shape, rows):
         mode = {} if training is None else dict(mode=MODE_TRAINED, training_len=training)
         cfg = DfeConfig(n_ff=11, mu=0.03, algo=algo, center_spike=spike, **mode, **shape)
@@ -308,7 +313,7 @@ class TestEqualizeOracle:
             assert got.fb_line.tobytes() == want.fb_line.tobytes()
             assert (got.prev_error, got.iteration) == (want.prev_error, want.iteration)
 
-    @pytest.mark.parametrize("algo", ["conventional", "improved"])
+    @pytest.mark.parametrize("algo", ["lms", "ilms"], ids=_RULE_IDS)
     def test_rows_are_independent(self, algo):
         cfg = DfeConfig(n_ff=7, n_fb=3, mu=0.03, algo=algo, mode=MODE_TRAINED, training_len=40)
         rx, tx = _batch(5, 300, seed=7)
@@ -320,7 +325,7 @@ class TestEqualizeOracle:
 
     def test_divergence_names_first_row_and_iteration(self):
         cfg = DfeConfig(
-            n_ff=11, n_fb=5, mu=0.2, algo="improved", mode=MODE_TRAINED, training_len=500
+            n_ff=11, n_fb=5, mu=0.2, algo="ilms", mode=MODE_TRAINED, training_len=500
         )
         rx, tx = _batch(4, 200, seed=8)
         failures = []

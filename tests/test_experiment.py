@@ -73,6 +73,9 @@ class TestExperimentConfig:
             (dict(channel=()), "channel"),
             (dict(n_ff=0), "n_ff"),
             (dict(mu=-1.0), "mu"),
+            # BER would score no symbol after the default delay of 5.
+            (dict(n_symbols=1, window=1), "n_symbols"),
+            (dict(n_symbols=5, window=1), "n_symbols"),
         ],
     )
     def test_rejects_and_names_field(self, kw, field):
@@ -96,6 +99,11 @@ class TestExperimentConfig:
         assert tiny_config(n_symbols=400).ber_skip == 80
         # never scores inside the decision delay
         assert tiny_config(n_symbols=5, window=2, decision_delay=4).ber_skip == 4
+
+    def test_shortest_run_scores_one_symbol(self):
+        cfg = ExperimentConfig(n_symbols=6, window=1)
+        assert cfg.ber_skip == 5
+        assert cfg.n_symbols - cfg.ber_skip == 1
 
 
 class TestRunExperiment:
@@ -160,6 +168,37 @@ class TestRunExperiment:
         with pytest.raises(InputError) as exc:
             run_experiment(cfg)
         assert str(exc.value) == expected
+
+
+    def test_pool_workers_capped_at_usable_cpus(self, monkeypatch):
+        # The fake pool runs its tasks in this process: no worker is started.
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        serial = run_experiment(tiny_config(n_seeds=6))
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for jobs in (3, 1000):
+            capped = run_experiment(tiny_config(n_seeds=6, jobs=jobs))
+            for algo in serial.curves:
+                assert (
+                    serial.curves[algo].sq_errors.tobytes()
+                    == capped.curves[algo].sq_errors.tobytes()
+                )
+            assert serial.report.ber == capped.report.ber
+        assert made == [2, 2]
 
 
 class TestEmission:
