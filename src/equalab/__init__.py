@@ -17,7 +17,6 @@ from .dfe import (
     MODE_TRAINED,
     DfeConfig,
     DfeState,
-    EqualizerRun,
     StepTrace,
     combiner,
     dfe_step,
@@ -25,7 +24,6 @@ from .dfe import (
     form_error,
     initial_state,
     quantize,
-    run_equalizer,
 )
 from .dsp import delay_line, dot, fir_step, shift_in, taps
 from .errors import ConfigurationError, InputError
@@ -37,7 +35,6 @@ from .experiment import (
     run_experiment,
 )
 from .metrics import (
-    ComparisonReport,
     LearningCurve,
     ber,
     convergence_iteration,

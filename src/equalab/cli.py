@@ -9,6 +9,8 @@ over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -173,18 +175,28 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _print_report(record: RunRecord) -> None:
     cfg = record.config
-    print(f"seeds: {len(record.seeds)}, symbols: {cfg.n_symbols}, mode: {cfg.mode}")
-    rep = record.report
-    for algo in sorted(record.curves):
-        conv = rep.convergence_iter[algo]
+    print(f"seeds: {len(cfg.seeds)}, symbols: {cfg.n_symbols}, mode: {cfg.mode}")
+    for algo, curve in sorted(record.curves.items()):
+        conv = curve.convergence_iter
         conv_txt = "not reached" if conv is None else f"@ iteration {conv}"
         print(
-            f"{algo:>4}: steady-state MSE {rep.steady_state_mse[algo]:.6g}, "
-            f"convergence {conv_txt}, BER {rep.ber[algo]:.6g}"
+            f"{algo:>4}: steady-state MSE {curve.steady_state_mse:.6g}, "
+            f"convergence {conv_txt}, BER {record.ber[algo]:.6g}"
         )
-    if rep.speedup is not None:
-        print(f"speedup (lms/ilms convergence iterations): {rep.speedup:.3g}")
+    if record.speedup is not None:
+        print(f"speedup (lms/ilms convergence iterations): {record.speedup:.3g}")
     print(f"wrote {cfg.out_curves} and {cfg.out_summary}")
+
+
+def _check_writable(path: str) -> None:
+    """Raise OSError unless `path` names a file in an existing, writable directory."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
+    if not os.access(parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), parent)
 
 
 def main(argv=None) -> int:
@@ -197,6 +209,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config file: {exc}", file=sys.stderr)
         return 2
+    try:
+        # Fail before the run, not after it, and write nothing.
+        for path in (config.out_curves, config.out_summary):
+            _check_writable(path)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     try:
         record = run_experiment(config)
     except InputError as exc:

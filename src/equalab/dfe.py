@@ -299,20 +299,3 @@ def _training_references(transmitted, rows: int, train: int, delay: int) -> np.n
             row=row,
         )
     return refs
-
-
-@dataclass(slots=True)
-class EqualizerRun:
-    """Arrays collected from one full pass: e(n)^2 and the hard decisions."""
-
-    sq_errors: np.ndarray
-    decisions: np.ndarray
-    final_state: DfeState
-
-
-def run_equalizer(received, cfg: DfeConfig, transmitted=None) -> EqualizerRun:
-    """Run the equalizer over one received sequence: `equalize` on a single row."""
-    rx = np.asarray(received, dtype=np.float64).reshape(1, -1)
-    tx = None if transmitted is None else np.asarray(transmitted, dtype=np.float64).reshape(1, -1)
-    sq, decisions, (state,) = equalize(rx, cfg, tx)
-    return EqualizerRun(sq[0], decisions[0], state)

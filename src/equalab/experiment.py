@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dfe import ALGO_ILMS, ALGO_LMS, MODE_DECISION_DIRECTED, DfeConfig, equalize
 from .errors import ConfigurationError, InputError
-from .metrics import ComparisonReport, LearningCurve, ber, learning_curve, speedup
+from .metrics import LearningCurve, ber, learning_curve, speedup
 from .txrx import ChannelModel, apply_channel, generate_bpsk
 
 # Noise streams are decoupled from symbol streams by a fixed seed offset so
@@ -85,8 +85,12 @@ class ExperimentConfig:
                 raise ConfigurationError("must not be empty", field="seed_list")
             if len(set(self.seed_list)) != len(self.seed_list):
                 raise ConfigurationError("seeds must be unique", field="seed_list")
+            if min(self.seed_list) < 0:
+                raise ConfigurationError("seeds must be >= 0", field="seed_list")
         elif self.n_seeds < 1:
             raise ConfigurationError("must be >= 1", field="seeds")
+        elif self.base_seed < 0:
+            raise ConfigurationError("must be >= 0", field="base_seed")
         if self.jobs < 1:
             raise ConfigurationError("must be >= 1", field="jobs")
         # Channel, rule and equalizer field checks live with their owning types.
@@ -138,13 +142,17 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Everything needed to reproduce and re-derive one experiment's outputs."""
+    """Everything needed to reproduce and re-derive one experiment's outputs.
+
+    `ber` is each rule's mean BER over the seeds; `speedup` is
+    convergence_iter(lms) / convergence_iter(ilms), None unless both rules
+    ran and converged.
+    """
 
     config: ExperimentConfig
-    seeds: tuple[int, ...]
-    noise_seeds: tuple[int, ...]
     curves: dict[str, LearningCurve]
-    report: ComparisonReport
+    ber: dict[str, float]
+    speedup: float | None
 
 
 # Most rows x symbols one `equalize` call steps at once.  A block holds about
@@ -154,96 +162,75 @@ class RunRecord:
 _BLOCK_ELEMENTS = 2**16
 
 
-def _run_chunk(
+def _run_block(
     config: ExperimentConfig, seeds: tuple[int, ...]
-) -> dict[str, tuple[list[np.ndarray], list[float]]]:
-    """A contiguous run of seeds, every algorithm: {algo: (squared errors, BERs)}.
+) -> dict[str, tuple[np.ndarray, list[float]]]:
+    """One block of seeds, every algorithm: {algo: ((rows, N) squared errors, BERs)}.
 
-    The seeds are stepped in blocks of at most `_BLOCK_ELEMENTS` samples
-    (rows x symbols), which leaves every row's bytes as they are.  The
-    squared errors come as a list of (rows, n_symbols) blocks in seed order,
-    the BERs as one per seed.  Each block draws its own symbols and noise,
-    so with `jobs` > 1 only the pool workers load numpy.random.  A run that
-    fails raises the InputError the serial order (seed, then algorithm)
-    would meet first.
+    The block draws its own symbols and noise, so with `jobs` > 1 only the
+    pool workers load numpy.random.  A run that fails raises the InputError
+    the serial order (seed, then algorithm) would meet first.
     """
     channel = np.asarray(config.channel, dtype=np.float64)
     n = config.n_symbols
     skip = config.ber_skip
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    out: dict[str, tuple[list[np.ndarray], list[float]]] = {a: ([], []) for a in config.algos}
-    for lo in range(0, len(seeds), rows):
-        block = seeds[lo : lo + rows]
-        tx = np.empty((len(block), n))
-        rx = np.empty_like(tx)
-        for k, s in enumerate(block):
-            tx[k] = generate_bpsk(n, s)
-            noise = ChannelModel(channel, config.noise_variance, s + NOISE_SEED_OFFSET)
-            rx[k] = apply_channel(tx[k], noise)
-        failures = []
-        for k, algo in enumerate(config.algos):
-            cfg = config.dfe_config(algo)
-            try:
-                e, decisions, _ = equalize(rx, cfg, tx)
-            except InputError as exc:
-                failures.append((exc.row or 0, k, algo, exc))  # no row: the whole block
-                continue
-            sq, bers = out[algo]
-            sq.append(e)
-            bers += [ber(d, t, cfg.delay, skip) for d, t in zip(decisions, tx)]
-            del decisions  # a view of the feedback buffer: drop it before the next rule runs
-        if failures:
-            row, _, algo, exc = min(failures, key=lambda f: f[:2])
-            raise InputError(f"algorithm {algo}, seed {block[row]}: {exc}") from None
+    tx = np.empty((len(seeds), n))
+    rx = np.empty_like(tx)
+    for k, s in enumerate(seeds):
+        tx[k] = generate_bpsk(n, s)
+        noise = ChannelModel(channel, config.noise_variance, s + NOISE_SEED_OFFSET)
+        rx[k] = apply_channel(tx[k], noise)
+    out: dict[str, tuple[np.ndarray, list[float]]] = {}
+    failures = []
+    for k, algo in enumerate(config.algos):
+        cfg = config.dfe_config(algo)
+        try:
+            e, decisions, _ = equalize(rx, cfg, tx)
+        except InputError as exc:
+            failures.append((exc.row or 0, k, algo, exc))  # no row: the whole block
+            continue
+        out[algo] = (e, [ber(d, t, cfg.delay, skip) for d, t in zip(decisions, tx)])
+        del decisions  # a view of the feedback buffer: drop it before the next rule runs
+    if failures:
+        row, _, algo, exc = min(failures, key=lambda f: f[:2])
+        raise InputError(f"algorithm {algo}, seed {seeds[row]}: {exc}") from None
     return out
 
 
-def _chunk_worker(args):
-    return _run_chunk(*args)
+def _block_worker(args):
+    return _run_block(*args)
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
-    """Run all seeds and algorithms and aggregate into curves and a report.
+    """Run all seeds and algorithms and aggregate into curves and statistics.
 
-    With `config.jobs` > 1 the seeds are split into min(jobs, seeds)
-    contiguous chunks, one pool task each, run by at most one worker per
-    CPU this process may use.  Rows are joined in seed order, so the fold is
-    the same sum in the same order whatever the split.
+    The seeds are split into contiguous blocks of at most `_BLOCK_ELEMENTS`
+    samples (rows x symbols) and at most ceil(seeds / jobs) rows.  With
+    `config.jobs` > 1 and more than one block, each block is one pool task,
+    run by at most one worker per CPU this process may use.  Rows are joined
+    in seed order, so the fold is the same sum in the same order whatever
+    the split, and the first failure raised is the first in serial order.
     """
     seeds = config.seeds
-    n_chunks = min(config.jobs, len(seeds))
-    if n_chunks > 1:
-        bounds = [len(seeds) * k // n_chunks for k in range(n_chunks + 1)]
-        chunks = [seeds[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    rows = max(1, min(_BLOCK_ELEMENTS // config.n_symbols, math.ceil(len(seeds) / config.jobs)))
+    blocks = [seeds[lo : lo + rows] for lo in range(0, len(seeds), rows)]
+    if config.jobs > 1 and len(blocks) > 1:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        with ProcessPoolExecutor(max_workers=min(n_chunks, cpus or 1)) as pool:
-            parts = list(pool.map(_chunk_worker, [(config, c) for c in chunks]))
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(blocks), cpus or 1)) as pool:
+            parts = list(pool.map(_block_worker, [(config, b) for b in blocks]))
     else:
-        parts = [_run_chunk(config, seeds)]
+        parts = [_run_block(config, b) for b in blocks]
 
     curves: dict[str, LearningCurve] = {}
-    steady: dict[str, float] = {}
-    conv: dict[str, int | None] = {}
     bers: dict[str, float] = {}
     for algo in config.algos:
-        ensemble = np.mean(np.concatenate([b for part in parts for b in part[algo][0]]), axis=0)
-        curve = learning_curve(ensemble, config.window, config.conv_ratio, config.tail_frac)
-        curves[algo] = curve
-        steady[algo] = curve.steady_state_mse
-        conv[algo] = curve.convergence_iter
+        ensemble = np.mean(np.concatenate([part[algo][0] for part in parts]), axis=0)
+        curves[algo] = learning_curve(ensemble, config.window, config.conv_ratio, config.tail_frac)
         bers[algo] = float(np.mean([b for part in parts for b in part[algo][1]]))
-
     ratio = None
-    if ALGO_LMS in conv and ALGO_ILMS in conv:
-        ratio = speedup(conv[ALGO_LMS], conv[ALGO_ILMS])
-    report = ComparisonReport(steady_state_mse=steady, convergence_iter=conv, ber=bers, speedup=ratio)
-    return RunRecord(
-        config=config,
-        seeds=seeds,
-        noise_seeds=config.noise_seeds,
-        curves=curves,
-        report=report,
-    )
+    if ALGO_LMS in curves and ALGO_ILMS in curves:
+        ratio = speedup(curves[ALGO_LMS].convergence_iter, curves[ALGO_ILMS].convergence_iter)
+    return RunRecord(config=config, curves=curves, ber=bers, speedup=ratio)
 
 
 def _g17(x) -> str:
@@ -309,15 +296,15 @@ def emit_summary(record: RunRecord, path) -> None:
         ("tail_frac", float(cfg.tail_frac)),
         ("ber_skip", cfg.ber_skip),
         ("noise_seed_offset", NOISE_SEED_OFFSET),
-        ("symbol_seeds", ",".join(str(s) for s in record.seeds)),
-        ("noise_seeds", ",".join(str(s) for s in record.noise_seeds)),
+        ("symbol_seeds", ",".join(str(s) for s in cfg.seeds)),
+        ("noise_seeds", ",".join(str(s) for s in cfg.noise_seeds)),
     ]
-    rep = record.report
     for algo in sorted(record.curves):
-        lines.append((f"{algo}.steady_state_mse", float(rep.steady_state_mse[algo])))
-        lines.append((f"{algo}.convergence_iter", rep.convergence_iter[algo]))
-        lines.append((f"{algo}.ber", float(rep.ber[algo])))
-    if rep.speedup is not None:
-        lines.append(("speedup", float(rep.speedup)))
+        curve = record.curves[algo]
+        lines.append((f"{algo}.steady_state_mse", float(curve.steady_state_mse)))
+        lines.append((f"{algo}.convergence_iter", curve.convergence_iter))
+        lines.append((f"{algo}.ber", float(record.ber[algo])))
+    if record.speedup is not None:
+        lines.append(("speedup", float(record.speedup)))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(f"{k} = {_fmt(v)}" for k, v in lines) + "\n")

@@ -32,20 +32,6 @@ class LearningCurve:
     convergence_iter: int | None
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonReport:
-    """Headline numbers per algorithm plus the convergence speedup ratio.
-
-    `speedup` is convergence_iter(lms) / convergence_iter(ilms)
-    and is None unless both algorithms ran and converged.
-    """
-
-    steady_state_mse: dict[str, float]
-    convergence_iter: dict[str, int | None]
-    ber: dict[str, float]
-    speedup: float | None
-
-
 def smooth(sq_errors, window: int) -> np.ndarray:
     """Forward moving average: out[i] = mean(sq_errors[i .. i+window-1])."""
     x = np.asarray(sq_errors, dtype=np.float64)
@@ -81,16 +67,16 @@ def convergence_iteration(curve: LearningCurve, ratio: float) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def speedup(conv_conventional: int | None, conv_improved: int | None) -> float | None:
+def speedup(conv_lms: int | None, conv_ilms: int | None) -> float | None:
     """Iterations-to-convergence ratio, `lms` over `ilms`.
 
     Defined only when both counts are present and positive; None otherwise.
     """
-    if conv_conventional is None or conv_improved is None:
+    if conv_lms is None or conv_ilms is None:
         return None
-    if conv_conventional <= 0 or conv_improved <= 0:
+    if conv_lms <= 0 or conv_ilms <= 0:
         return None
-    return conv_conventional / conv_improved
+    return conv_lms / conv_ilms
 
 
 def ber(decisions, transmitted, delay: int, skip: int) -> float:

@@ -27,7 +27,6 @@ from equalab import (
     improved_step,
     initial_state,
     lms_update,
-    run_equalizer,
     smooth,
     speedup,
     steady_state_mse,
@@ -90,9 +89,9 @@ def _ilms_step_probe(config):
 def test_criterion_1_convergence_speed_ordering(default_run):
     record, elapsed = default_run
     config = record.config
-    conv_lms = record.report.convergence_iter["lms"]
-    conv_ilms = record.report.convergence_iter["ilms"]
-    ratio = record.report.speedup
+    conv_lms = record.curves["lms"].convergence_iter
+    conv_ilms = record.curves["ilms"].convergence_iter
+    ratio = record.speedup
     print(
         f"\ncriterion 1: equal mu={config.mu}: conv(lms)={conv_lms}, conv(ilms)={conv_ilms}, "
         f"speedup={ratio if ratio is None else round(ratio, 3)}, "
@@ -108,10 +107,10 @@ def test_criterion_1_convergence_speed_ordering(default_run):
     assert probe_sq.tobytes() == record.curves["ilms"].sq_errors.tobytes(), (
         "step probe does not replay the ensemble's ilms runs"
     )
-    matched = run_experiment(replace(config, mu=mu_matched, algos=("lms",))).report
-    floor_lms = matched.steady_state_mse["lms"]
-    floor_ilms = record.report.steady_state_mse["ilms"]
-    conv_matched = matched.convergence_iter["lms"]
+    matched = run_experiment(replace(config, mu=mu_matched, algos=("lms",))).curves["lms"]
+    floor_lms = matched.steady_state_mse
+    floor_ilms = record.curves["ilms"].steady_state_mse
+    conv_matched = matched.convergence_iter
     matched_ratio = speedup(conv_matched, conv_ilms)
     print(
         f"criterion 1: matched mu={mu_matched:.6g}: floor(lms)={floor_lms:.6g}, "
@@ -131,8 +130,8 @@ def test_criterion_1_convergence_speed_ordering(default_run):
 
 def test_criterion_2_steady_state_ordering(default_run):
     record, _ = default_run
-    st_lms = record.report.steady_state_mse["lms"]
-    st_ilms = record.report.steady_state_mse["ilms"]
+    st_lms = record.curves["lms"].steady_state_mse
+    st_ilms = record.curves["ilms"].steady_state_mse
     measured_ratio = st_lms / st_ilms
     print(
         f"\ncriterion 2: steady-state MSE lms={st_lms:.6g}, ilms={st_ilms:.6g}, "
@@ -206,11 +205,11 @@ def test_criterion_6_noiseless_recovery():
     record = run_experiment(config)
     assert config.ber_skip == 1000  # final 80% of 5000 symbols
     print(
-        f"\ncriterion 6: noiseless trained recovery, BER lms={record.report.ber['lms']}, "
-        f"ilms={record.report.ber['ilms']}"
+        f"\ncriterion 6: noiseless trained recovery, BER lms={record.ber['lms']}, "
+        f"ilms={record.ber['ilms']}"
     )
-    assert record.report.ber["lms"] == 0.0
-    assert record.report.ber["ilms"] == 0.0
+    assert record.ber["lms"] == 0.0
+    assert record.ber["ilms"] == 0.0
     print("criterion 6 noiseless recovery: PASS")
 
 

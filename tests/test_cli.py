@@ -11,6 +11,10 @@ from equalab.errors import ConfigurationError
 FAST = ["--n-symbols", "300", "--seeds", "3", "--window", "15"]
 
 
+def _no_steps(*args, **kwargs):
+    raise AssertionError("the equalizer was stepped")
+
+
 def run_cli(tmp_path, *extra, name="run"):
     curves = tmp_path / f"{name}_curves.csv"
     summary = tmp_path / f"{name}_summary.txt"
@@ -103,6 +107,35 @@ class TestConfigErrors:
         assert "ilms" in err and "seed 1:" in err and "iteration 30" in err
         assert not curves.exists() and not summary.exists()
 
+    def test_negative_seed_exits_2_naming_field(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("seed_list = 3,-2\n")
+        for extra, field in ((["--base-seed", "-1"], "base_seed"), (["--config", str(cfg)], "seed_list")):
+            code, curves, summary = run_cli(tmp_path, *extra)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: {field}: ")
+            assert not curves.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("bad", ["summary_in_missing_dir", "curves_is_a_dir"])
+    def test_unwritable_output_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch, bad):
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        out = tmp_path / "out"
+        out.mkdir()
+        curves, summary = out / "c.csv", out / "s.txt"
+        if bad == "summary_in_missing_dir":
+            summary = out / "missing" / "s.txt"
+        else:
+            curves = out
+        code = main(["run", *FAST, "--out-curves", str(curves), "--out-summary", str(summary)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot write output: ")
+        assert list(out.iterdir()) == []
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2
@@ -185,10 +218,7 @@ class TestRunTooShortForBer:
         ],
     )
     def test_exits_2_before_any_equalizer_step(self, tmp_path, capsys, monkeypatch, extra, field):
-        def no_steps(*args, **kwargs):
-            raise AssertionError("the equalizer was stepped")
-
-        monkeypatch.setattr(experiment, "equalize", no_steps)
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
         code, curves, summary = run_cli(tmp_path, *extra)
         assert code == 2
         err = capsys.readouterr().err

@@ -15,7 +15,6 @@ from equalab import (
     form_error,
     initial_state,
     quantize,
-    run_equalizer,
     taps,
 )
 from equalab.dfe import MODE_TRAINED, PAD_SYMBOL
@@ -202,34 +201,36 @@ class TestDfeStep:
 
 
 class TestRunEqualizer:
+    """Whole runs of one row through `equalize`."""
+
     def test_rejects_empty_input(self):
         with pytest.raises(InputError):
-            run_equalizer(np.array([]), cfg_dd())
+            equalize(np.array([])[None], cfg_dd())
 
     def test_trained_mode_needs_symbols(self):
         cfg = cfg_dd(mode="trained", training_len=4)
         with pytest.raises(InputError):
-            run_equalizer(np.ones(10), cfg)
+            equalize(np.ones((1, 10)), cfg)
 
     def test_matches_manual_stepping(self):
         cfg = DfeConfig(n_ff=5, n_fb=3, mu=0.05, algo="ilms", center_spike=True)
         rng = np.random.default_rng(4)
         rx = rng.normal(size=50)
-        run = run_equalizer(rx, cfg)
+        (sq_errors,), (decisions,), _ = equalize(rx[None], cfg)
         st = initial_state(cfg)
         for i, r in enumerate(rx):
             trace, st = dfe_step(st, float(r), None, cfg)
-            assert run.sq_errors[i] == trace.error * trace.error
-            assert run.decisions[i] == trace.decision
+            assert sq_errors[i] == trace.error * trace.error
+            assert decisions[i] == trace.decision
 
     def test_trained_references_are_delayed_symbols(self):
         # delay 2: reference stream is [pad, pad, tx0, tx1, ...] during training
         cfg = DfeConfig(n_ff=5, n_fb=0, mu=1e-9, mode="trained", training_len=6)
         tx = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, -1.0])
-        run = run_equalizer(np.zeros(6), cfg, transmitted=tx)
+        (sq_errors,), _, _ = equalize(np.zeros((1, 6)), cfg, tx[None])
         # y stays ~0, so e = reference: +1 padding for 2 steps then -1
         np.testing.assert_allclose(
-            np.sqrt(run.sq_errors), [1, 1, 1, 1, 1, 1], atol=1e-8
+            np.sqrt(sq_errors), [1, 1, 1, 1, 1, 1], atol=1e-8
         )
         st = initial_state(cfg)
         refs = []

@@ -76,6 +76,9 @@ class TestExperimentConfig:
             # BER would score no symbol after the default delay of 5.
             (dict(n_symbols=1, window=1), "n_symbols"),
             (dict(n_symbols=5, window=1), "n_symbols"),
+            # numpy's PCG64 takes no negative seed.
+            (dict(seed_list=(3, -2)), "seed_list"),
+            (dict(base_seed=-1), "base_seed"),
         ],
     )
     def test_rejects_and_names_field(self, kw, field):
@@ -113,13 +116,13 @@ class TestRunExperiment:
         for curve in rec.curves.values():
             assert curve.sq_errors.shape == (400,)
             assert curve.smoothed.shape == (400 - 20 + 1,)
-        assert set(rec.report.steady_state_mse) == {"lms", "ilms"}
-        assert rec.seeds == tuple(range(1, 5))
+        assert set(rec.ber) == {"lms", "ilms"}
+        assert rec.config.seeds == tuple(range(1, 5))
 
     def test_single_algorithm_has_no_speedup(self):
         rec = run_experiment(tiny_config(algos=("lms",)))
         assert set(rec.curves) == {"lms"}
-        assert rec.report.speedup is None
+        assert rec.speedup is None
 
     def test_deterministic_rerun(self):
         a = run_experiment(tiny_config())
@@ -129,7 +132,7 @@ class TestRunExperiment:
 
     def test_parallel_fold_matches_serial(self, monkeypatch):
         serial = run_experiment(tiny_config(n_seeds=6))
-        # 4 splits the 6 seeds unevenly; 7 is clamped to one chunk per seed.
+        # Pool blocks of ceil(6 / jobs) rows: 3, 2, 2 and 1 (one block per seed).
         splits = [(jobs, None) for jobs in (2, 3, 4, 7)]
         # One process, blocks of 1 and 4 rows (the last block short).
         splits += [(1, 1), (1, 4)]
@@ -142,7 +145,7 @@ class TestRunExperiment:
                     serial.curves[algo].sq_errors.tobytes()
                     == parallel.curves[algo].sq_errors.tobytes()
                 ), f"jobs={jobs}, block_rows={block_rows}"
-            assert serial.report.ber == parallel.report.ber, f"jobs={jobs}, block_rows={block_rows}"
+            assert serial.ber == parallel.ber, f"jobs={jobs}, block_rows={block_rows}"
 
     @pytest.mark.parametrize(
         "algos,jobs,block_rows",
@@ -171,24 +174,9 @@ class TestRunExperiment:
 
 
     def test_pool_workers_capped_at_usable_cpus(self, monkeypatch):
-        # The fake pool runs its tasks in this process: no worker is started.
         made = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return list(map(fn, items))
-
         serial = run_experiment(tiny_config(n_seeds=6))
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", fake_pool(made))
         monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for jobs in (3, 1000):
             capped = run_experiment(tiny_config(n_seeds=6, jobs=jobs))
@@ -197,8 +185,50 @@ class TestRunExperiment:
                     serial.curves[algo].sq_errors.tobytes()
                     == capped.curves[algo].sq_errors.tobytes()
                 )
-            assert serial.report.ber == capped.report.ber
+            assert serial.ber == capped.ber
         assert made == [2, 2]
+
+    @pytest.mark.parametrize(
+        "n_seeds,n_symbols,jobs,rows,workers",
+        [
+            (50, 5000, 1, [13, 13, 13, 11], []),  # at most 2^16 samples per block
+            (32, 1000, 2, [16, 16], [2]),  # at most ceil(seeds / jobs) rows
+            (3, 40000, 1, [1, 1, 1], []),  # longer than 2^15 symbols: one seed per block
+        ],
+    )
+    def test_block_split(self, monkeypatch, n_seeds, n_symbols, jobs, rows, workers):
+        calls, made = [], []
+
+        def fake_equalize(rx, cfg, tx):  # records the batch; steps nothing
+            calls.append((cfg.algo, rx.shape))
+            return np.zeros(rx.shape), np.ones(rx.shape), ()
+
+        monkeypatch.setattr(experiment, "equalize", fake_equalize)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", fake_pool(made))
+        monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        run_experiment(ExperimentConfig(n_seeds=n_seeds, n_symbols=n_symbols, jobs=jobs))
+        assert calls == [(a, (r, n_symbols)) for r in rows for a in ("lms", "ilms")]
+        assert made == workers
+
+
+def fake_pool(made):
+    """A ProcessPoolExecutor stand-in that runs its tasks in this process
+    (no worker is started) and appends each pool's max_workers to `made`."""
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    return FakePool
 
 
 class TestEmission:
