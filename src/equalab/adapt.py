@@ -12,6 +12,7 @@ the negated decision history.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dsp import DelayLine, TapWeights
@@ -32,14 +33,14 @@ class AdaptParams:
     step_cap: float | None = None
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ConfigurationError("must be > 0", field="mu")
-        if self.step_floor < 0:
-            raise ConfigurationError("must be >= 0", field="step_floor")
+        if not 0 < self.mu < math.inf:
+            raise ConfigurationError("must be finite and > 0", field="mu")
+        if not 0 <= self.step_floor < math.inf:
+            raise ConfigurationError("must be finite and >= 0", field="step_floor")
         if self.step_cap is not None and (
-            not self.step_cap > 0 or self.step_cap < self.mu * self.step_floor
+            not 0 < self.step_cap < math.inf or self.step_cap < self.mu * self.step_floor
         ):
-            raise ConfigurationError("must be > 0 and >= mu * step_floor", field="step_cap")
+            raise ConfigurationError("must be finite, > 0 and >= mu * step_floor", field="step_cap")
 
 
 def lms_update(weights: TapWeights, regressor: DelayLine, e: float, step: float) -> TapWeights:

@@ -51,10 +51,6 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
-
-
 def _optional(parse):
     def inner(text: str):
         return None if text.strip().lower() == "none" else parse(text)
@@ -63,15 +59,11 @@ def _optional(parse):
 
 
 class Setting(NamedTuple):
-    """One setting: config-file key, ExperimentConfig field, flag, parser, help.
-
-    `field` None is the `noiseless` switch: true forces snr_db to none.
-    `flag` None means the setting is read from config files only.
-    """
+    """One setting: config-file key, ExperimentConfig field, flag, parser, help."""
 
     key: str
-    field: str | None
-    flag: str | None
+    field: str
+    flag: str
     parse: Callable[[str], object]
     metavar: str
     help: str
@@ -81,7 +73,6 @@ SETTINGS = (
     Setting("n_symbols", "n_symbols", "--n-symbols", int, "N", "symbols per run"),
     Setting("channel", "channel", "--channel", _parse_floats, "a,b,c", "channel impulse response"),
     Setting("snr_db", "snr_db", "--snr-db", _optional(float), "X", "SNR in dB, or none"),
-    Setting("noiseless", None, "--noiseless", _parse_bool, "BOOL", "true: zero-noise channel"),
     Setting("n_ff", "n_ff", "--ff", int, "N", "feed-forward taps"),
     Setting("n_fb", "n_fb", "--fb", int, "N", "feedback taps"),
     Setting("mu", "mu", "--mu", float, "X", "base step size"),
@@ -94,7 +85,6 @@ SETTINGS = (
     ),
     Setting("seeds", "n_seeds", "--seeds", int, "N", "number of seeds"),
     Setting("base_seed", "base_seed", "--base-seed", int, "S", "first seed"),
-    Setting("seed_list", "seed_list", None, _optional(_parse_ints), "", ""),
     Setting("window", "window", "--window", int, "W", "smoothing window"),
     Setting("conv_ratio", "conv_ratio", "--conv-ratio", float, "R", "convergence threshold ratio"),
     Setting("tail_frac", "tail_frac", "--tail-frac", float, "F", "steady-state tail fraction"),
@@ -117,10 +107,7 @@ def _apply(overrides: dict, setting: Setting, text: str, where: str = "") -> Non
         value = setting.parse(text)
     except ValueError as exc:
         raise ConfigurationError(f"{where}{exc}", field=setting.key) from None
-    if setting.field is not None:
-        overrides[setting.field] = value
-    elif value:
-        overrides["snr_db"] = None
+    overrides[setting.field] = value
 
 
 def read_config_file(path: str) -> dict:
@@ -151,14 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an experiment and write curve/summary files")
     run.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    noise = run.add_mutually_exclusive_group()
     for s in SETTINGS:
-        if s.flag is None:
-            continue
-        group = noise if s.key in ("snr_db", "noiseless") else run
         # A bare boolean flag means true; `--flag false` turns it off.
         bare = dict(nargs="?", const="true") if s.parse is _parse_bool else {}
-        group.add_argument(s.flag, dest=s.key, metavar=s.metavar, help=s.help, **bare)
+        run.add_argument(s.flag, dest=s.key, metavar=s.metavar, help=s.help, **bare)
     return parser
 
 
@@ -167,7 +150,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         overrides.update(read_config_file(args.config))
     for s in SETTINGS:
-        text = getattr(args, s.key, None)  # None: not given, or no flag
+        text = getattr(args, s.key)
         if text is not None:
             _apply(overrides, s, text)
     return ExperimentConfig(**overrides)

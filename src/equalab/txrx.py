@@ -20,7 +20,7 @@ class ChannelModel:
     """FIR channel and noise description.
 
     `impulse` is the channel impulse response (non-empty, finite);
-    `noise_variance` 0 means a noiseless channel.
+    `noise_variance` 0 means a zero-noise channel.
     """
 
     impulse: np.ndarray

@@ -118,10 +118,10 @@ def test_criterion_1_convergence_speed_ordering(default_run):
         f"speedup={matched_ratio if matched_ratio is None else round(matched_ratio, 3)} "
         f"(required >= 1.5; paper reports up to {PAPER_SPEEDUP_CLAIM})"
     )
-    matched_floor = floor_ilms <= floor_lms <= 1.05 * floor_ilms
+    matched_floor = floor_ilms <= floor_lms <= 1.02 * floor_ilms
     outcome = "PASS" if (matched_floor and matched_ratio is not None and matched_ratio >= 1.5) else "FAIL"
     print(f"criterion 1 convergence-speed ordering: {outcome}")
-    assert matched_floor, "fixed-step lms at mu_matched does not reach the ilms floor within 5%"
+    assert matched_floor, "fixed-step lms at mu_matched does not reach the ilms floor within 2%"
     assert conv_matched is not None and conv_ilms < conv_matched, (
         "variable-step rule did not reach its own steady-state band earlier"
     )
@@ -200,7 +200,7 @@ def test_criterion_6_noiseless_recovery():
         mode="trained",
         training_len=500,
         center_spike=False,
-        seed_list=(1, 2, 3),
+        n_seeds=3,
     )
     record = run_experiment(config)
     assert config.ber_skip == 1000  # final 80% of 5000 symbols

@@ -25,9 +25,18 @@ class TestAdaptParams:
             AdaptParams(mu=0.1, step_floor=2.0, step_cap=0.1)  # cap < mu*floor
 
     def test_error_names_field(self):
-        with pytest.raises(ConfigurationError) as exc:
-            AdaptParams(mu=0.0)
-        assert exc.value.field == "mu"
+        inf, nan = float("inf"), float("nan")
+        for kw, field in (
+            (dict(mu=0.0), "mu"),
+            (dict(mu=inf), "mu"),
+            (dict(mu=0.1, step_floor=nan), "step_floor"),
+            (dict(mu=0.1, step_floor=inf), "step_floor"),
+            (dict(mu=0.1, step_cap=inf), "step_cap"),
+            (dict(mu=0.1, step_cap=nan), "step_cap"),
+        ):
+            with pytest.raises(ConfigurationError) as exc:
+                AdaptParams(**kw)
+            assert exc.value.field == field, kw
 
 
 class TestLmsUpdate:

@@ -1,5 +1,7 @@
 """CLI tests: flag parsing, config files, precedence, exit codes, reproducibility."""
 
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -45,7 +47,7 @@ class TestRunCommand:
         assert s1.read_bytes() == s2.read_bytes()
 
     def test_noiseless_flag(self, tmp_path):
-        code, _, summary = run_cli(tmp_path, "--noiseless")
+        code, _, summary = run_cli(tmp_path, "--snr-db", "none")
         assert code == 0
         entries = dict(
             line.split(" = ", 1) for line in summary.read_text().strip().split("\n")
@@ -88,10 +90,6 @@ class TestConfigErrors:
         assert code == 2
         assert "algo" in capsys.readouterr().err
 
-    def test_snr_and_noiseless_conflict(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli(tmp_path, "--snr-db", "10", "--noiseless")
-
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_divergence_exits_3_naming_rule_seed_iteration(self, tmp_path, capsys, jobs):
         # Stepped through dfe_step, ilms reaches a non-finite combiner output
@@ -110,14 +108,34 @@ class TestConfigErrors:
     def test_negative_seed_exits_2_naming_field(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(experiment, "equalize", _no_steps)
         cfg = tmp_path / "neg.cfg"
-        cfg.write_text("seed_list = 3,-2\n")
-        for extra, field in ((["--base-seed", "-1"], "base_seed"), (["--config", str(cfg)], "seed_list")):
+        cfg.write_text("base_seed = -3\n")
+        for extra in (["--base-seed", "-1"], ["--config", str(cfg)]):
             code, curves, summary = run_cli(tmp_path, *extra)
             assert code == 2
             err = capsys.readouterr().err
             assert err.count("\n") == 1
-            assert err.startswith(f"error: {field}: ")
+            assert err.startswith("error: base_seed: ")
             assert not curves.exists() and not summary.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--mu", "inf", "mu"),
+            ("--step-floor", "nan", "step_floor"),
+            ("--step-cap", "inf", "step_cap"),
+            ("--conv-ratio", "inf", "conv_ratio"),
+        ],
+    )
+    def test_non_finite_value_exits_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch, flag, value, field
+    ):
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        code, curves, summary = run_cli(tmp_path, flag, value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {field}: ")
+        assert not curves.exists() and not summary.exists()
 
     @pytest.mark.parametrize("bad", ["summary_in_missing_dir", "curves_is_a_dir"])
     def test_unwritable_output_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch, bad):
@@ -196,8 +214,18 @@ class TestConfigFile:
 
     def test_noiseless_key_in_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("noiseless = true\n")
+        cfg.write_text("snr_db = none\n")
         assert read_config_file(str(cfg)) == {"snr_db": None}
+
+    @pytest.mark.parametrize("line", ["noiseless = true", "seed_list = 1,2,3"])
+    def test_retired_keys_are_unknown(self, tmp_path, capsys, line):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(line + "\n")
+        code, curves, summary = run_cli(tmp_path, "--config", str(cfg))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {line.split()[0]}: unknown configuration key\n"
+        assert not curves.exists() and not summary.exists()
 
 
 def summary_entries(path):
@@ -243,22 +271,6 @@ class TestBooleanFlags:
     def test_center_spike(self, argv, expected):
         assert parse_config(*argv).center_spike is expected
 
-    @pytest.mark.parametrize(
-        "argv,expected",
-        [
-            ([], 20.0),
-            (["--noiseless"], None),
-            (["--noiseless", "yes"], None),
-            (["--noiseless", "false"], 20.0),
-        ],
-    )
-    def test_noiseless(self, argv, expected):
-        assert parse_config(*argv).snr_db == expected
-
-    def test_noiseless_value_still_excludes_snr_db(self):
-        with pytest.raises(SystemExit):
-            parse_config("--snr-db", "12", "--noiseless", "false")
-
     def test_bad_boolean_exits_2_naming_key(self, tmp_path, capsys):
         code, *_ = run_cli(tmp_path, "--center-spike", "maybe")
         assert code == 2
@@ -281,7 +293,6 @@ _VALUES = {
     "n_symbols": ["800"],
     "channel": ["0.9,0.436", "1.0"],
     "snr_db": ["12.5", "none"],
-    "noiseless": ["true", "false"],
     "n_ff": ["9"],
     "n_fb": ["0"],
     "mu": ["0.01"],
@@ -304,7 +315,7 @@ _VALUES = {
 _CONTEXT = {"training_len": ("mode", "trained")}
 
 
-@pytest.mark.parametrize("setting", [s for s in SETTINGS if s.flag], ids=lambda s: s.key)
+@pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.key)
 def test_flag_and_file_key_give_same_config(tmp_path, setting):
     flag_of = {s.key: s.flag for s in SETTINGS}
     context = [_CONTEXT[setting.key]] if setting.key in _CONTEXT else []
@@ -316,9 +327,24 @@ def test_flag_and_file_key_give_same_config(tmp_path, setting):
         assert parse_config(*flags) == parse_config("--config", str(cfg)), value
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def test_readme_lists_every_setting():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = _readme()
     for s in SETTINGS:
         assert f"`{s.key}`" in readme, s.key
-        if s.flag:
-            assert s.flag in readme, s.flag
+        assert s.flag in readme, s.flag
+
+
+def test_settings_table_is_the_whole_config_surface():
+    # One row per ExperimentConfig field, each with a flag ...
+    columns = [s.field for s in SETTINGS]
+    assert len(set(columns)) == len(columns)
+    assert set(columns) == {f.name for f in fields(experiment.ExperimentConfig)}
+    assert all(s.flag and s.flag.startswith("--") for s in SETTINGS)
+    # ... and the README's key paragraph names no key that is not a row.
+    paragraph = next(p for p in _readme().split("\n\n") if p.startswith("Config files are"))
+    listed = set(re.findall(r"`([a-z_]+)`", paragraph))
+    assert listed and listed <= {s.key for s in SETTINGS}, listed - {s.key for s in SETTINGS}

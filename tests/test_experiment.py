@@ -67,8 +67,8 @@ class TestExperimentConfig:
             (dict(tail_frac=0.0), "tail_frac"),
             (dict(tail_frac=1.5), "tail_frac"),
             (dict(n_seeds=0), "seeds"),
-            (dict(seed_list=()), "seed_list"),
-            (dict(seed_list=(1, 1)), "seed_list"),
+            (dict(conv_ratio=float("inf")), "conv_ratio"),
+            (dict(mu=float("inf")), "mu"),
             (dict(jobs=0), "jobs"),
             (dict(channel=()), "channel"),
             (dict(n_ff=0), "n_ff"),
@@ -76,9 +76,10 @@ class TestExperimentConfig:
             # BER would score no symbol after the default delay of 5.
             (dict(n_symbols=1, window=1), "n_symbols"),
             (dict(n_symbols=5, window=1), "n_symbols"),
+            (dict(step_floor=float("nan")), "step_floor"),
             # numpy's PCG64 takes no negative seed.
-            (dict(seed_list=(3, -2)), "seed_list"),
             (dict(base_seed=-1), "base_seed"),
+            (dict(step_cap=float("inf")), "step_cap"),
         ],
     )
     def test_rejects_and_names_field(self, kw, field):
@@ -94,8 +95,6 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(n_seeds=3, base_seed=10)
         assert cfg.seeds == (10, 11, 12)
         assert cfg.noise_seeds == tuple(s + NOISE_SEED_OFFSET for s in (10, 11, 12))
-        explicit = ExperimentConfig(seed_list=(4, 9, 2))
-        assert explicit.seeds == (4, 9, 2)
 
     def test_ber_skip_is_final_80_percent(self):
         assert ExperimentConfig().ber_skip == 1000
@@ -191,9 +190,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "n_seeds,n_symbols,jobs,rows,workers",
         [
-            (50, 5000, 1, [13, 13, 13, 11], []),  # at most 2^16 samples per block
+            (50, 5000, 1, [50], []),
             (32, 1000, 2, [16, 16], [2]),  # at most ceil(seeds / jobs) rows
-            (3, 40000, 1, [1, 1, 1], []),  # longer than 2^15 symbols: one seed per block
+            (3, 40000, 1, [3], []),
+            (30, 50000, 1, [20, 10], []),  # at most 2^20 samples per block
+            (2, 600000, 1, [1, 1], []),  # longer than 2^19 symbols: one seed per block
         ],
     )
     def test_block_split(self, monkeypatch, n_seeds, n_symbols, jobs, rows, workers):
@@ -225,8 +226,8 @@ def fake_pool(made):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return list(map(fn, items))
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
 
     return FakePool
 
@@ -271,7 +272,7 @@ class TestEmission:
             np.testing.assert_allclose(recomputed, smoothed[algo], atol=1e-12, rtol=0)
 
     def test_summary_echoes_config_and_seeds(self, tmp_path):
-        cfg = tiny_config(seed_list=(3, 8, 21))
+        cfg = tiny_config(n_seeds=3, base_seed=8)
         rec = run_experiment(cfg)
         path = tmp_path / "summary.txt"
         emit_summary(rec, path)
@@ -279,8 +280,8 @@ class TestEmission:
         entries = dict(
             line.split(" = ", 1) for line in text.strip().split("\n")
         )
-        assert entries["symbol_seeds"] == "3,8,21"
-        assert entries["noise_seeds"] == ",".join(str(s + NOISE_SEED_OFFSET) for s in (3, 8, 21))
+        assert entries["symbol_seeds"] == "8,9,10"
+        assert entries["noise_seeds"] == ",".join(str(s + NOISE_SEED_OFFSET) for s in (8, 9, 10))
         for key in (
             "tool_version", "n_symbols", "channel", "snr_db", "noise_variance",
             "n_ff", "n_fb", "mu", "algo", "mode", "training_len", "decision_delay",
