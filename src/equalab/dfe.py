@@ -201,6 +201,12 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     dot products go through the same BLAS routine as `np.dot`, which needs
     contiguous, positive-stride operands.
 
+    The steps run in a compiled kernel (_kernel.c) when one could be built
+    here and reproduced the numpy loop byte for byte on a probe, and in the
+    numpy loop otherwise (`KERNEL` names the one in use).  The two agree bit
+    for bit: the kernel calls the same `ddot` as numpy, forms no fused
+    multiply-add and does every operation in the numpy loop's order.
+
     Returns (sq_errors, decisions, states): both arrays (S, N) float64, the
     squared errors in C order and the decisions a view into the feedback
     buffer, and a tuple of each row's final `DfeState`.  A non-finite sample
@@ -213,6 +219,26 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     if rx.size == 0:
         raise InputError("received sequence is empty")
     _raise_first_non_finite(rx, "non-finite sample")
+    R, D, W, B, E = _lockstep(_loop(), rx, cfg, transmitted)
+    # e(n) = reference - y(n) with a +/-1 reference: non-finite exactly when y(n) is.
+    _raise_first_non_finite(E, "non-finite quantizer input")
+
+    rows, n = rx.shape
+    states = tuple(
+        DfeState(
+            W[s].copy(), B[s].copy(), R[s, : cfg.n_ff].copy(), D[s, : cfg.n_fb].copy(),
+            float(E[s, -1]), n,
+        )
+        for s in range(rows)
+    )
+    sq = np.multiply(E, E, out=E)
+    decisions = D[:, n - 1 :: -1]  # a view: time runs backwards in D
+    return sq, decisions, states
+
+
+def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):
+    """Set up the buffers of `equalize` for (S, N) `rx`, run `loop` over them
+    and return them: R, D, W, B and E (the errors, not yet squared)."""
     rows, n = rx.shape
     delay = cfg.delay
     train = min(cfg.training_len, n) if cfg.mode == MODE_TRAINED else 0
@@ -230,15 +256,23 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
         W[:, delay] = 1.0
     B = np.zeros((rows, cfg.n_fb))
     E = np.empty((rows, n))
-    mu, floor, cap = cfg.mu, cfg.step_floor, cfg.step_cap
-    ilms = cfg.algo == ALGO_ILMS
+    loop(R, D, W, B, E, refs, cfg.mu, cfg.algo == ALGO_ILMS, cfg.step_floor, cfg.step_cap)
+    return R, D, W, B, E
+
+
+def _numpy_loop(R, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
+    """Step every row of the buffers of `_lockstep` through all N iterations,
+    one iteration of all rows at a time.  `refs` is (train, S) or None."""
+    rows, n = E.shape
+    n_ff, n_fb = W.shape[1], B.shape[1]
+    train = 0 if refs is None else len(refs)
     e_prev = np.zeros(rows)
-    # A diverging row turns to inf/nan and stays so; it is reported after the loop.
+    # A diverging row turns to inf/nan and stays so; `equalize` reports it.
     with np.errstate(all="ignore"):
         for i in range(n):
             a = n - 1 - i
-            x = R[:, a : a + cfg.n_ff]
-            f = D[:, a + 1 : a + 1 + cfg.n_fb]
+            x = R[:, a : a + n_ff]
+            f = D[:, a + 1 : a + 1 + n_fb]
             y = np.vecdot(W, x) - np.vecdot(B, f)
             # quantize(): +1 for y >= 0.  Adding +0.0 turns -0.0 into +0.0.
             d = np.copysign(1.0, y + 0.0, out=D[:, a])
@@ -256,19 +290,56 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
             g = (step * e)[:, None]
             W += g * x
             B -= g * f  # fb + g * (-f): the combiner subtracts the FB output
-    # e(n) = reference - y(n) with a +/-1 reference: non-finite exactly when y(n) is.
-    _raise_first_non_finite(E, "non-finite quantizer input")
 
-    states = tuple(
-        DfeState(
-            W[s].copy(), B[s].copy(), R[s, : cfg.n_ff].copy(), D[s, : cfg.n_fb].copy(),
-            float(E[s, -1]), n,
-        )
-        for s in range(rows)
-    )
-    sq = np.multiply(E, E, out=E)
-    decisions = D[:, n - 1 :: -1]  # a view: time runs backwards in D
-    return sq, decisions, states
+
+# The loop `equalize` runs, chosen on its first call (not at import, so that
+# importing equalab builds nothing): the compiled kernel if it builds and
+# passes the probe, else `_numpy_loop`.
+_UNLOADED = object()
+_loop_impl = _UNLOADED
+
+# Probe configs: both rules, trained and decision-directed, floor and cap
+# active, and an FF filter long enough for the BLAS's unrolled ddot path.
+_PROBES = (
+    DfeConfig(n_ff=37, n_fb=5, mu=0.01, center_spike=True),
+    DfeConfig(
+        n_ff=37, n_fb=5, mu=0.05, algo=ALGO_ILMS, mode=MODE_TRAINED, training_len=20,
+        step_floor=0.01, step_cap=0.03,
+    ),
+)
+
+
+def _loop():
+    global _loop_impl
+    if _loop_impl is _UNLOADED:
+        _loop_impl = _load_loop()
+    return _loop_impl
+
+
+def _load_loop():
+    """The compiled loop if it builds and reproduces `_numpy_loop` byte for
+    byte on the probes, else `_numpy_loop`."""
+    from . import _kernel  # here: importing equalab loads no hashlib (OpenSSL, about 3.5 MB)
+
+    compiled = _kernel.load()
+    if compiled is None:
+        return _numpy_loop
+    k = np.arange(2 * 64.0).reshape(2, 64)
+    tx = np.where(np.sin(0.37 * k * k) > 0.0, 1.0, -1.0)
+    rx = 0.8 * tx + 0.3 * np.cos(1.7 * k)
+    for cfg in _PROBES:
+        got = _lockstep(compiled, rx, cfg, tx)
+        want = _lockstep(_numpy_loop, rx, cfg, tx)
+        if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+            return _numpy_loop
+    return compiled
+
+
+def __getattr__(name):
+    # KERNEL, read-only: "c" or "numpy", the loop `equalize` runs (chosen now if not yet).
+    if name == "KERNEL":
+        return "numpy" if _loop() is _numpy_loop else "c"
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _raise_first_non_finite(a: np.ndarray, what: str) -> None:

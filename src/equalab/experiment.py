@@ -146,11 +146,13 @@ class RunRecord:
     speedup: float | None
 
 
-# Most rows x symbols one `equalize` call steps at once.  Each step costs
-# about the same whatever the number of rows, so fewer, larger blocks run
-# faster.  A block holds about six float64 arrays of that shape (tx, rx, the
-# equalizer's buffers and the previous rule's squared errors): about 48 MB at
-# this bound.  Runs longer than this step one seed at a time.
+# Most rows x symbols one `equalize` call steps at once.  The bound is on
+# memory: a block holds about six float64 arrays of that shape (tx, rx, the
+# equalizer's buffers and the previous rule's squared errors), about 48 MB
+# here, and the fold keeps no block once it is summed.  The compiled kernel
+# costs the same per row and step whatever the block; the numpy fallback
+# pays its per-step overhead once per block, so larger blocks make it
+# faster.  Runs longer than this step one seed at a time.
 _BLOCK_ELEMENTS = 2**20
 
 
@@ -195,9 +197,10 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     The seeds are split into contiguous blocks of at most `_BLOCK_ELEMENTS`
     samples (rows x symbols) and at most ceil(seeds / jobs) rows.  With
     `config.jobs` > 1 and more than one block, each block is one pool task,
-    run by at most one worker per CPU this process may use.  Rows are joined
-    in seed order, so the fold is the same sum in the same order whatever
-    the split, and the first failure raised is the first in serial order.
+    run by at most one worker per CPU this process may use.  Rows are summed
+    in seed order as their block arrives, so the fold is the same sum in the
+    same order whatever the split, and the first failure raised is the first
+    in serial order.
     """
     seeds = config.seeds
     rows = max(1, min(_BLOCK_ELEMENTS // config.n_symbols, math.ceil(len(seeds) / config.jobs)))
@@ -207,20 +210,40 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         # numpy.random itself, which raises the run's peak RSS by about 5.6 MB.
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(blocks), cpus or 1)) as pool:
-            parts = list(pool.map(_run_block, itertools.repeat(config), blocks))
+            sums, seed_bers = _fold(pool.map(_run_block, itertools.repeat(config), blocks), config)
     else:
-        parts = [_run_block(config, b) for b in blocks]
+        sums, seed_bers = _fold((_run_block(config, b) for b in blocks), config)
 
     curves: dict[str, LearningCurve] = {}
     bers: dict[str, float] = {}
     for algo in config.algos:
-        ensemble = np.mean(np.concatenate([part[algo][0] for part in parts]), axis=0)
+        ensemble = sums[algo] / len(seeds)
         curves[algo] = learning_curve(ensemble, config.window, config.conv_ratio, config.tail_frac)
-        bers[algo] = float(np.mean([b for part in parts for b in part[algo][1]]))
+        bers[algo] = float(np.mean(seed_bers[algo]))
     ratio = None
     if ALGO_LMS in curves and ALGO_ILMS in curves:
         ratio = speedup(curves[ALGO_LMS].convergence_iter, curves[ALGO_ILMS].convergence_iter)
     return RunRecord(config=config, curves=curves, ber=bers, speedup=ratio)
+
+
+def _fold(parts, config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict[str, list[float]]]:
+    """Per algorithm, the sum of the squared-error rows and the list of BERs
+    of the blocks in `parts`, each block added as it arrives.
+
+    The rows are added to zeros one at a time in seed order, as
+    np.mean(axis=0) adds them, so the sum divided by the seed count has the
+    bytes of the mean of all rows at once, without keeping them.
+    """
+    sums = {algo: np.zeros(config.n_symbols) for algo in config.algos}
+    bers: dict[str, list[float]] = {algo: [] for algo in config.algos}
+    for part in parts:
+        for algo in config.algos:
+            sq, block_bers = part.pop(algo)
+            for k in range(len(sq)):
+                sums[algo] += sq[k]
+            bers[algo].extend(block_bers)
+            del sq  # the block's rows are summed: free them before the next block runs
+    return sums, bers
 
 
 def _g17(x) -> str:

@@ -1,5 +1,10 @@
 """Equalizer state-machine tests: quantizer, combiner, stepping, invariants."""
 
+import importlib.resources
+import threading
+import tomllib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,7 @@ from equalab import (
     quantize,
     taps,
 )
+from equalab import _kernel, dfe
 from equalab.dfe import MODE_TRAINED, PAD_SYMBOL
 
 
@@ -281,8 +287,52 @@ def _batch(rows, n, seed=6):
 N_ORACLE = 240
 
 
+def _use_kernel(monkeypatch, kernel):
+    """Make `equalize` run the numpy loop or the compiled kernel."""
+    if kernel == "numpy":
+        loop = dfe._numpy_loop
+    else:
+        loop = _kernel.load()
+        if loop is None:
+            pytest.skip("no C kernel could be built here (no C compiler, or numpy's BLAS has no 64-bit-int ddot)")
+    monkeypatch.setattr(dfe, "_loop_impl", loop)
+
+
+def _assert_divergence_reported(cfg, seed):
+    """Several rows of a batch diverge: `equalize` names the first row to
+    fail and its iteration, as stepping each row through `dfe_step` finds."""
+    rx, tx = _batch(4, 200, seed=seed)
+    failures = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s in range(4):
+            st = initial_state(cfg)
+            for i, r in enumerate(rx[s]):
+                ts = tx[s, i - cfg.delay] if i >= cfg.delay else PAD_SYMBOL
+                try:
+                    _, st = dfe_step(st, float(r), ts, cfg)
+                except InputError:
+                    failures.append((s, i))
+                    break
+    # The first row to fail is not the one that fails earliest.
+    assert len(failures) > 1 and failures[0][1] > min(i for _, i in failures)
+    with pytest.raises(InputError) as exc:
+        equalize(rx, cfg, tx)
+    assert exc.value.row == failures[0][0]
+    assert str(exc.value).endswith(f"at iteration {failures[0][1]}")
+
+
 class TestEqualizeOracle:
-    """`equalize` must reproduce the `dfe_step` loop bit for bit, row by row."""
+    """`equalize` must reproduce the `dfe_step` loop bit for bit, row by row.
+
+    These cases run the numpy loop; `TestEqualizeOracleC` runs them all again
+    in the compiled kernel.
+    """
+
+    KERNEL = "numpy"
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, monkeypatch):
+        _use_kernel(monkeypatch, self.KERNEL)
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize(
@@ -328,24 +378,16 @@ class TestEqualizeOracle:
         cfg = DfeConfig(
             n_ff=11, n_fb=5, mu=0.2, algo="ilms", mode=MODE_TRAINED, training_len=500
         )
-        rx, tx = _batch(4, 200, seed=8)
-        failures = []
-        with np.errstate(invalid="ignore"):
-            for s in range(4):
-                st = initial_state(cfg)
-                for i, r in enumerate(rx[s]):
-                    ts = tx[s, i - cfg.delay] if i >= cfg.delay else PAD_SYMBOL
-                    try:
-                        _, st = dfe_step(st, float(r), ts, cfg)
-                    except InputError:
-                        failures.append((s, i))
-                        break
-        # The first row to fail is not the one that fails earliest.
-        assert len(failures) > 1 and failures[0][1] > min(i for _, i in failures)
-        with pytest.raises(InputError) as exc:
-            equalize(rx, cfg, tx)
-        assert exc.value.row == failures[0][0]
-        assert str(exc.value).endswith(f"at iteration {failures[0][1]}")
+        _assert_divergence_reported(cfg, seed=8)
+
+    def test_floor_cap_divergence_names_first_row_and_iteration(self):
+        # Diverging with both the floor and the cap set: each kernel names the
+        # row and iteration that the `dfe_step` loop names.
+        cfg = DfeConfig(
+            n_ff=11, n_fb=5, mu=0.2, algo="ilms", mode=MODE_TRAINED, training_len=500,
+            step_floor=0.01, step_cap=50.0,
+        )
+        _assert_divergence_reported(cfg, seed=8)
 
     def test_rejects_non_finite_sample(self):
         rx = np.zeros((3, 20))
@@ -366,3 +408,78 @@ class TestEqualizeOracle:
     def test_rejects_one_dimensional_batch(self):
         with pytest.raises(InputError):
             equalize(np.zeros(10), cfg_dd())
+
+
+class TestEqualizeOracleC(TestEqualizeOracle):
+    KERNEL = "c"
+
+
+class TestKernelChoice:
+    """The compiled kernel is used only when it builds, links and passes the
+    probe; otherwise `equalize` runs the numpy loop and gives the same bytes."""
+
+    CFG = DfeConfig(n_ff=11, n_fb=5, mu=0.03, algo="ilms", center_spike=True, step_cap=0.05)
+
+    def _run(self):
+        rx, _ = _batch(3, N_ORACLE, seed=9)
+        sq, dec, states = equalize(rx, self.CFG)
+        return [sq.tobytes(), dec.tobytes()] + [st.ff_weights.tobytes() for st in states]
+
+    @pytest.mark.parametrize("failure", ["no-compiler", "no-ddot", "probe-mismatch"])
+    def test_falls_back_to_numpy(self, monkeypatch, tmp_path, capfd, failure):
+        monkeypatch.setattr(dfe, "_loop_impl", dfe._numpy_loop)
+        want = self._run()
+        monkeypatch.setattr(dfe, "_loop_impl", dfe._UNLOADED)
+        monkeypatch.setattr(_kernel, "CACHE", tmp_path)  # nothing cached: a load must build
+        if failure == "no-compiler":
+            monkeypatch.setattr(_kernel, "CC", "no-such-compiler")
+        elif failure == "no-ddot":
+            monkeypatch.setattr(_kernel, "DDOT_SYMBOLS", ("no_such_ddot",))
+        else:
+            def skewed(R, D, W, B, E, *rest):
+                dfe._numpy_loop(R, D, W, B, E, *rest)
+                E[0, -1] = np.nextafter(E[0, -1], np.inf)
+
+            monkeypatch.setattr(_kernel, "load", lambda: skewed)
+        assert self._run() == want
+        assert dfe.KERNEL == "numpy"
+        assert capfd.readouterr().err == ""
+
+    def test_compiled_kernel_is_used_when_it_passes_the_probe(self, monkeypatch):
+        if _kernel.load() is None:
+            pytest.skip("no C kernel could be built here (no C compiler, or numpy's BLAS has no 64-bit-int ddot)")
+        monkeypatch.setattr(dfe, "_loop_impl", dfe._UNLOADED)
+        assert dfe.KERNEL == "c"
+        assert dfe._loop_impl is not dfe._numpy_loop
+
+    def test_concurrent_builds_leave_one_library(self, monkeypatch, tmp_path):
+        # Pool workers may build at once: each writes its own temporary file
+        # and renames it into place, so every builder gets a whole library.
+        cc = _kernel.shutil.which(_kernel.CC)
+        if cc is None:
+            pytest.skip("no C compiler here")
+        monkeypatch.setattr(_kernel, "CACHE", tmp_path / "__pycache__")
+        paths, errors = [], []
+
+        def build():
+            try:
+                paths.append(_kernel._build(cc))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(set(paths)) == 1 and paths[0].parent == tmp_path / "__pycache__"
+        # Only the library itself is left: no temporary or object file.
+        assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [paths[0].name]
+        assert [p.name for p in tmp_path.iterdir()] == ["__pycache__"]
+
+    def test_source_ships_as_package_data(self):
+        source = importlib.resources.files("equalab").joinpath("_kernel.c").read_text()
+        assert "void equalab_lockstep(" in source
+        pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        assert "_kernel.c" in pyproject["tool"]["setuptools"]["package-data"]["equalab"]

@@ -1,5 +1,7 @@
 """Harness tests: config validation, aggregation, CSV/summary emission contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,31 @@ class TestRunExperiment:
                     == parallel.curves[algo].sq_errors.tobytes()
                 ), f"jobs={jobs}, block_rows={block_rows}"
             assert serial.ber == parallel.ber, f"jobs={jobs}, block_rows={block_rows}"
+
+    def test_block_fold_is_the_mean_of_all_rows(self, monkeypatch):
+        cfg = tiny_config(n_seeds=13)
+        single = run_experiment(cfg)
+        whole = experiment._run_block(cfg, cfg.seeds)  # every seed in one (13, N) block
+        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", 3 * cfg.n_symbols)  # 3, 3, 3, 3, 1 rows
+        folded = run_experiment(cfg)
+        for algo in cfg.algos:
+            want = np.mean(whole[algo][0], axis=0).tobytes()
+            assert single.curves[algo].sq_errors.tobytes() == want
+            assert folded.curves[algo].sq_errors.tobytes() == want
+            assert folded.ber[algo] == single.ber[algo] == float(np.mean(whole[algo][1]))
+
+    def test_fold_memory_does_not_grow_with_seeds(self, monkeypatch):
+        # Each block is summed as it arrives and then dropped.  Keeping every
+        # block until the end would hold 2 x 60 x 400 float64 here (384 kB).
+        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", 2 * 400)
+        cfg = tiny_config(n_seeds=60)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 400 * 8
 
     @pytest.mark.parametrize(
         "algos,jobs,block_rows",
