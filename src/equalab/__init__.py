@@ -9,7 +9,7 @@ harness that emits learning-curve CSVs and machine-readable summaries.
 
 __version__ = "0.1.0"
 
-from .adapt import AdaptParams, conventional_step, effective_step, improved_step, lms_update
+from .adapt import AdaptParams, effective_step, ilms_step, lms_step, lms_update
 from .dfe import (
     ALGO_ILMS,
     ALGO_LMS,
@@ -25,7 +25,7 @@ from .dfe import (
     initial_state,
     quantize,
 )
-from .dsp import delay_line, dot, fir_step, shift_in, taps
+from .dsp import delay_line, dot, shift_in, taps
 from .errors import ConfigurationError, InputError
 from .experiment import (
     ExperimentConfig,

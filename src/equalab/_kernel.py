@@ -15,7 +15,6 @@ import hashlib
 import math
 import os
 import platform
-import shutil
 import subprocess
 import tempfile
 from pathlib import Path
@@ -38,13 +37,10 @@ _PTR = ctypes.c_void_p
 
 def load():
     """The compiled loop, called as dfe._numpy_loop is, or None if it cannot
-    be built or linked here."""
-    cc = shutil.which(CC)
-    if cc is None:
-        return None
+    be built or linked here (a missing compiler raises FileNotFoundError)."""
     try:
         ddot = _ddot()
-        kernel = ctypes.CDLL(str(_build(cc))).equalab_lockstep
+        kernel = ctypes.CDLL(str(_build())).equalab_lockstep
     except (ImportError, AttributeError, OSError, subprocess.SubprocessError):
         return None
     kernel.argtypes = [_PTR, _I64, _I64, _I64, _I64, *[_PTR] * 6, _I64, _F64, ctypes.c_int, _F64, _F64]
@@ -77,7 +73,7 @@ def _ddot() -> int:
     raise AttributeError(f"numpy's BLAS exports none of {', '.join(DDOT_SYMBOLS)}")
 
 
-def _build(cc: str) -> Path:
+def _build() -> Path:
     """Path of the shared library, compiled first if it is not cached yet."""
     source = SOURCE.read_bytes()
     key = hashlib.sha256(source + " ".join((platform.machine(), *FLAGS)).encode()).hexdigest()[:16]
@@ -87,7 +83,7 @@ def _build(cc: str) -> Path:
         fd, tmp = tempfile.mkstemp(prefix="_kernel-", suffix=".tmp", dir=CACHE)
         os.close(fd)
         try:
-            subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE)], check=True, capture_output=True, timeout=120)
+            subprocess.run([CC, *FLAGS, "-o", tmp, str(SOURCE)], check=True, capture_output=True, timeout=120)
             # Atomic: a process building at the same time finds no file or a whole one.
             os.replace(tmp, lib)
         finally:

@@ -60,7 +60,7 @@ def effective_step(params: AdaptParams, e_curr: float, e_prev: float) -> float:
     return s
 
 
-def conventional_step(
+def lms_step(
     params: AdaptParams,
     ff_weights: TapWeights,
     ff_regressor: DelayLine,
@@ -74,7 +74,7 @@ def conventional_step(
     return ff, lms_update(fb_weights, -fb_regressor, e, step), step
 
 
-def improved_step(
+def ilms_step(
     params: AdaptParams,
     ff_weights: TapWeights,
     ff_regressor: DelayLine,

@@ -175,12 +175,12 @@ def dfe_step(
         reference = d
     e = form_error(y, reference)
     if cfg.algo == ALGO_ILMS:
-        ff_w, fb_w, step = adapt.improved_step(
+        ff_w, fb_w, step = adapt.ilms_step(
             cfg.params, mid.ff_weights, mid.ff_line, mid.fb_weights, mid.fb_line, e,
             state.prev_error,
         )
     else:
-        ff_w, fb_w, step = adapt.conventional_step(
+        ff_w, fb_w, step = adapt.lms_step(
             cfg.params, mid.ff_weights, mid.ff_line, mid.fb_weights, mid.fb_line, e
         )
     fb_line = shift_in(mid.fb_line, d)
@@ -207,11 +207,11 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     for bit: the kernel calls the same `ddot` as numpy, forms no fused
     multiply-add and does every operation in the numpy loop's order.
 
-    Returns (sq_errors, decisions, states): both arrays (S, N) float64, the
-    squared errors in C order and the decisions a view into the feedback
-    buffer, and a tuple of each row's final `DfeState`.  A non-finite sample
-    or combiner output raises InputError naming the first failing row and
-    its iteration.
+    Returns (sq_errors, decisions), both (S, N) float64: the squared errors
+    in C order and the decisions a view into the feedback buffer.  A
+    non-finite sample or combiner output, or else a squared error that
+    overflows, raises InputError naming the first failing row and its
+    iteration.
     """
     rx = np.asarray(received, dtype=np.float64)
     if rx.ndim != 2:
@@ -222,18 +222,11 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     R, D, W, B, E = _lockstep(_loop(), rx, cfg, transmitted)
     # e(n) = reference - y(n) with a +/-1 reference: non-finite exactly when y(n) is.
     _raise_first_non_finite(E, "non-finite quantizer input")
-
-    rows, n = rx.shape
-    states = tuple(
-        DfeState(
-            W[s].copy(), B[s].copy(), R[s, : cfg.n_ff].copy(), D[s, : cfg.n_fb].copy(),
-            float(E[s, -1]), n,
-        )
-        for s in range(rows)
-    )
-    sq = np.multiply(E, E, out=E)
-    decisions = D[:, n - 1 :: -1]  # a view: time runs backwards in D
-    return sq, decisions, states
+    with np.errstate(over="ignore"):
+        sq = np.multiply(E, E, out=E)
+    _raise_first_non_finite(sq, "squared error overflows")
+    decisions = D[:, rx.shape[1] - 1 :: -1]  # a view: time runs backwards in D
+    return sq, decisions
 
 
 def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):

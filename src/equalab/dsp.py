@@ -55,9 +55,3 @@ def dot(weights: TapWeights, line: DelayLine) -> float:
             f"filter length {weights.size} does not match delay line length {line.size}"
         )
     return float(np.dot(weights, line))
-
-
-def fir_step(weights: TapWeights, line: DelayLine, sample: float) -> tuple[float, DelayLine]:
-    """Advance the filter by one sample: returns (output, shifted line)."""
-    new_line = shift_in(line, sample)
-    return dot(weights, new_line), new_line

@@ -179,7 +179,7 @@ def _run_block(
     for k, algo in enumerate(config.algos):
         cfg = config.dfe_config(algo)
         try:
-            e, decisions, _ = equalize(rx, cfg, tx)
+            e, decisions = equalize(rx, cfg, tx)
         except InputError as exc:
             failures.append((exc.row or 0, k, algo, exc))  # no row: the whole block
             continue

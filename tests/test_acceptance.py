@@ -19,14 +19,15 @@ from equalab import (
     DfeConfig,
     apply_channel,
     ChannelModel,
-    conventional_step,
     delay_line,
     dfe_step,
-    fir_step,
+    dot,
     generate_bpsk,
-    improved_step,
+    ilms_step,
     initial_state,
+    lms_step,
     lms_update,
+    shift_in,
     smooth,
     speedup,
     steady_state_mse,
@@ -153,7 +154,8 @@ def test_criterion_3_fir_oracle_equivalence():
         line = delay_line(L)
         streamed = np.empty(N)
         for i in range(N):
-            streamed[i], line = fir_step(w, line, x[i])
+            line = shift_in(line, x[i])
+            streamed[i] = dot(w, line)
         worst = max(worst, float(np.max(np.abs(streamed - np.convolve(x, w)[:N]))))
     print(f"\ncriterion 3: 100 randomized streaming-vs-convolution cases, "
           f"max |dev| = {worst:.3g} (tolerance 1e-12)")
@@ -167,8 +169,8 @@ def test_criterion_4_hand_computed_lms_step():
     updated = lms_update(w, x, 1.0, 0.1)
     assert updated.tolist() == [0.1, -0.1]
     p = AdaptParams(mu=0.1)
-    ff_conv, _, _ = conventional_step(p, w, x, np.zeros(0), np.zeros(0), 1.0)
-    ff_impr, _, step = improved_step(p, w, x, np.zeros(0), np.zeros(0), 1.0, 0.0)
+    ff_conv, _, _ = lms_step(p, w, x, np.zeros(0), np.zeros(0), 1.0)
+    ff_impr, _, step = ilms_step(p, w, x, np.zeros(0), np.zeros(0), 1.0, 0.0)
     assert step == 0.1
     assert np.array_equal(ff_conv, ff_impr)
     assert ff_impr.tolist() == [0.1, -0.1]
@@ -186,8 +188,8 @@ def test_criterion_5_zero_error_fixed_point():
         fb_x = np.sign(rng.normal(size=n_fb)) + 0.0
         p = AdaptParams(float(rng.uniform(0.001, 0.5)))
         e_prev = float(rng.normal())
-        c_ff, c_fb, _ = conventional_step(p, ff_w, ff_x, fb_w, fb_x, 0.0)
-        i_ff, i_fb, _ = improved_step(p, ff_w, ff_x, fb_w, fb_x, 0.0, e_prev)
+        c_ff, c_fb, _ = lms_step(p, ff_w, ff_x, fb_w, fb_x, 0.0)
+        i_ff, i_fb, _ = ilms_step(p, ff_w, ff_x, fb_w, fb_x, 0.0, e_prev)
         assert c_ff.tobytes() == ff_w.tobytes() and c_fb.tobytes() == fb_w.tobytes()
         assert i_ff.tobytes() == ff_w.tobytes() and i_fb.tobytes() == fb_w.tobytes()
     print("\ncriterion 5 zero-error fixed point (1000 fuzzed cases, bit-identical): PASS")

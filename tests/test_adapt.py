@@ -6,9 +6,9 @@ import pytest
 from equalab import (
     AdaptParams,
     ConfigurationError,
-    conventional_step,
     effective_step,
-    improved_step,
+    ilms_step,
+    lms_step,
     lms_update,
 )
 
@@ -120,13 +120,13 @@ class TestJointSteps:
         ff_w, ff_x, fb_w, fb_x = _random_state(rng)
         e = 0.9
         p = AdaptParams(0.05)
-        ff2, fb2, step = conventional_step(p, ff_w, ff_x, fb_w, fb_x, e)
+        ff2, fb2, step = lms_step(p, ff_w, ff_x, fb_w, fb_x, e)
         assert step == 0.05
         assert np.array_equal(ff2, lms_update(ff_w, ff_x, e, 0.05))
         assert np.array_equal(fb2, lms_update(fb_w, -fb_x, e, 0.05))
 
     def test_empty_feedback_changes_only_ff(self):
-        ff2, fb2, _ = conventional_step(
+        ff2, fb2, _ = lms_step(
             AdaptParams(0.1), np.zeros(3), np.ones(3), np.zeros(0), np.zeros(0), 1.0
         )
         assert fb2.size == 0
@@ -136,13 +136,13 @@ class TestJointSteps:
         p = AdaptParams(0.1)
         ff_w = np.zeros(2)
         x = np.array([1.0, -1.0])
-        ff_w, fb_w, _ = conventional_step(p, ff_w, x, np.zeros(0), np.zeros(0), 0.0)
+        ff_w, fb_w, _ = lms_step(p, ff_w, x, np.zeros(0), np.zeros(0), 0.0)
         assert ff_w.tolist() == [0.0, 0.0]
-        ff_w, fb_w, _ = conventional_step(p, ff_w, x, fb_w, np.zeros(0), 1.0)
+        ff_w, fb_w, _ = lms_step(p, ff_w, x, fb_w, np.zeros(0), 1.0)
         assert ff_w.tolist() == [0.1, -0.1]
 
     def test_improved_first_iteration_step(self):
-        ff2, _, step = improved_step(
+        ff2, _, step = ilms_step(
             AdaptParams(0.05), np.zeros(1), np.ones(1), np.zeros(0), np.zeros(0), 1.6, 0.0
         )
         assert step == pytest.approx(0.08, abs=1e-15)
@@ -155,13 +155,13 @@ class TestJointSteps:
             e_prev = float(rng.integers(-8, 9)) * 0.25
             e = e_prev + float(rng.choice([-1.0, 1.0]))
             p = AdaptParams(0.05)
-            conv = conventional_step(p, ff_w, ff_x, fb_w, fb_x, e)
-            impr = improved_step(p, ff_w, ff_x, fb_w, fb_x, e, e_prev)
+            conv = lms_step(p, ff_w, ff_x, fb_w, fb_x, e)
+            impr = ilms_step(p, ff_w, ff_x, fb_w, fb_x, e, e_prev)
             assert np.array_equal(conv[0], impr[0])
             assert np.array_equal(conv[1], impr[1])
 
     def test_near_convergence_step_vanishes(self):
-        _, _, step = improved_step(
+        _, _, step = ilms_step(
             AdaptParams(0.05), np.zeros(1), np.ones(1), np.zeros(0), np.zeros(0), 0.0101, 0.0100
         )
         assert step < 0.05 * 0.001
@@ -173,8 +173,8 @@ class TestJointSteps:
             p = AdaptParams(float(rng.uniform(0.01, 0.5)))
             e_prev = float(rng.normal())
             for rule in (
-                lambda: conventional_step(p, ff_w, ff_x, fb_w, fb_x, 0.0),
-                lambda: improved_step(p, ff_w, ff_x, fb_w, fb_x, 0.0, e_prev),
+                lambda: lms_step(p, ff_w, ff_x, fb_w, fb_x, 0.0),
+                lambda: ilms_step(p, ff_w, ff_x, fb_w, fb_x, 0.0, e_prev),
             ):
                 ff2, fb2, _ = rule()
                 assert ff2.tobytes() == ff_w.tobytes()

@@ -105,6 +105,20 @@ class TestConfigErrors:
         assert "ilms" in err and "seed 1:" in err and "iteration 30" in err
         assert not curves.exists() and not summary.exists()
 
+    def test_overflow_exits_3_naming_rule_seed_iteration(self, tmp_path, capsys):
+        # The cap keeps every error finite, but on seed 1 the squared error
+        # overflows at iteration 172: a failed run, not an `inf` statistic.
+        code, curves, summary = run_cli(
+            tmp_path, "--algo", "ilms", "--mu", "0.2", "--step-floor", "0.01",
+            "--step-cap", "5", "--mode", "trained", "--train-len", "500",
+            "--n-symbols", "200", "--window", "10", "--seeds", "4",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Warning" not in err
+        assert "ilms" in err and "seed 1:" in err and "overflows at iteration 172" in err
+        assert not curves.exists() and not summary.exists()
+
     def test_negative_seed_exits_2_naming_field(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(experiment, "equalize", _no_steps)
         cfg = tmp_path / "neg.cfg"

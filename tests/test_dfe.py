@@ -1,6 +1,8 @@
 """Equalizer state-machine tests: quantizer, combiner, stepping, invariants."""
 
 import importlib.resources
+import math
+import shutil
 import threading
 import tomllib
 from pathlib import Path
@@ -29,6 +31,8 @@ from equalab.dfe import MODE_TRAINED, PAD_SYMBOL
 # Ids of the `lms` and `ilms` cases, kept as they were so that results stay
 # comparable by id across versions.
 _RULE_IDS = ["conventional", "improved"]
+
+_NO_KERNEL = "no C kernel could be built here (no C compiler, or numpy's BLAS has no 64-bit-int ddot)"
 
 
 def cfg_dd(**kw):
@@ -222,7 +226,7 @@ class TestRunEqualizer:
         cfg = DfeConfig(n_ff=5, n_fb=3, mu=0.05, algo="ilms", center_spike=True)
         rng = np.random.default_rng(4)
         rx = rng.normal(size=50)
-        (sq_errors,), (decisions,), _ = equalize(rx[None], cfg)
+        (sq_errors,), (decisions,) = equalize(rx[None], cfg)
         st = initial_state(cfg)
         for i, r in enumerate(rx):
             trace, st = dfe_step(st, float(r), None, cfg)
@@ -233,7 +237,7 @@ class TestRunEqualizer:
         # delay 2: reference stream is [pad, pad, tx0, tx1, ...] during training
         cfg = DfeConfig(n_ff=5, n_fb=0, mu=1e-9, mode="trained", training_len=6)
         tx = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, -1.0])
-        (sq_errors,), _, _ = equalize(np.zeros((1, 6)), cfg, tx[None])
+        (sq_errors,), _ = equalize(np.zeros((1, 6)), cfg, tx[None])
         # y stays ~0, so e = reference: +1 padding for 2 steps then -1
         np.testing.assert_allclose(
             np.sqrt(sq_errors), [1, 1, 1, 1, 1, 1], atol=1e-8
@@ -294,31 +298,43 @@ def _use_kernel(monkeypatch, kernel):
     else:
         loop = _kernel.load()
         if loop is None:
-            pytest.skip("no C kernel could be built here (no C compiler, or numpy's BLAS has no 64-bit-int ddot)")
+            pytest.skip(_NO_KERNEL)
     monkeypatch.setattr(dfe, "_loop_impl", loop)
 
 
-def _assert_divergence_reported(cfg, seed):
+# A trained `ilms` setting whose rows diverge on `_batch(4, 200, seed=8)`.
+_DIVERGING = dict(n_ff=11, n_fb=5, mu=0.2, algo="ilms", mode=MODE_TRAINED, training_len=500)
+
+
+def _assert_divergence_reported(cfg, seed, what="non-finite quantizer input"):
     """Several rows of a batch diverge: `equalize` names the first row to
-    fail and its iteration, as stepping each row through `dfe_step` finds."""
+    fail, its iteration and `what` failed, as stepping each row through
+    `dfe_step` finds.  A non-finite combiner output in any row comes before
+    a squared error that overflows."""
     rx, tx = _batch(4, 200, seed=seed)
-    failures = []
+    raised, overflowed = [], []
     with np.errstate(invalid="ignore", over="ignore"):
         for s in range(4):
             st = initial_state(cfg)
+            first_overflow = None
             for i, r in enumerate(rx[s]):
                 ts = tx[s, i - cfg.delay] if i >= cfg.delay else PAD_SYMBOL
                 try:
-                    _, st = dfe_step(st, float(r), ts, cfg)
+                    trace, st = dfe_step(st, float(r), ts, cfg)
                 except InputError:
-                    failures.append((s, i))
+                    raised.append((s, i))
                     break
+                if first_overflow is None and not math.isfinite(trace.error * trace.error):
+                    first_overflow = i
+            if first_overflow is not None:
+                overflowed.append((s, first_overflow))
+    failures = raised or overflowed
     # The first row to fail is not the one that fails earliest.
     assert len(failures) > 1 and failures[0][1] > min(i for _, i in failures)
     with pytest.raises(InputError) as exc:
         equalize(rx, cfg, tx)
     assert exc.value.row == failures[0][0]
-    assert str(exc.value).endswith(f"at iteration {failures[0][1]}")
+    assert str(exc.value).endswith(f"{what} at iteration {failures[0][1]}")
 
 
 class TestEqualizeOracle:
@@ -351,43 +367,45 @@ class TestEqualizeOracle:
         mode = {} if training is None else dict(mode=MODE_TRAINED, training_len=training)
         cfg = DfeConfig(n_ff=11, mu=0.03, algo=algo, center_spike=spike, **mode, **shape)
         rx, tx = _batch(rows, N_ORACLE)
-        sq, dec, states = equalize(rx, cfg, tx)
+        sq, dec = equalize(rx, cfg, tx)
         assert sq.shape == dec.shape == (rows, N_ORACLE)
+        # The final state lives in the loop's buffers: the weights in W and B,
+        # the newest-first lines at the front of R and D, e(N-1) last in E.
+        R, D, W, B, E = dfe._lockstep(dfe._loop(), rx, cfg, tx)
         for s in range(rows):
             want_sq, want_dec, want = _step_loop(rx[s], tx[s], cfg)
             assert sq[s].tobytes() == want_sq.tobytes()
             assert dec[s].tobytes() == want_dec.tobytes()
-            got = states[s]
-            assert got.ff_weights.tobytes() == want.ff_weights.tobytes()
-            assert got.fb_weights.tobytes() == want.fb_weights.tobytes()
-            assert got.ff_line.tobytes() == want.ff_line.tobytes()
-            assert got.fb_line.tobytes() == want.fb_line.tobytes()
-            assert (got.prev_error, got.iteration) == (want.prev_error, want.iteration)
+            assert W[s].tobytes() == want.ff_weights.tobytes()
+            assert B[s].tobytes() == want.fb_weights.tobytes()
+            assert R[s, : cfg.n_ff].tobytes() == want.ff_line.tobytes()
+            assert D[s, : cfg.n_fb].tobytes() == want.fb_line.tobytes()
+            assert (E[s, -1], E.shape[1]) == (want.prev_error, want.iteration)
 
     @pytest.mark.parametrize("algo", ["lms", "ilms"], ids=_RULE_IDS)
     def test_rows_are_independent(self, algo):
         cfg = DfeConfig(n_ff=7, n_fb=3, mu=0.03, algo=algo, mode=MODE_TRAINED, training_len=40)
         rx, tx = _batch(5, 300, seed=7)
-        sq, dec, _ = equalize(rx, cfg, tx)
+        sq, dec = equalize(rx, cfg, tx)
         for s in range(5):
-            alone_sq, alone_dec, _ = equalize(rx[s : s + 1], cfg, tx[s : s + 1])
+            alone_sq, alone_dec = equalize(rx[s : s + 1], cfg, tx[s : s + 1])
             assert sq[s].tobytes() == alone_sq[0].tobytes()
             assert dec[s].tobytes() == alone_dec[0].tobytes()
 
     def test_divergence_names_first_row_and_iteration(self):
-        cfg = DfeConfig(
-            n_ff=11, n_fb=5, mu=0.2, algo="ilms", mode=MODE_TRAINED, training_len=500
-        )
-        _assert_divergence_reported(cfg, seed=8)
+        _assert_divergence_reported(DfeConfig(**_DIVERGING), seed=8)
 
     def test_floor_cap_divergence_names_first_row_and_iteration(self):
         # Diverging with both the floor and the cap set: each kernel names the
         # row and iteration that the `dfe_step` loop names.
-        cfg = DfeConfig(
-            n_ff=11, n_fb=5, mu=0.2, algo="ilms", mode=MODE_TRAINED, training_len=500,
-            step_floor=0.01, step_cap=50.0,
-        )
+        cfg = DfeConfig(**_DIVERGING, step_floor=0.01, step_cap=50.0)
         _assert_divergence_reported(cfg, seed=8)
+
+    def test_squared_error_overflow_names_first_row_and_iteration(self):
+        # A tighter cap keeps every error finite for 200 steps, but the errors
+        # still grow past sqrt(max float), so their squares overflow.
+        cfg = DfeConfig(**_DIVERGING, step_floor=0.01, step_cap=5.0)
+        _assert_divergence_reported(cfg, seed=0, what="squared error overflows")
 
     def test_rejects_non_finite_sample(self):
         rx = np.zeros((3, 20))
@@ -422,8 +440,9 @@ class TestKernelChoice:
 
     def _run(self):
         rx, _ = _batch(3, N_ORACLE, seed=9)
-        sq, dec, states = equalize(rx, self.CFG)
-        return [sq.tobytes(), dec.tobytes()] + [st.ff_weights.tobytes() for st in states]
+        sq, dec = equalize(rx, self.CFG)
+        W = dfe._lockstep(dfe._loop(), rx, self.CFG, None)[2]
+        return [sq.tobytes(), dec.tobytes()] + [w.tobytes() for w in W]
 
     @pytest.mark.parametrize("failure", ["no-compiler", "no-ddot", "probe-mismatch"])
     def test_falls_back_to_numpy(self, monkeypatch, tmp_path, capfd, failure):
@@ -447,23 +466,45 @@ class TestKernelChoice:
 
     def test_compiled_kernel_is_used_when_it_passes_the_probe(self, monkeypatch):
         if _kernel.load() is None:
-            pytest.skip("no C kernel could be built here (no C compiler, or numpy's BLAS has no 64-bit-int ddot)")
+            pytest.skip(_NO_KERNEL)
         monkeypatch.setattr(dfe, "_loop_impl", dfe._UNLOADED)
         assert dfe.KERNEL == "c"
         assert dfe._loop_impl is not dfe._numpy_loop
 
+    def test_cached_library_loads_without_a_compiler(self, monkeypatch):
+        if _kernel.load() is None:  # builds into the cache if need be
+            pytest.skip(_NO_KERNEL)
+        monkeypatch.setattr(_kernel, "CC", "no-such-compiler")
+        assert _kernel.load() is not None
+
+    @pytest.mark.parametrize(
+        "limits", [{}, dict(step_floor=0.01, step_cap=50.0)], ids=["plain", "floor-cap"]
+    )
+    def test_loops_leave_identical_buffers_on_diverging_rows(self, limits):
+        # Past a row's first non-finite error both loops carry the inf/nan on
+        # alike: the kernel's floor and cap let a NaN through as numpy's do.
+        compiled = _kernel.load()
+        if compiled is None:
+            pytest.skip(_NO_KERNEL)
+        cfg = DfeConfig(**_DIVERGING, **limits)
+        rx, tx = _batch(4, 200, seed=8)
+        with np.errstate(all="ignore"):
+            got = dfe._lockstep(compiled, rx, cfg, tx)
+            want = dfe._lockstep(dfe._numpy_loop, rx, cfg, tx)
+        assert not np.isfinite(want[4]).all()
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
     def test_concurrent_builds_leave_one_library(self, monkeypatch, tmp_path):
         # Pool workers may build at once: each writes its own temporary file
         # and renames it into place, so every builder gets a whole library.
-        cc = _kernel.shutil.which(_kernel.CC)
-        if cc is None:
+        if shutil.which(_kernel.CC) is None:
             pytest.skip("no C compiler here")
         monkeypatch.setattr(_kernel, "CACHE", tmp_path / "__pycache__")
         paths, errors = [], []
 
         def build():
             try:
-                paths.append(_kernel._build(cc))
+                paths.append(_kernel._build())
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from equalab import ConfigurationError, InputError, delay_line, dot, fir_step, shift_in, taps
+from equalab import ConfigurationError, InputError, delay_line, dot, shift_in, taps
 
 
 class TestTaps:
@@ -78,16 +78,16 @@ class TestFirStep:
         w = taps([1.0])
         line = delay_line(1)
         for x in (0.3, -2.5, 0.0, 7.0):
-            out, line = fir_step(w, line, x)
-            assert out == x
+            line = shift_in(line, x)
+            assert dot(w, line) == x
 
     def test_impulse_response_is_coefficients(self):
         w = taps([0.407, 0.815, 0.407])
         line = delay_line(3)
         outs = []
         for x in [1.0, 0.0, 0.0, 0.0, 0.0]:
-            out, line = fir_step(w, line, x)
-            outs.append(out)
+            line = shift_in(line, x)
+            outs.append(dot(w, line))
         assert outs == [0.407, 0.815, 0.407, 0.0, 0.0]
 
     def test_hand_convolution(self):
@@ -95,8 +95,8 @@ class TestFirStep:
         line = delay_line(2)
         outs = []
         for x in [1.0, -1.0, 1.0, -1.0]:
-            out, line = fir_step(w, line, x)
-            outs.append(out)
+            line = shift_in(line, x)
+            outs.append(dot(w, line))
         assert outs == [1.0, 0.0, 0.0, 0.0]
 
 
@@ -104,7 +104,8 @@ def _stream(weights, samples):
     line = delay_line(weights.size)
     out = np.empty(len(samples))
     for i, x in enumerate(samples):
-        out[i], line = fir_step(weights, line, x)
+        line = shift_in(line, x)
+        out[i] = dot(weights, line)
     return out
 
 

@@ -229,7 +229,7 @@ class TestRunExperiment:
 
         def fake_equalize(rx, cfg, tx):  # records the batch; steps nothing
             calls.append((cfg.algo, rx.shape))
-            return np.zeros(rx.shape), np.ones(rx.shape), ()
+            return np.zeros(rx.shape), np.ones(rx.shape)
 
         monkeypatch.setattr(experiment, "equalize", fake_equalize)
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", fake_pool(made))
