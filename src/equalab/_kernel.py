@@ -15,7 +15,6 @@ import hashlib
 import math
 import os
 import platform
-import subprocess
 import tempfile
 from pathlib import Path
 
@@ -37,11 +36,12 @@ _PTR = ctypes.c_void_p
 
 def load():
     """The compiled loop, called as dfe._numpy_loop is, or None if it cannot
-    be built or linked here (a missing compiler raises FileNotFoundError)."""
+    be built or linked here (a missing compiler raises FileNotFoundError, a
+    failing one OSError)."""
     try:
         ddot = _ddot()
         kernel = ctypes.CDLL(str(_build())).equalab_lockstep
-    except (ImportError, AttributeError, OSError, subprocess.SubprocessError):
+    except (ImportError, AttributeError, OSError):
         return None
     kernel.argtypes = [_PTR, _I64, _I64, _I64, _I64, *[_PTR] * 6, _I64, _F64, ctypes.c_int, _F64, _F64]
     kernel.restype = None
@@ -79,6 +79,8 @@ def _build() -> Path:
     key = hashlib.sha256(source + " ".join((platform.machine(), *FLAGS)).encode()).hexdigest()[:16]
     lib = CACHE / f"_kernel-{key}.so"
     if not lib.exists():
+        import subprocess  # only a build needs it: a run on a cached library never loads it
+
         CACHE.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix="_kernel-", suffix=".tmp", dir=CACHE)
         os.close(fd)
@@ -86,6 +88,8 @@ def _build() -> Path:
             subprocess.run([CC, *FLAGS, "-o", tmp, str(SOURCE)], check=True, capture_output=True, timeout=120)
             # Atomic: a process building at the same time finds no file or a whole one.
             os.replace(tmp, lib)
+        except subprocess.SubprocessError as exc:  # the compiler failed or hung
+            raise OSError(f"cannot build {SOURCE.name}: {exc}") from exc
         finally:
             Path(tmp).unlink(missing_ok=True)
     return lib

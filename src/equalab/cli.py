@@ -173,6 +173,8 @@ def _print_report(record: RunRecord) -> None:
 
 def _check_writable(path: str) -> None:
     """Raise OSError unless `path` names a file in an existing, writable directory."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     parent = os.path.dirname(path) or "."
@@ -196,6 +198,8 @@ def main(argv=None) -> int:
         # Fail before the run, not after it, and write nothing.
         for path in (config.out_curves, config.out_summary):
             _check_writable(path)
+        if os.path.realpath(config.out_curves) == os.path.realpath(config.out_summary):
+            raise OSError(f"out_curves and out_summary name the same file: {config.out_summary!r}")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

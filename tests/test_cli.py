@@ -168,6 +168,35 @@ class TestConfigErrors:
         assert err.startswith("error: cannot write output: ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "summary", ["out/c.txt", "out/../out/c.txt", "out/./c.txt"], ids=["same", "dotdot", "dot"]
+    )
+    def test_one_path_for_both_outputs_exits_1_before_the_run(
+        self, tmp_path, capsys, monkeypatch, summary
+    ):
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        monkeypatch.chdir(tmp_path)
+        Path("out").mkdir()
+        code = main(["run", *FAST, "--out-curves", "out/c.txt", "--out-summary", summary])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "error: cannot write output: out_curves and out_summary name the same file"
+        )
+        assert list(Path("out").iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out-curves", "--out-summary"])
+    def test_empty_output_path_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", *FAST, "--out-curves", "c.csv", "--out-summary", "s.txt", flag, ""])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot write output: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2

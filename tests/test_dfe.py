@@ -2,7 +2,10 @@
 
 import importlib.resources
 import math
+import os
 import shutil
+import subprocess
+import sys
 import threading
 import tomllib
 from pathlib import Path
@@ -444,7 +447,9 @@ class TestKernelChoice:
         W = dfe._lockstep(dfe._loop(), rx, self.CFG, None)[2]
         return [sq.tobytes(), dec.tobytes()] + [w.tobytes() for w in W]
 
-    @pytest.mark.parametrize("failure", ["no-compiler", "no-ddot", "probe-mismatch"])
+    @pytest.mark.parametrize(
+        "failure", ["no-compiler", "compiler-fails", "no-ddot", "probe-mismatch"]
+    )
     def test_falls_back_to_numpy(self, monkeypatch, tmp_path, capfd, failure):
         monkeypatch.setattr(dfe, "_loop_impl", dfe._numpy_loop)
         want = self._run()
@@ -452,6 +457,8 @@ class TestKernelChoice:
         monkeypatch.setattr(_kernel, "CACHE", tmp_path)  # nothing cached: a load must build
         if failure == "no-compiler":
             monkeypatch.setattr(_kernel, "CC", "no-such-compiler")
+        elif failure == "compiler-fails":
+            monkeypatch.setattr(_kernel, "FLAGS", (*_kernel.FLAGS, "--no-such-flag"))
         elif failure == "no-ddot":
             monkeypatch.setattr(_kernel, "DDOT_SYMBOLS", ("no_such_ddot",))
         else:
@@ -476,6 +483,19 @@ class TestKernelChoice:
             pytest.skip(_NO_KERNEL)
         monkeypatch.setattr(_kernel, "CC", "no-such-compiler")
         assert _kernel.load() is not None
+
+    def test_cached_library_loads_without_subprocess(self):
+        # Only a build runs the compiler; a process that finds the library
+        # cached never imports subprocess.
+        if _kernel.load() is None:  # builds into the cache if need be
+            pytest.skip(_NO_KERNEL)
+        code = "import sys\nimport equalab.dfe as dfe\nprint(dfe.KERNEL, 'subprocess' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(dfe.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.split() == ["c", "False"]
 
     @pytest.mark.parametrize(
         "limits", [{}, dict(step_floor=0.01, step_cap=50.0)], ids=["plain", "floor-cap"]

@@ -1,5 +1,9 @@
 """Harness tests: config validation, aggregation, CSV/summary emission contracts."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +13,7 @@ from equalab import (
     ChannelModel,
     ConfigurationError,
     InputError,
+    LearningCurve,
     apply_channel,
     dfe_step,
     generate_bpsk,
@@ -20,6 +25,7 @@ from equalab import experiment
 from equalab.experiment import (
     NOISE_SEED_OFFSET,
     ExperimentConfig,
+    RunRecord,
     emit_curves_csv,
     emit_summary,
     run_experiment,
@@ -202,7 +208,7 @@ class TestRunExperiment:
     def test_pool_workers_capped_at_usable_cpus(self, monkeypatch):
         made = []
         serial = run_experiment(tiny_config(n_seeds=6))
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", fake_pool(made))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool(made))
         monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for jobs in (3, 1000):
             capped = run_experiment(tiny_config(n_seeds=6, jobs=jobs))
@@ -232,11 +238,29 @@ class TestRunExperiment:
             return np.zeros(rx.shape), np.ones(rx.shape)
 
         monkeypatch.setattr(experiment, "equalize", fake_equalize)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", fake_pool(made))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool(made))
         monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         run_experiment(ExperimentConfig(n_seeds=n_seeds, n_symbols=n_symbols, jobs=jobs))
         assert calls == [(a, (r, n_symbols)) for r in rows for a in ("lms", "ilms")]
         assert made == workers
+
+
+def test_serial_run_does_not_import_the_pool():
+    """Only a --jobs pool needs multiprocessing; a serial run never loads it."""
+    code = (
+        "import sys\n"
+        "import equalab.cli\n"
+        "from equalab.experiment import ExperimentConfig, run_experiment\n"
+        "run_experiment(ExperimentConfig(n_symbols=300, n_seeds=2, window=10))\n"
+        "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+        "print([m for m in pool if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def fake_pool(made):
@@ -259,7 +283,53 @@ def fake_pool(made):
     return FakePool
 
 
+def _reference_csv(record) -> bytes:
+    """curves.csv built row by row, one format(v, ".17g") per value."""
+    lines = ["iteration,algo,inst_sq_error,smoothed_mse"]
+    for algo in sorted(record.curves):
+        curve = record.curves[algo]
+        for i, v in enumerate(curve.sq_errors):
+            tail = format(float(curve.smoothed[i]), ".17g") if i < curve.smoothed.size else ""
+            lines.append(f"{i},{algo},{format(float(v), '.17g')},{tail}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _assert_fields_round_trip(raw: bytes, record) -> None:
+    """Every value field parses back to the float64 bits it was written from."""
+    rows = [r.split(",") for r in raw.decode().split("\n")[1:-1]]
+    for algo, curve in record.curves.items():
+        mine = [r for r in rows if r[1] == algo]
+        inst = np.array([float(r[2]) for r in mine])
+        smoothed = np.array([float(r[3]) for r in mine if r[3]])
+        assert inst.view(np.uint64).tolist() == curve.sq_errors.view(np.uint64).tolist()
+        assert smoothed.view(np.uint64).tolist() == curve.smoothed.view(np.uint64).tolist()
+
+
 class TestEmission:
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"window": 1}, {"window": 400}, {"algos": ("ilms",)}],
+        ids=["tiny", "window-1", "window-n-symbols", "one-algorithm"],
+    )
+    def test_csv_bytes_match_per_value_format(self, tmp_path, kw):
+        rec = run_experiment(tiny_config(**kw))
+        path = tmp_path / "curves.csv"
+        emit_curves_csv(rec, path)
+        raw = path.read_bytes()
+        assert raw == _reference_csv(rec)
+        _assert_fields_round_trip(raw, rec)
+
+    def test_csv_bytes_of_extreme_values(self, tmp_path):
+        values = np.array([0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1, 1 / 3])
+        curve = LearningCurve(values, values[::-1][:4].copy(), 3, float(values[-1]), None)
+        rec = RunRecord(tiny_config(), {"lms": curve}, {"lms": 0.0}, None)
+        path = tmp_path / "curves.csv"
+        emit_curves_csv(rec, path)
+        raw = path.read_bytes()
+        assert raw == _reference_csv(rec)
+        assert b"4.9406564584124654e-324" in raw and b"1.7976931348623157e+308" in raw
+        _assert_fields_round_trip(raw, rec)
+
     def test_csv_format_contract(self, tmp_path):
         rec = run_experiment(tiny_config())
         path = tmp_path / "curves.csv"
