@@ -43,4 +43,4 @@ from .metrics import (
     speedup,
     steady_state_mse,
 )
-from .txrx import ChannelModel, apply_channel, gaussian, generate_bpsk
+from .txrx import apply_channel, gaussian, generate_bpsk

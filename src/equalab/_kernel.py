@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import math
 import os
 import platform
 import tempfile
@@ -47,15 +46,13 @@ def load():
     kernel.restype = None
 
     def lockstep(R, D, W, B, E, refs, mu, ilms, floor, cap):
-        arrays = (R, D, W, B, E) if refs is None else (R, D, W, B, E, refs)
-        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in arrays):
+        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (R, D, W, B, E, refs)):
             raise ValueError("the compiled loop needs C-contiguous float64 buffers")
         rows, n = E.shape
         kernel(
             ddot, rows, n, W.shape[1], B.shape[1],
             R.ctypes.data, D.ctypes.data, W.ctypes.data, B.ctypes.data, E.ctypes.data,
-            None if refs is None else refs.ctypes.data, 0 if refs is None else len(refs),
-            mu, ilms, floor, math.inf if cap is None else cap,
+            refs.ctypes.data, len(refs), mu, ilms, floor, cap,
         )
 
     return lockstep

@@ -1,6 +1,6 @@
 """Command-line harness: `equalab run` with config-file and flag overrides.
 
-Config files are flat `key = value` text ('#' starts a comment).  Every
+Config files are flat `key = value` UTF-8 text ('#' starts a comment).  Every
 setting is one row of `SETTINGS` below: its file key, its flag, and the one
 parser both go through.  Command-line flags win over file entries, which win
 over built-in defaults.
@@ -113,17 +113,17 @@ def _apply(overrides: dict, setting: Setting, text: str, where: str = "") -> Non
 def read_config_file(path: str) -> dict:
     """Parse a flat key=value config file into ExperimentConfig overrides."""
     overrides: dict = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # utf-8-sig: a leading BOM is dropped
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not (eq and key):
                 raise ConfigurationError(
                     f"line {lineno}: expected key = value, got {raw.strip()!r}"
                 )
-            key, _, value = line.partition("=")
-            key = key.strip()
             if key not in _BY_KEY:
                 raise ConfigurationError("unknown configuration key", field=key)
             _apply(overrides, _BY_KEY[key], value.strip(), f"line {lineno}: ")
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config file: {exc}", file=sys.stderr)
         return 2
     try:

@@ -16,10 +16,12 @@ reproduces `dfe_step` bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import adapt
 from .adapt import AdaptParams
@@ -234,8 +236,9 @@ def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):
     and return them: R, D, W, B and E (the errors, not yet squared)."""
     rows, n = rx.shape
     delay = cfg.delay
-    train = min(cfg.training_len, n) if cfg.mode == MODE_TRAINED else 0
-    refs = _training_references(transmitted, rows, train, delay) if train > 0 else None
+    train = min(cfg.training_len, n)  # 0 in decision-directed mode
+    refs = _training_references(transmitted, rows, train, delay) if train else np.empty((0, rows))
+    cap = math.inf if cfg.step_cap is None else cfg.step_cap
 
     # Newest-first delay lines are contiguous windows, so nothing is ever
     # shifted: R holds each row reversed and zero-padded, and the FF line at
@@ -249,34 +252,35 @@ def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):
         W[:, delay] = 1.0
     B = np.zeros((rows, cfg.n_fb))
     E = np.empty((rows, n))
-    loop(R, D, W, B, E, refs, cfg.mu, cfg.algo == ALGO_ILMS, cfg.step_floor, cfg.step_cap)
+    loop(R, D, W, B, E, refs, cfg.mu, cfg.algo == ALGO_ILMS, cfg.step_floor, cap)
     return R, D, W, B, E
 
 
 def _numpy_loop(R, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
     """Step every row of the buffers of `_lockstep` through all N iterations,
-    one iteration of all rows at a time.  `refs` is (train, S) or None."""
-    rows, n = E.shape
-    n_ff, n_fb = W.shape[1], B.shape[1]
-    train = 0 if refs is None else len(refs)
-    e_prev = np.zeros(rows)
+    one iteration of all rows at a time.  `refs` is (train, S); `cap` is inf
+    when the step has no cap."""
+    n = E.shape[1]
+    # Per step: the FF and FB line windows of `_lockstep`, the decision column
+    # and the error column.  Iterating makes these views faster than slicing.
+    steps = zip(
+        sliding_window_view(R, W.shape[1], axis=1)[:, n - 1 :: -1].swapaxes(0, 1),
+        sliding_window_view(D, B.shape[1], axis=1)[:, n:0:-1].swapaxes(0, 1),
+        D.T[n - 1 :: -1],
+        E.T,
+    )
+    refs = iter(refs)
+    e_prev = np.zeros(len(E))
+    mu, floor, cap = (np.full(len(E), v) for v in (mu, floor, cap))  # converted once, not every step
     # A diverging row turns to inf/nan and stays so; `equalize` reports it.
     with np.errstate(all="ignore"):
-        for i in range(n):
-            a = n - 1 - i
-            x = R[:, a : a + n_ff]
-            f = D[:, a + 1 : a + 1 + n_fb]
+        for x, f, d_out, e_out in steps:
             y = np.vecdot(W, x) - np.vecdot(B, f)
             # quantize(): +1 for y >= 0.  Adding +0.0 turns -0.0 into +0.0.
-            d = np.copysign(1.0, y + 0.0, out=D[:, a])
-            e = np.subtract(refs[i] if i < train else d, y, out=E[:, i])
+            d = np.copysign(1.0, y + 0.0, out=d_out)
+            e = np.subtract(next(refs, d), y, out=e_out)  # the preamble, then decisions
             if ilms:
-                scale = np.abs(e - e_prev)
-                if floor > 0.0:  # max(|de|, 0) is |de| itself
-                    scale = np.maximum(scale, floor)
-                step = mu * scale
-                if cap is not None:
-                    step = np.minimum(step, cap)
+                step = np.minimum(mu * np.maximum(np.abs(e - e_prev), floor), cap)
                 e_prev = e
             else:
                 step = mu
@@ -284,12 +288,6 @@ def _numpy_loop(R, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
             W += g * x
             B -= g * f  # fb + g * (-f): the combiner subtracts the FB output
 
-
-# The loop `equalize` runs, chosen on its first call (not at import, so that
-# importing equalab builds nothing): the compiled kernel if it builds and
-# passes the probe, else `_numpy_loop`.
-_UNLOADED = object()
-_loop_impl = _UNLOADED
 
 # Probe configs: both rules, trained and decision-directed, floor and cap
 # active, and an FF filter long enough for the BLAS's unrolled ddot path.
@@ -302,16 +300,11 @@ _PROBES = (
 )
 
 
+@functools.cache
 def _loop():
-    global _loop_impl
-    if _loop_impl is _UNLOADED:
-        _loop_impl = _load_loop()
-    return _loop_impl
-
-
-def _load_loop():
-    """The compiled loop if it builds and reproduces `_numpy_loop` byte for
-    byte on the probes, else `_numpy_loop`."""
+    """The loop `equalize` runs, chosen on its first call (not at import, so
+    that importing equalab builds nothing): the compiled loop if it builds
+    and reproduces `_numpy_loop` byte for byte on the probes, else `_numpy_loop`."""
     from . import _kernel  # here: importing equalab loads no hashlib (OpenSSL, about 3.5 MB)
 
     compiled = _kernel.load()

@@ -18,9 +18,10 @@ import numpy as np
 
 from . import __version__
 from .dfe import ALGO_ILMS, ALGO_LMS, MODE_DECISION_DIRECTED, DfeConfig, equalize
+from .dsp import taps
 from .errors import ConfigurationError, InputError
 from .metrics import LearningCurve, ber, learning_curve, speedup
-from .txrx import ChannelModel, apply_channel, generate_bpsk
+from .txrx import apply_channel, generate_bpsk
 
 # Noise streams are decoupled from symbol streams by a fixed seed offset so
 # either can be held fixed independently.  Echoed in every summary.
@@ -73,6 +74,12 @@ class ExperimentConfig:
             raise ConfigurationError("duplicate algorithm", field="algo")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ConfigurationError("must be finite", field="snr_db")
+        try:
+            self.noise_variance  # 10 ** (-snr_db / 10) overflows a float
+        except OverflowError:
+            raise ConfigurationError(
+                "must be above about -3082.5: the noise variance overflows", field="snr_db"
+            ) from None
         if not 1 <= self.window <= self.n_symbols:
             raise ConfigurationError("must be in [1, n_symbols]", field="window")
         if not 0 < self.conv_ratio < math.inf:
@@ -85,9 +92,11 @@ class ExperimentConfig:
             raise ConfigurationError("must be >= 0", field="base_seed")
         if self.jobs < 1:
             raise ConfigurationError("must be >= 1", field="jobs")
-        # Channel, rule and equalizer field checks live with their owning types.
-        ChannelModel(np.asarray(self.channel, dtype=np.float64), self.noise_variance)
-        for a in self.algos:
+        try:
+            taps(self.channel)
+        except ConfigurationError as exc:
+            raise ConfigurationError(str(exc), field="channel") from None
+        for a in self.algos:  # the rule and equalizer fields are DfeConfig's to check
             self.dfe_config(a)
         skip = self.ber_skip
         if skip >= self.n_symbols:
@@ -164,15 +173,13 @@ def _run_block(
     pool workers load numpy.random.  A run that fails raises the InputError
     the serial order (seed, then algorithm) would meet first.
     """
-    channel = np.asarray(config.channel, dtype=np.float64)
     n = config.n_symbols
     skip = config.ber_skip
     tx = np.empty((len(seeds), n))
     rx = np.empty_like(tx)
     for k, s in enumerate(seeds):
         tx[k] = generate_bpsk(n, s)
-        noise = ChannelModel(channel, config.noise_variance, s + NOISE_SEED_OFFSET)
-        rx[k] = apply_channel(tx[k], noise)
+        rx[k] = apply_channel(tx[k], config.channel, config.noise_variance, s + NOISE_SEED_OFFSET)
     out: dict[str, tuple[np.ndarray, list[float]]] = {}
     failures = []
     for k, algo in enumerate(config.algos):

@@ -7,34 +7,10 @@ named, stable recipe that other implementations can match statistically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dsp import taps
 from .errors import ConfigurationError, InputError
-
-
-@dataclass(frozen=True, slots=True)
-class ChannelModel:
-    """FIR channel and noise description.
-
-    `impulse` is the channel impulse response (non-empty, finite);
-    `noise_variance` 0 means a zero-noise channel.
-    """
-
-    impulse: np.ndarray
-    noise_variance: float = 0.0
-    noise_seed: int = 0
-
-    def __post_init__(self):
-        try:
-            validated = taps(self.impulse)
-        except ConfigurationError as exc:
-            raise ConfigurationError(str(exc), field="channel") from None
-        object.__setattr__(self, "impulse", validated)
-        if self.noise_variance < 0:
-            raise ConfigurationError("must be >= 0", field="noise_variance")
 
 
 def generate_bpsk(n: int, seed: int) -> np.ndarray:
@@ -61,16 +37,20 @@ def gaussian(n: int, variance: float, seed: int) -> np.ndarray:
     return np.sqrt(variance) * z
 
 
-def apply_channel(tx, ch: ChannelModel) -> np.ndarray:
+def apply_channel(tx, impulse, noise_variance: float = 0.0, noise_seed: int = 0) -> np.ndarray:
     """Convolve the transmitted symbols with the channel impulse and add noise.
 
     Output sample n is sum_k impulse[k] * tx[n-k] (zero before the start)
-    plus seeded Gaussian noise; output length equals the input length.
+    plus Gaussian noise of `noise_variance` drawn from `noise_seed` (none at
+    variance 0); output length equals the input length.  `impulse` must be
+    non-empty and finite.
     """
     x = np.asarray(tx, dtype=np.float64)
     if x.size == 0:
         raise InputError("transmitted sequence is empty")
-    y = np.convolve(x, ch.impulse)[: x.size]
-    if ch.noise_variance > 0:
-        y = y + gaussian(x.size, ch.noise_variance, ch.noise_seed)
+    if not noise_variance >= 0:
+        raise ConfigurationError("must be >= 0", field="noise_variance")
+    y = np.convolve(x, taps(impulse))[: x.size]
+    if noise_variance > 0:
+        y = y + gaussian(x.size, noise_variance, noise_seed)
     return y

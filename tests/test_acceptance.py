@@ -18,7 +18,6 @@ from equalab import (
     AdaptParams,
     DfeConfig,
     apply_channel,
-    ChannelModel,
     delay_line,
     dfe_step,
     dot,
@@ -69,12 +68,7 @@ def _ilms_step_probe(config):
     sq_runs = []
     for seed in config.seeds:
         tx = generate_bpsk(config.n_symbols, seed)
-        channel = ChannelModel(
-            np.asarray(config.channel, dtype=np.float64),
-            config.noise_variance,
-            seed + NOISE_SEED_OFFSET,
-        )
-        rx = apply_channel(tx, channel)
+        rx = apply_channel(tx, config.channel, config.noise_variance, seed + NOISE_SEED_OFFSET)
         state = initial_state(dfe_cfg)
         steps = np.empty(rx.size)
         sq = np.empty(rx.size)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from equalab import experiment
+from equalab import cli, experiment
 from equalab.cli import SETTINGS, build_parser, config_from_args, main, read_config_file
 from equalab.errors import ConfigurationError
 
@@ -151,7 +151,7 @@ class TestConfigErrors:
         assert err.startswith(f"error: {field}: ")
         assert not curves.exists() and not summary.exists()
 
-    @pytest.mark.parametrize("bad", ["summary_in_missing_dir", "curves_is_a_dir"])
+    @pytest.mark.parametrize("bad", ["summary_in_missing_dir", "curves_is_a_dir", "dir_not_writable"])
     def test_unwritable_output_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch, bad):
         monkeypatch.setattr(experiment, "equalize", _no_steps)
         out = tmp_path / "out"
@@ -159,8 +159,10 @@ class TestConfigErrors:
         curves, summary = out / "c.csv", out / "s.txt"
         if bad == "summary_in_missing_dir":
             summary = out / "missing" / "s.txt"
-        else:
+        elif bad == "curves_is_a_dir":
             curves = out
+        else:  # chmod would not stop root, which may run the tests
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
         code = main(["run", *FAST, "--out-curves", str(curves), "--out-summary", str(summary)])
         assert code == 1
         err = capsys.readouterr().err
@@ -197,6 +199,32 @@ class TestConfigErrors:
         assert err.startswith("error: cannot write output: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flag,value,field", [("--mode", "foo", "mode"), ("--snr-db", "-4000", "snr_db")]
+    )
+    def test_bad_value_exits_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch, flag, value, field
+    ):
+        # -4000 dB is finite, but its noise variance 10**400 is not.
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        code, curves, summary = run_cli(tmp_path, flag, value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {field}: ")
+        assert not curves.exists() and not summary.exists()
+
+    def test_write_failure_after_the_run_exits_1(self, tmp_path, capsys, monkeypatch):
+        def full_disk(record, path):
+            raise OSError(28, "No space left on device", path)
+
+        monkeypatch.setattr(cli, "emit_summary", full_disk)
+        code, curves, _ = run_cli(tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot write output: ") and "No space left" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2
@@ -232,6 +260,31 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError) as exc:
             read_config_file(str(cfg))
         assert exc.value.field == "bogus_knob"
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes("\ufeffmu = 0.01\nseeds = 2\n".encode("utf-8"))
+        assert read_config_file(str(cfg)) == {"mu": 0.01, "n_seeds": 2}
+
+    @pytest.mark.parametrize(
+        "content,err",
+        [
+            (b"mu = 0.01\n\xff\n", "error: cannot read config file: "),
+            (b"seeds = 2\n= 5\n", "error: line 2: expected key = value, got '= 5'\n"),
+        ],
+        ids=["not-utf8", "empty-key"],
+    )
+    def test_unreadable_file_exits_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch, content, err
+    ):
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(content)
+        code, curves, summary = run_cli(tmp_path, "--config", str(cfg))
+        assert code == 2
+        out = capsys.readouterr().err
+        assert out.count("\n") == 1 and out.startswith(err)
+        assert not curves.exists() and not summary.exists()
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -56,6 +56,7 @@ class TestDfeConfig:
             (dict(training_len=5), "training_len"),
             (dict(decision_delay=-1), "decision_delay"),
             (dict(step_floor=-0.5), "step_floor"),
+            (dict(mode="trained", training_len=-1), "training_len"),
         ],
     )
     def test_rejects_bad_fields(self, kw, field):
@@ -225,6 +226,16 @@ class TestRunEqualizer:
         with pytest.raises(InputError):
             equalize(np.ones((1, 10)), cfg)
 
+    @pytest.mark.parametrize(
+        "tx,what", [(np.ones((2, 10)), "one row per received row"), (np.ones((1, 1)), "too short")],
+        ids=["rows", "short"],
+    )
+    def test_trained_mode_rejects_symbols_that_do_not_fit(self, tx, what):
+        # delay 0: one symbol cannot cover a preamble of 4
+        cfg = cfg_dd(mode="trained", training_len=4)
+        with pytest.raises(InputError, match=what):
+            equalize(np.ones((1, 10)), cfg, tx)
+
     def test_matches_manual_stepping(self):
         cfg = DfeConfig(n_ff=5, n_fb=3, mu=0.05, algo="ilms", center_spike=True)
         rng = np.random.default_rng(4)
@@ -302,7 +313,15 @@ def _use_kernel(monkeypatch, kernel):
         loop = _kernel.load()
         if loop is None:
             pytest.skip(_NO_KERNEL)
-    monkeypatch.setattr(dfe, "_loop_impl", loop)
+    monkeypatch.setattr(dfe, "_loop", lambda: loop)
+
+
+@pytest.fixture
+def fresh_choice():
+    """Let `dfe._loop` choose again on its next call, and after the test."""
+    dfe._loop.cache_clear()
+    yield
+    dfe._loop.cache_clear()
 
 
 # A trained `ilms` setting whose rows diverge on `_batch(4, 200, seed=8)`.
@@ -450,10 +469,10 @@ class TestKernelChoice:
     @pytest.mark.parametrize(
         "failure", ["no-compiler", "compiler-fails", "no-ddot", "probe-mismatch"]
     )
-    def test_falls_back_to_numpy(self, monkeypatch, tmp_path, capfd, failure):
-        monkeypatch.setattr(dfe, "_loop_impl", dfe._numpy_loop)
+    def test_falls_back_to_numpy(self, monkeypatch, tmp_path, capfd, fresh_choice, failure):
+        monkeypatch.setattr(dfe, "_loop", lambda: dfe._numpy_loop)
         want = self._run()
-        monkeypatch.setattr(dfe, "_loop_impl", dfe._UNLOADED)
+        monkeypatch.undo()
         monkeypatch.setattr(_kernel, "CACHE", tmp_path)  # nothing cached: a load must build
         if failure == "no-compiler":
             monkeypatch.setattr(_kernel, "CC", "no-such-compiler")
@@ -471,12 +490,29 @@ class TestKernelChoice:
         assert dfe.KERNEL == "numpy"
         assert capfd.readouterr().err == ""
 
-    def test_compiled_kernel_is_used_when_it_passes_the_probe(self, monkeypatch):
+    def test_compiled_kernel_is_used_when_it_passes_the_probe(self, fresh_choice):
         if _kernel.load() is None:
             pytest.skip(_NO_KERNEL)
-        monkeypatch.setattr(dfe, "_loop_impl", dfe._UNLOADED)
         assert dfe.KERNEL == "c"
-        assert dfe._loop_impl is not dfe._numpy_loop
+        assert dfe._loop() is not dfe._numpy_loop
+        assert dfe._loop.cache_info().misses == 1  # chosen once, then reused
+
+    @pytest.mark.parametrize("bad", ["float32", "non-contiguous"])
+    def test_compiled_loop_rejects_other_buffers(self, bad):
+        # The kernel reads raw C-ordered float64 memory: any other buffer of
+        # R, D, W, B, E or refs is refused before the C code runs.
+        compiled = _kernel.load()
+        if compiled is None:
+            pytest.skip(_NO_KERNEL)
+        rows, n, n_ff, n_fb, train = 2, 20, 5, 3, 4
+        shapes = [(rows, n + n_ff - 1), (rows, n + n_fb), (rows, n_ff), (rows, n_fb), (rows, n), (train, rows)]
+        for k, (r, c) in enumerate(shapes):
+            bufs = [np.ones(shape) for shape in shapes]
+            bufs[k] = np.ones((r, c), np.float32) if bad == "float32" else np.ones((r, 2 * c))[:, ::2]
+            before = [b.tobytes() for b in bufs]
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                compiled(*bufs, 0.01, True, 0.0, math.inf)
+            assert [b.tobytes() for b in bufs] == before
 
     def test_cached_library_loads_without_a_compiler(self, monkeypatch):
         if _kernel.load() is None:  # builds into the cache if need be

@@ -66,6 +66,10 @@ class TestShiftIn:
         line = delay_line(0)
         assert shift_in(line, 1.0).size == 0
 
+    def test_rejects_negative_capacity(self):
+        with pytest.raises(ConfigurationError):
+            delay_line(-1)
+
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             shift_in(delay_line(2), float("nan"))

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from equalab import (
-    ChannelModel,
     ConfigurationError,
     InputError,
     LearningCurve,
@@ -44,8 +43,7 @@ def _first_step_failure(cfg):
     with np.errstate(all="ignore"):
         for seed in cfg.seeds:
             tx = generate_bpsk(cfg.n_symbols, seed)
-            ch = ChannelModel(np.asarray(cfg.channel), cfg.noise_variance, seed + NOISE_SEED_OFFSET)
-            rx = apply_channel(tx, ch)
+            rx = apply_channel(tx, cfg.channel, cfg.noise_variance, seed + NOISE_SEED_OFFSET)
             for algo in cfg.algos:
                 dfe_cfg = cfg.dfe_config(algo)
                 train = cfg.training_len if cfg.mode == "trained" else 0
@@ -88,6 +86,11 @@ class TestExperimentConfig:
             # numpy's PCG64 takes no negative seed.
             (dict(base_seed=-1), "base_seed"),
             (dict(step_cap=float("inf")), "step_cap"),
+            (dict(snr_db=float("nan")), "snr_db"),
+            (dict(snr_db=float("inf")), "snr_db"),
+            # 10 ** 400.0 overflows a float.
+            (dict(snr_db=-4000.0), "snr_db"),
+            (dict(channel=(1.0, float("nan"))), "channel"),
         ],
     )
     def test_rejects_and_names_field(self, kw, field):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from equalab import (
-    ChannelModel,
     ConfigurationError,
     InputError,
     apply_channel,
@@ -56,52 +55,56 @@ class TestGaussian:
 
 
 class TestChannelModel:
+    """The channel arguments of `apply_channel`: impulse, noise variance and seed."""
+
     def test_rejects_empty_impulse(self):
-        with pytest.raises(ConfigurationError):
-            ChannelModel(np.array([]))
+        for impulse in ([], [1.0, np.nan], [[1.0]]):  # also non-finite and not 1-D
+            with pytest.raises(ConfigurationError):
+                apply_channel(np.ones(4), impulse)
 
     def test_rejects_negative_variance(self):
-        with pytest.raises(ConfigurationError):
-            ChannelModel(np.array([1.0]), noise_variance=-1.0)
+        for variance in (-1.0, np.nan):
+            with pytest.raises(ConfigurationError) as exc:
+                apply_channel(np.ones(4), [1.0], noise_variance=variance)
+            assert exc.value.field == "noise_variance"
 
     def test_impulse_coerced_to_float(self):
-        ch = ChannelModel([1, 0])
-        assert ch.impulse.dtype == np.float64
+        rx = apply_channel([1, -1, 1], [1, 0])
+        assert rx.dtype == np.float64 and rx.tolist() == [1.0, -1.0, 1.0]
 
 
 class TestApplyChannel:
     def test_identity_channel_is_exact_passthrough(self):
         tx = generate_bpsk(500, 8)
-        rx = apply_channel(tx, ChannelModel(np.array([1.0]), 0.0))
+        rx = apply_channel(tx, [1.0])
         assert np.array_equal(rx, tx)
 
     def test_hand_convolution_prefix(self):
         tx = np.array([1.0, 1.0, -1.0, 1.0])
-        rx = apply_channel(tx, ChannelModel(np.array([0.407, 0.815, 0.407]), 0.0))
+        rx = apply_channel(tx, [0.407, 0.815, 0.407])
         assert rx.shape == tx.shape
         np.testing.assert_allclose(rx[:3], [0.407, 1.222, 0.815], atol=1e-12, rtol=0)
 
     def test_rejects_empty_input(self):
         with pytest.raises(InputError):
-            apply_channel(np.array([]), ChannelModel(np.array([1.0])))
+            apply_channel(np.array([]), [1.0])
 
     def test_noise_variance_estimate(self):
         sigma2 = 0.04
-        rx = apply_channel(np.ones(100_000), ChannelModel(np.array([1.0]), sigma2, 5))
+        rx = apply_channel(np.ones(100_000), [1.0], sigma2, 5)
         est = float(np.var(rx - 1.0))
         assert abs(est - sigma2) < 0.05 * sigma2
 
     def test_linearity_without_noise(self):
         rng = np.random.default_rng(3)
-        ch = ChannelModel(np.array([0.9, -0.3, 0.1]), 0.0)
+        h = [0.9, -0.3, 0.1]
         x = rng.normal(size=200)
         y = rng.normal(size=200)
-        lhs = apply_channel(2.0 * x - 0.5 * y, ch)
-        rhs = 2.0 * apply_channel(x, ch) - 0.5 * apply_channel(y, ch)
+        lhs = apply_channel(2.0 * x - 0.5 * y, h)
+        rhs = 2.0 * apply_channel(x, h) - 0.5 * apply_channel(y, h)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12, rtol=0)
 
     def test_pipeline_fully_deterministic(self):
-        ch = ChannelModel(np.array([0.84, 0.543]), 0.01, noise_seed=77)
-        a = apply_channel(generate_bpsk(300, 4), ch)
-        b = apply_channel(generate_bpsk(300, 4), ch)
+        a = apply_channel(generate_bpsk(300, 4), [0.84, 0.543], 0.01, noise_seed=77)
+        b = apply_channel(generate_bpsk(300, 4), [0.84, 0.543], 0.01, noise_seed=77)
         assert a.tobytes() == b.tobytes()
