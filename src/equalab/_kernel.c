@@ -1,4 +1,5 @@
-/* The lockstep loop of equalab.dfe.equalize, compiled (see _kernel.py).
+/* The lockstep loop of equalab.dfe.equalize and the uniform draws of
+ * equalab._pcg64, compiled (see _kernel.py).
  *
  * It runs the same operations on the same buffers as the numpy loop
  * (`_numpy_loop` in dfe.py), but walks each row to the end before starting
@@ -47,5 +48,26 @@ void equalab_lockstep(ddot_fn ddot, int64_t rows, int64_t n, int64_t n_ff, int64
                 b[j] = b[j] - t;
             }
         }
+    }
+}
+
+/* numpy's Generator(PCG64(seed)).random(n).  The initial state (s_hi, s_lo)
+ * and the stream (i_hi, i_lo) are the two 128-bit halves of
+ * SeedSequence(seed).generate_state(4, uint64), derived in _pcg64, each given
+ * as its high and low 64-bit words.  PCG64 is a 128-bit LCG with the XSL-RR
+ * output (O'Neill, HMC-CS-2014-0905, 2014); a double takes the top 53 bits
+ * of each output, as numpy's next_double does. */
+void equalab_uniform(uint64_t s_hi, uint64_t s_lo, uint64_t i_hi, uint64_t i_lo, int64_t n, double *out)
+{
+    const unsigned __int128 mult = ((unsigned __int128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL;
+    /* pcg_setseq_128_srandom_r: state 0, one step, add the seed, one step. */
+    unsigned __int128 inc = ((((unsigned __int128)i_hi << 64) | i_lo) << 1) | 1u;
+    unsigned __int128 state = (inc + (((unsigned __int128)s_hi << 64) | s_lo)) * mult + inc;
+    for (int64_t k = 0; k < n; k++) {
+        state = state * mult + inc;
+        uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+        unsigned rot = (unsigned)(state >> 122);
+        x = (x >> rot) | (x << ((-rot) & 63u));
+        out[k] = (double)(x >> 11) * (1.0 / 9007199254740992.0);
     }
 }

@@ -1,20 +1,22 @@
-"""Build and load the compiled lockstep loop of `dfe.equalize` (_kernel.c).
+"""Build and load the compiled kernels (_kernel.c): the lockstep loop of
+`dfe.equalize` and the PCG64 uniform draws of `_pcg64`.
 
 The shared library is built with the system C compiler the first time it is
-needed and cached in this package's __pycache__/, named by a hash of the
-source and the build flags.  Its dot products call the BLAS `ddot` that
-numpy's own dot calls, looked up at run time through numpy's extension
+needed and cached in this package's __pycache__/, named by a CRC-32 and an
+Adler-32 of the source, the machine and the build flags (zlib, so that no
+run loads OpenSSL through hashlib).  Its dot products call the BLAS `ddot`
+that numpy's own dot calls, looked up at run time through numpy's extension
 module, so that both loops sum alike.  `load` returns None when any step
-fails, and the caller keeps the numpy loop.
+fails, and the callers keep the numpy loop and numpy.random.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import platform
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +33,19 @@ DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_")
 _F64 = ctypes.c_double
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
+_M64 = 2**64 - 1
 
 
 def load():
-    """The compiled loop, called as dfe._numpy_loop is, or None if it cannot
-    be built or linked here (a missing compiler raises FileNotFoundError, a
-    failing one OSError)."""
+    """(lockstep, uniform) from one build, or None if the library cannot be
+    built or linked here (a missing compiler raises FileNotFoundError, a
+    failing one OSError).  `lockstep` is called as dfe._numpy_loop is;
+    `uniform(state, seq, n)` returns n PCG64 doubles from the two 128-bit
+    seed halves that _pcg64 derives."""
     try:
         ddot = _ddot()
-        kernel = ctypes.CDLL(str(_build())).equalab_lockstep
+        lib = ctypes.CDLL(str(_build()))
+        kernel, draw = lib.equalab_lockstep, lib.equalab_uniform
     except (ImportError, AttributeError, OSError):
         return None
     kernel.argtypes = [_PTR, _I64, _I64, _I64, _I64, *[_PTR] * 6, _I64, _F64, ctypes.c_int, _F64, _F64]
@@ -55,7 +61,15 @@ def load():
             refs.ctypes.data, len(refs), mu, ilms, floor, cap,
         )
 
-    return lockstep
+    draw.argtypes = [*[ctypes.c_uint64] * 4, _I64, _PTR]
+    draw.restype = None
+
+    def uniform(state, seq, n):
+        out = np.empty(n)
+        draw(state >> 64, state & _M64, seq >> 64, seq & _M64, n, out.ctypes.data)
+        return out
+
+    return lockstep, uniform
 
 
 def _ddot() -> int:
@@ -70,11 +84,15 @@ def _ddot() -> int:
     raise AttributeError(f"numpy's BLAS exports none of {', '.join(DDOT_SYMBOLS)}")
 
 
+def _library() -> Path:
+    """Where the library of this source, machine and set of flags is cached."""
+    data = SOURCE.read_bytes() + " ".join((platform.machine(), *FLAGS)).encode()
+    return CACHE / f"_kernel-{zlib.crc32(data):08x}{zlib.adler32(data):08x}.so"
+
+
 def _build() -> Path:
     """Path of the shared library, compiled first if it is not cached yet."""
-    source = SOURCE.read_bytes()
-    key = hashlib.sha256(source + " ".join((platform.machine(), *FLAGS)).encode()).hexdigest()[:16]
-    lib = CACHE / f"_kernel-{key}.so"
+    lib = _library()
     if not lib.exists():
         import subprocess  # only a build needs it: a run on a cached library never loads it
 

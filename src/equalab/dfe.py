@@ -305,11 +305,12 @@ def _loop():
     """The loop `equalize` runs, chosen on its first call (not at import, so
     that importing equalab builds nothing): the compiled loop if it builds
     and reproduces `_numpy_loop` byte for byte on the probes, else `_numpy_loop`."""
-    from . import _kernel  # here: importing equalab loads no hashlib (OpenSSL, about 3.5 MB)
+    from . import _kernel  # here: a process that only imports equalab never loads it
 
-    compiled = _kernel.load()
-    if compiled is None:
+    kernel = _kernel.load()
+    if kernel is None:
         return _numpy_loop
+    compiled = kernel[0]
     k = np.arange(2 * 64.0).reshape(2, 64)
     tx = np.where(np.sin(0.37 * k * k) > 0.0, 1.0, -1.0)
     rx = 0.8 * tx + 0.3 * np.cos(1.7 * k)

@@ -169,8 +169,8 @@ def _run_block(
 ) -> dict[str, tuple[np.ndarray, list[float]]]:
     """One block of seeds, every algorithm: {algo: ((rows, N) squared errors, BERs)}.
 
-    The block draws its own symbols and noise, so with `jobs` > 1 only the
-    pool workers load numpy.random.  A run that fails raises the InputError
+    The block draws its own symbols and noise, so a pool worker is sent
+    only the config and the seeds.  A run that fails raises the InputError
     the serial order (seed, then algorithm) would meet first.
     """
     n = config.n_symbols
@@ -212,9 +212,9 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     rows = max(1, min(_BLOCK_ELEMENTS // config.n_symbols, math.ceil(len(seeds) / config.jobs)))
     blocks = [seeds[lo : lo + rows] for lo in range(0, len(seeds), rows)]
     if config.jobs > 1 and len(blocks) > 1:
-        # One process would run many short seeds faster, but it would import
-        # numpy.random itself, which raises the run's peak RSS by about 5.6 MB.
-        # Imported here so that a serial run never loads multiprocessing.
+        # One process runs many short seeds faster, and since the draws need
+        # no numpy.random (_pcg64) it peaks no higher than the pool (README,
+        # --jobs).  Imported here so that a serial run never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

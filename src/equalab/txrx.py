@@ -1,11 +1,17 @@
 """Transmit side and channel: BPSK source, FIR distortion, additive Gaussian noise.
 
-All randomness is drawn from seeded PCG64 streams.  Gaussian deviates use an
-explicit Box-Muller transform over the uniform stream, so the generator is a
-named, stable recipe that other implementations can match statistically.
+All randomness is drawn from seeded PCG64 streams: the uniforms of numpy's
+`Generator(PCG64(seed)).random(n)`, byte for byte, drawn without
+numpy.random where the compiled kernel allows (_pcg64).  Gaussian deviates
+use an explicit Box-Muller transform over the uniform stream, so the
+generator is a named, stable recipe that other implementations can match
+statistically.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 
@@ -17,20 +23,21 @@ def generate_bpsk(n: int, seed: int) -> np.ndarray:
     """n equiprobable +/-1 symbols from a PCG64 stream seeded with `seed`."""
     if n < 1:
         raise InputError("symbol count must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return np.where(_uniform(seed, n) < 0.5, 1.0, -1.0)
 
 
 def gaussian(n: int, variance: float, seed: int) -> np.ndarray:
     """n zero-mean Gaussian deviates with the given variance, Box-Muller over PCG64."""
-    if variance < 0:
-        raise InputError("variance must be >= 0")
+    if n < 0:
+        raise InputError("sample count must be >= 0")
+    if not 0 <= variance < math.inf:
+        raise InputError("variance must be finite and >= 0")
     if variance == 0:
         return np.zeros(n, dtype=np.float64)
-    rng = np.random.Generator(np.random.PCG64(seed))
     m = (n + 1) // 2
-    u1 = 1.0 - rng.random(m)  # (0, 1], keeps log() finite
-    u2 = rng.random(m)
+    u = _uniform(seed, 2 * m)
+    u1 = 1.0 - u[:m]  # (0, 1], keeps log() finite
+    u2 = u[m:]
     radius = np.sqrt(-2.0 * np.log(u1))
     theta = 2.0 * np.pi * u2
     z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:n]
@@ -54,3 +61,16 @@ def apply_channel(tx, impulse, noise_variance: float = 0.0, noise_seed: int = 0)
     if noise_variance > 0:
         y = y + gaussian(x.size, noise_variance, noise_seed)
     return y
+
+
+def _uniform(seed, n: int) -> np.ndarray:
+    """Generator(PCG64(seed)).random(n) for a seed >= 0 (any integer type)."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InputError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    from . import _pcg64  # here: a process that only imports equalab never loads it
+
+    return _pcg64.uniform(seed, n)

@@ -305,14 +305,17 @@ def _batch(rows, n, seed=6):
 N_ORACLE = 240
 
 
+def _compiled_loop():
+    """The compiled lockstep loop, or a skip where none can be built."""
+    kernel = _kernel.load()
+    if kernel is None:
+        pytest.skip(_NO_KERNEL)
+    return kernel[0]
+
+
 def _use_kernel(monkeypatch, kernel):
     """Make `equalize` run the numpy loop or the compiled kernel."""
-    if kernel == "numpy":
-        loop = dfe._numpy_loop
-    else:
-        loop = _kernel.load()
-        if loop is None:
-            pytest.skip(_NO_KERNEL)
+    loop = dfe._numpy_loop if kernel == "numpy" else _compiled_loop()
     monkeypatch.setattr(dfe, "_loop", lambda: loop)
 
 
@@ -485,7 +488,7 @@ class TestKernelChoice:
                 dfe._numpy_loop(R, D, W, B, E, *rest)
                 E[0, -1] = np.nextafter(E[0, -1], np.inf)
 
-            monkeypatch.setattr(_kernel, "load", lambda: skewed)
+            monkeypatch.setattr(_kernel, "load", lambda: (skewed, None))
         assert self._run() == want
         assert dfe.KERNEL == "numpy"
         assert capfd.readouterr().err == ""
@@ -501,9 +504,7 @@ class TestKernelChoice:
     def test_compiled_loop_rejects_other_buffers(self, bad):
         # The kernel reads raw C-ordered float64 memory: any other buffer of
         # R, D, W, B, E or refs is refused before the C code runs.
-        compiled = _kernel.load()
-        if compiled is None:
-            pytest.skip(_NO_KERNEL)
+        compiled = _compiled_loop()
         rows, n, n_ff, n_fb, train = 2, 20, 5, 3, 4
         shapes = [(rows, n + n_ff - 1), (rows, n + n_fb), (rows, n_ff), (rows, n_fb), (rows, n), (train, rows)]
         for k, (r, c) in enumerate(shapes):
@@ -539,9 +540,7 @@ class TestKernelChoice:
     def test_loops_leave_identical_buffers_on_diverging_rows(self, limits):
         # Past a row's first non-finite error both loops carry the inf/nan on
         # alike: the kernel's floor and cap let a NaN through as numpy's do.
-        compiled = _kernel.load()
-        if compiled is None:
-            pytest.skip(_NO_KERNEL)
+        compiled = _compiled_loop()
         cfg = DfeConfig(**_DIVERGING, **limits)
         rx, tx = _batch(4, 200, seed=8)
         with np.errstate(all="ignore"):
@@ -575,8 +574,28 @@ class TestKernelChoice:
         assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [paths[0].name]
         assert [p.name for p in tmp_path.iterdir()] == ["__pycache__"]
 
+    def test_cache_name_follows_source_flags_and_machine(self, monkeypatch, tmp_path):
+        # The library is named by 64 bits of checksum over the source, the
+        # machine and the flags: a change to any one of them gives a new name.
+        name = _kernel._library().name
+        assert len(name) == len("_kernel-.so") + 16
+        source = _kernel.SOURCE.read_bytes()
+        copy = tmp_path / "_kernel.c"
+        monkeypatch.setattr(_kernel, "SOURCE", copy)
+
+        def named(text=source, flags=_kernel.FLAGS, machine=_kernel.platform.machine()):
+            copy.write_bytes(text)
+            monkeypatch.setattr(_kernel, "FLAGS", flags)
+            monkeypatch.setattr(_kernel.platform, "machine", lambda: machine)
+            return _kernel._library().name
+
+        assert named() == name
+        changed = {named(text=source + b"\n"), named(flags=(*_kernel.FLAGS, "-g")), named(machine="other")}
+        assert len(changed) == 3 and name not in changed
+        assert named() == name
+
     def test_source_ships_as_package_data(self):
         source = importlib.resources.files("equalab").joinpath("_kernel.c").read_text()
-        assert "void equalab_lockstep(" in source
+        assert "void equalab_lockstep(" in source and "void equalab_uniform(" in source
         pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
         assert "_kernel.c" in pyproject["tool"]["setuptools"]["package-data"]["equalab"]

@@ -20,7 +20,7 @@ from equalab import (
     smooth,
     steady_state_mse,
 )
-from equalab import experiment
+from equalab import _kernel, experiment
 from equalab.experiment import (
     NOISE_SEED_OFFSET,
     ExperimentConfig,
@@ -264,6 +264,28 @@ def test_serial_run_does_not_import_the_pool():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_serial_run_loads_neither_numpy_random_nor_openssl(tmp_path):
+    """With the compiled kernel, a serial `equalab run` draws its symbols and
+    noise without numpy.random, and names the kernel's cache file without
+    hashlib, so neither they nor OpenSSL (_hashlib) are loaded."""
+    if _kernel.load() is None:  # builds into the cache if need be
+        pytest.skip("no C kernel could be built here")
+    code = (
+        "import sys\n"
+        "from equalab.cli import main\n"
+        "rc = main(['run', '--seeds', '3', '--n-symbols', '300', '--out-curves', sys.argv[1],\n"
+        "           '--out-summary', sys.argv[2]])\n"
+        "print(rc, [m for m in ('numpy.random', 'hashlib', '_hashlib') if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "c.csv"), str(tmp_path / "s.txt")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 def fake_pool(made):

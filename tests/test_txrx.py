@@ -1,4 +1,8 @@
-"""Source and channel tests: determinism, hand convolution, noise statistics."""
+"""Source and channel tests: determinism, hand convolution, noise statistics,
+and the compiled PCG64 draws against numpy.random."""
+
+import math
+import random
 
 import numpy as np
 import pytest
@@ -6,9 +10,12 @@ import pytest
 from equalab import (
     ConfigurationError,
     InputError,
+    _kernel,
+    _pcg64,
     apply_channel,
     gaussian,
     generate_bpsk,
+    txrx,
 )
 
 
@@ -108,3 +115,116 @@ class TestApplyChannel:
         a = apply_channel(generate_bpsk(300, 4), [0.84, 0.543], 0.01, noise_seed=77)
         b = apply_channel(generate_bpsk(300, 4), [0.84, 0.543], 0.01, noise_seed=77)
         assert a.tobytes() == b.tobytes()
+
+
+class TestArgumentChecks:
+    """Bad counts, variances and seeds are InputErrors, whichever way the
+    uniforms are drawn."""
+
+    @pytest.fixture(params=["c", "numpy"])
+    def draws(self, request, monkeypatch):
+        if request.param == "c":
+            if _pcg64.draw() is _pcg64.numpy_random:
+                pytest.skip(_NO_DRAWS)
+        else:
+            monkeypatch.setattr(_pcg64, "draw", lambda: _pcg64.numpy_random)
+
+    def test_negative_count(self, draws):
+        for variance in (1.0, 0.0):
+            with pytest.raises(InputError, match="count"):
+                gaussian(-3, variance, 0)
+
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_variance(self, draws, variance):
+        with pytest.raises(InputError, match="variance"):
+            gaussian(4, variance, 0)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, 2.5, "3", None, np.float64(1.0)])
+    def test_bad_seed(self, draws, seed):
+        # A negative seed is refused before the seed expansion, whose word
+        # loop would never end on one.
+        with pytest.raises(InputError, match="seed"):
+            generate_bpsk(4, seed)
+        with pytest.raises(InputError, match="seed"):
+            gaussian(4, 1.0, seed)
+        with pytest.raises(InputError, match="seed"):
+            apply_channel(np.ones(4), [1.0], 0.5, seed)
+
+    def test_integer_types_are_seeds(self, draws):
+        want = generate_bpsk(50, 7).tobytes(), gaussian(51, 0.5, 7).tobytes()
+        for seed in (np.int64(7), np.uint8(7), np.int32(7)):
+            assert (generate_bpsk(50, seed).tobytes(), gaussian(51, 0.5, seed).tobytes()) == want
+
+    def test_empty_draw(self, draws):
+        assert gaussian(0, 1.0, 3).shape == (0,)
+
+
+_NO_DRAWS = "the compiled draws are not in use here (no kernel could be built, or its probe failed)"
+
+# Seeds of one to ten 32-bit words: the seed expansion pads the first four
+# words, and mixes any beyond them into the pool one by one.
+_SEEDS = sorted(
+    set(range(150))
+    | {2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 2**64 + 3, 2**96 - 1, 2**128, 2**128 + 11}
+    | {2**200 + 7, 2**319 + 1}
+    | {random.Random(5).getrandbits(bits) for bits in range(20, 330, 6)}
+)
+
+
+def _numpy_uniform(seed, n):
+    return np.random.Generator(np.random.PCG64(seed)).random(n)
+
+
+@pytest.fixture
+def fresh_draws():
+    """Let `_pcg64.draw` choose again on its next call, and after the test."""
+    _pcg64.draw.cache_clear()
+    yield
+    _pcg64.draw.cache_clear()
+
+
+class TestCompiledDraws:
+    """The uniforms drawn in the compiled kernel are numpy.random's, byte for byte."""
+
+    def test_seed_set(self):
+        assert len(_SEEDS) >= 200 and _SEEDS[0] == 0 and _SEEDS[-1] > 2**300
+
+    def test_seed_expansion_is_numpys(self):
+        for seed in _SEEDS:
+            words = [int(w) for w in np.random.SeedSequence(seed).generate_state(4, np.uint64)]
+            assert _pcg64.seed_state(seed) == (words[0] << 64 | words[1], words[2] << 64 | words[3])
+
+    def test_draws_are_numpys(self):
+        if _pcg64.draw() is _pcg64.numpy_random:
+            pytest.skip(_NO_DRAWS)
+        for seed in _SEEDS:
+            for n in (1, 2, 3, 37, 5001):
+                assert txrx._uniform(seed, n).tobytes() == _numpy_uniform(seed, n).tobytes(), (seed, n)
+
+    def test_recorded_draws_are_numpys(self):
+        # The probe's stored draws, which the compiled draws must reproduce.
+        for seed, want in _pcg64.RECORDED.items():
+            assert _numpy_uniform(seed, len(want)).tolist() == [float.fromhex(x) for x in want]
+
+    def _outputs(self):
+        out = []
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 7):
+            for n in (1, 2, 3, 301, 5001):
+                tx = generate_bpsk(n, seed)
+                out += [tx, gaussian(n, 0.3, seed), apply_channel(tx, [0.84, 0.543], 0.01, seed + 7)]
+        return [a.tobytes() for a in out]
+
+    @pytest.mark.parametrize("failure", ["no-library", "probe-mismatch"])
+    def test_falls_back_to_numpy_random(self, monkeypatch, fresh_draws, failure):
+        if _pcg64.draw() is _pcg64.numpy_random:
+            pytest.skip(_NO_DRAWS)
+        want = self._outputs()
+        _pcg64.draw.cache_clear()
+        if failure == "no-library":
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+        else:
+            seed, draws = next(iter(_pcg64.RECORDED.items()))
+            broken = (*draws[:-1], math.nextafter(float.fromhex(draws[-1]), 1.0).hex())
+            monkeypatch.setitem(_pcg64.RECORDED, seed, broken)
+        assert _pcg64.draw() is _pcg64.numpy_random
+        assert self._outputs() == want
