@@ -94,7 +94,7 @@ SETTINGS = (
         "center_spike", "center_spike", "--center-spike", _parse_bool, "BOOL",
         "start the FF filter as a unit spike at the delay tap",
     ),
-    Setting("jobs", "jobs", "--jobs", int, "N", "parallel seed workers"),
+    Setting("jobs", "jobs", "--jobs", int, "N", "accepted and checked (>= 1); changes nothing"),
     Setting("out_curves", "out_curves", "--out-curves", str, "PATH", "learning-curve CSV"),
     Setting("out_summary", "out_summary", "--out-summary", str, "PATH", "key=value summary"),
 )

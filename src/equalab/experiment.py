@@ -4,14 +4,13 @@ One experiment runs every selected algorithm over every seed, averages the
 squared-error curves pointwise across seeds (fold in ascending seed order),
 and derives convergence / steady-state / BER statistics from the ensemble
 curve.  Outputs are a learning-curve CSV and a flat key=value summary, both
-byte-deterministic for a given config, including under parallel execution.
+byte-deterministic for a given config and whatever the block split.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,8 @@ class ExperimentConfig:
     """Every knob of one experiment; defaults are the standard desk-scale setup.
 
     `snr_db` None means a zero-noise channel.  The seeds are `n_seeds`
-    consecutive integers from `base_seed`.
+    consecutive integers from `base_seed`.  `jobs` is checked (>= 1) and
+    otherwise unused: every run is one process.
     """
 
     n_symbols: int = 5000
@@ -154,13 +154,14 @@ class RunRecord:
     speedup: float | None
 
 
-# Most rows x symbols one `equalize` call steps at once.  The bound is on
-# memory: a block holds about six float64 arrays of that shape (tx, rx, the
-# equalizer's buffers and the previous rule's squared errors), about 48 MB
-# here, and the fold keeps no block once it is summed.  The compiled kernel
-# costs the same per row and step whatever the block; the numpy fallback
-# pays its per-step overhead once per block, so larger blocks make it
-# faster.  Runs longer than this step one seed at a time.
+# Most rows x symbols one `equalize` call steps at once; a run steps its
+# blocks one after another in this process.  The bound is on memory: a block
+# holds about six float64 arrays of that shape (tx, rx, the equalizer's
+# buffers and the previous rule's squared errors), about 48 MB here, and the
+# fold keeps no block once it is summed.  The compiled kernel costs the same
+# per row and step whatever the block; the numpy fallback pays its per-step
+# overhead once per block, so larger blocks make it faster.  Runs longer than
+# this step one seed at a time.
 _BLOCK_ELEMENTS = 2**20
 
 
@@ -169,9 +170,9 @@ def _run_block(
 ) -> dict[str, tuple[np.ndarray, list[float]]]:
     """One block of seeds, every algorithm: {algo: ((rows, N) squared errors, BERs)}.
 
-    The block draws its own symbols and noise, so a pool worker is sent
-    only the config and the seeds.  A run that fails raises the InputError
-    the serial order (seed, then algorithm) would meet first.
+    The block draws its own symbols and noise from the config and the
+    seeds.  A run that fails raises the InputError the serial order (seed,
+    then algorithm) would meet first.
     """
     n = config.n_symbols
     skip = config.ber_skip
@@ -200,28 +201,15 @@ def _run_block(
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Run all seeds and algorithms and aggregate into curves and statistics.
 
-    The seeds are split into contiguous blocks of at most `_BLOCK_ELEMENTS`
-    samples (rows x symbols) and at most ceil(seeds / jobs) rows.  With
-    `config.jobs` > 1 and more than one block, each block is one pool task,
-    run by at most one worker per CPU this process may use.  Rows are summed
-    in seed order as their block arrives, so the fold is the same sum in the
-    same order whatever the split, and the first failure raised is the first
-    in serial order.
+    The seeds run in this process in contiguous blocks of at most
+    `_BLOCK_ELEMENTS` samples (rows x symbols).  Rows are summed in seed
+    order as each block finishes, so the fold is the same sum in the same
+    order whatever the split, and the first failure raised is the first in
+    serial order.  `config.jobs` changes nothing here.
     """
     seeds = config.seeds
-    rows = max(1, min(_BLOCK_ELEMENTS // config.n_symbols, math.ceil(len(seeds) / config.jobs)))
-    blocks = [seeds[lo : lo + rows] for lo in range(0, len(seeds), rows)]
-    if config.jobs > 1 and len(blocks) > 1:
-        # One process runs many short seeds faster, and since the draws need
-        # no numpy.random (_pcg64) it peaks no higher than the pool (README,
-        # --jobs).  Imported here so that a serial run never loads multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(blocks), cpus or 1)) as pool:
-            sums, seed_bers = _fold(pool.map(_run_block, itertools.repeat(config), blocks), config)
-    else:
-        sums, seed_bers = _fold((_run_block(config, b) for b in blocks), config)
+    rows = max(1, _BLOCK_ELEMENTS // config.n_symbols)
+    sums, seed_bers = _fold(config, [seeds[lo : lo + rows] for lo in range(0, len(seeds), rows)])
 
     curves: dict[str, LearningCurve] = {}
     bers: dict[str, float] = {}
@@ -235,9 +223,9 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     return RunRecord(config=config, curves=curves, ber=bers, speedup=ratio)
 
 
-def _fold(parts, config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict[str, list[float]]]:
+def _fold(config: ExperimentConfig, blocks) -> tuple[dict[str, np.ndarray], dict[str, list[float]]]:
     """Per algorithm, the sum of the squared-error rows and the list of BERs
-    of the blocks in `parts`, each block added as it arrives.
+    of the seed blocks in `blocks`, each block run and added in turn.
 
     The rows are added to zeros one at a time in seed order, as
     np.mean(axis=0) adds them, so the sum divided by the seed count has the
@@ -245,7 +233,8 @@ def _fold(parts, config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict[
     """
     sums = {algo: np.zeros(config.n_symbols) for algo in config.algos}
     bers: dict[str, list[float]] = {algo: [] for algo in config.algos}
-    for part in parts:
+    for block in blocks:
+        part = _run_block(config, block)
         for algo in config.algos:
             sq, block_bers = part.pop(algo)
             for k in range(len(sq)):
@@ -290,10 +279,9 @@ def _fmt(value) -> str:
 def emit_summary(record: RunRecord, path) -> None:
     """Write the flat key=value summary: full config echo, seeds, statistics.
 
-    Every field that influences the numbers is echoed (jobs is not: the fold
-    order is fixed, so the worker count cannot change any output byte).  The
-    speedup line is omitted when it is undefined (an algorithm missing or
-    unconverged).
+    Every field that influences the numbers is echoed (jobs is not: it
+    changes nothing about a run).  The speedup line is omitted when it is
+    undefined (an algorithm missing or unconverged).
     """
     cfg = record.config
     lines = [

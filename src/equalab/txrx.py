@@ -21,6 +21,7 @@ from .errors import ConfigurationError, InputError
 
 def generate_bpsk(n: int, seed: int) -> np.ndarray:
     """n equiprobable +/-1 symbols from a PCG64 stream seeded with `seed`."""
+    n = _integer(n, "symbol count")
     if n < 1:
         raise InputError("symbol count must be >= 1")
     return np.where(_uniform(seed, n) < 0.5, 1.0, -1.0)
@@ -28,6 +29,7 @@ def generate_bpsk(n: int, seed: int) -> np.ndarray:
 
 def gaussian(n: int, variance: float, seed: int) -> np.ndarray:
     """n zero-mean Gaussian deviates with the given variance, Box-Muller over PCG64."""
+    n = _integer(n, "sample count")
     if n < 0:
         raise InputError("sample count must be >= 0")
     if not 0 <= variance < math.inf:
@@ -65,12 +67,17 @@ def apply_channel(tx, impulse, noise_variance: float = 0.0, noise_seed: int = 0)
 
 def _uniform(seed, n: int) -> np.ndarray:
     """Generator(PCG64(seed)).random(n) for a seed >= 0 (any integer type)."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise InputError(f"seed must be an integer, got {seed!r}") from None
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     from . import _pcg64  # here: a process that only imports equalab never loads it
 
     return _pcg64.uniform(seed, n)
+
+
+def _integer(value, name: str) -> int:
+    """`value` as a Python int (any integer type), else an InputError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None

@@ -32,6 +32,7 @@ from equalab import (
     steady_state_mse,
     taps,
 )
+from equalab import experiment
 from equalab.metrics import LearningCurve, ber, convergence_iteration
 from equalab.experiment import (
     NOISE_SEED_OFFSET,
@@ -209,10 +210,12 @@ def test_criterion_6_noiseless_recovery():
     print("criterion 6 noiseless recovery: PASS")
 
 
-def test_criterion_7_byte_determinism(tmp_path):
+def test_criterion_7_byte_determinism(tmp_path, monkeypatch):
     outputs = []
-    for tag, jobs in (("a", 1), ("b", 1), ("c", 3)):
-        config = ExperimentConfig(n_symbols=800, n_seeds=6, window=25, jobs=jobs)
+    for tag, block_rows in (("a", None), ("b", None), ("c", 2)):
+        if block_rows is not None:  # the 6 seeds as 3 blocks of 2 rows
+            monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", block_rows * 800)
+        config = ExperimentConfig(n_symbols=800, n_seeds=6, window=25)
         record = run_experiment(config)
         curves = tmp_path / f"{tag}.csv"
         summary = tmp_path / f"{tag}.txt"
@@ -220,9 +223,9 @@ def test_criterion_7_byte_determinism(tmp_path):
         emit_summary(record, summary)
         outputs.append((curves.read_bytes(), summary.read_bytes()))
     assert outputs[0][0] == outputs[1][0] and outputs[0][1] == outputs[1][1]
-    # parallel execution folds results in seed order, so bytes cannot change
+    # blocks are folded in seed order, so the split cannot change a byte
     assert outputs[0][0] == outputs[2][0] and outputs[0][1] == outputs[2][1]
-    print("\ncriterion 7 byte-identical outputs (serial x2 and parallel): PASS")
+    print("\ncriterion 7 byte-identical outputs (one block x2 and 3 blocks of 2): PASS")
 
 
 def test_criterion_8_metrics_unit_examples():

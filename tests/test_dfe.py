@@ -550,7 +550,7 @@ class TestKernelChoice:
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_concurrent_builds_leave_one_library(self, monkeypatch, tmp_path):
-        # Pool workers may build at once: each writes its own temporary file
+        # Processes may build at once: each writes its own temporary file
         # and renames it into place, so every builder gets a whole library.
         if shutil.which(_kernel.CC) is None:
             pytest.skip("no C compiler here")

@@ -1,6 +1,5 @@
 """Harness tests: config validation, aggregation, CSV/summary emission contracts."""
 
-import concurrent.futures
 import os
 import subprocess
 import sys
@@ -142,20 +141,16 @@ class TestRunExperiment:
 
     def test_parallel_fold_matches_serial(self, monkeypatch):
         serial = run_experiment(tiny_config(n_seeds=6))
-        # Pool blocks of ceil(6 / jobs) rows: 3, 2, 2 and 1 (one block per seed).
-        splits = [(jobs, None) for jobs in (2, 3, 4, 7)]
-        # One process, blocks of 1 and 4 rows (the last block short).
-        splits += [(1, 1), (1, 4)]
-        for jobs, block_rows in splits:
-            if block_rows is not None:
-                monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", block_rows * 400)
-            parallel = run_experiment(tiny_config(n_seeds=6, jobs=jobs))
+        # Blocks of 1, 2, 3 and 4 rows (the last block short), at any jobs.
+        for block_rows, jobs in ((1, 1), (2, 2), (3, 3), (4, 7)):
+            monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", block_rows * 400)
+            split = run_experiment(tiny_config(n_seeds=6, jobs=jobs))
             for algo in serial.curves:
                 assert (
                     serial.curves[algo].sq_errors.tobytes()
-                    == parallel.curves[algo].sq_errors.tobytes()
-                ), f"jobs={jobs}, block_rows={block_rows}"
-            assert serial.ber == parallel.ber, f"jobs={jobs}, block_rows={block_rows}"
+                    == split.curves[algo].sq_errors.tobytes()
+                ), f"block_rows={block_rows}"
+            assert serial.ber == split.ber, f"block_rows={block_rows}"
 
     def test_block_fold_is_the_mean_of_all_rows(self, monkeypatch):
         cfg = tiny_config(n_seeds=13)
@@ -186,7 +181,7 @@ class TestRunExperiment:
         "algos,jobs,block_rows",
         [
             (("lms", "ilms"), 1, None),
-            (("lms", "ilms"), 3, None),
+            (("lms", "ilms"), 3, 2),
             (("ilms", "lms"), 1, None),
             (("lms", "ilms"), 1, 1),
         ],
@@ -207,54 +202,37 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert str(exc.value) == expected
 
-
-    def test_pool_workers_capped_at_usable_cpus(self, monkeypatch):
-        made = []
-        serial = run_experiment(tiny_config(n_seeds=6))
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool(made))
-        monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        for jobs in (3, 1000):
-            capped = run_experiment(tiny_config(n_seeds=6, jobs=jobs))
-            for algo in serial.curves:
-                assert (
-                    serial.curves[algo].sq_errors.tobytes()
-                    == capped.curves[algo].sq_errors.tobytes()
-                )
-            assert serial.ber == capped.ber
-        assert made == [2, 2]
-
     @pytest.mark.parametrize(
-        "n_seeds,n_symbols,jobs,rows,workers",
+        "n_seeds,n_symbols,jobs,rows",
         [
-            (50, 5000, 1, [50], []),
-            (32, 1000, 2, [16, 16], [2]),  # at most ceil(seeds / jobs) rows
-            (3, 40000, 1, [3], []),
-            (30, 50000, 1, [20, 10], []),  # at most 2^20 samples per block
-            (2, 600000, 1, [1, 1], []),  # longer than 2^19 symbols: one seed per block
+            (50, 5000, 1, [50]),
+            (32, 1000, 2, [32]),  # jobs changes no block
+            (3, 40000, 1, [3]),
+            (30, 50000, 1, [20, 10]),  # at most 2^20 samples per block
+            (2, 600000, 1, [1, 1]),  # longer than 2^19 symbols: one seed per block
         ],
     )
-    def test_block_split(self, monkeypatch, n_seeds, n_symbols, jobs, rows, workers):
-        calls, made = [], []
+    def test_block_split(self, monkeypatch, n_seeds, n_symbols, jobs, rows):
+        calls = []
 
         def fake_equalize(rx, cfg, tx):  # records the batch; steps nothing
             calls.append((cfg.algo, rx.shape))
             return np.zeros(rx.shape), np.ones(rx.shape)
 
         monkeypatch.setattr(experiment, "equalize", fake_equalize)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool(made))
-        monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         run_experiment(ExperimentConfig(n_seeds=n_seeds, n_symbols=n_symbols, jobs=jobs))
         assert calls == [(a, (r, n_symbols)) for r in rows for a in ("lms", "ilms")]
-        assert made == workers
 
 
 def test_serial_run_does_not_import_the_pool():
-    """Only a --jobs pool needs multiprocessing; a serial run never loads it."""
+    """A run never loads multiprocessing, whatever jobs says: every run is
+    one process, even with more than one block (2 seeds at jobs=2)."""
     code = (
         "import sys\n"
         "import equalab.cli\n"
         "from equalab.experiment import ExperimentConfig, run_experiment\n"
-        "run_experiment(ExperimentConfig(n_symbols=300, n_seeds=2, window=10))\n"
+        "for jobs in (1, 2):\n"
+        "    run_experiment(ExperimentConfig(n_symbols=300, n_seeds=2, window=10, jobs=jobs))\n"
         "pool = ('multiprocessing', 'concurrent.futures.process')\n"
         "print([m for m in pool if m in sys.modules])\n"
     )
@@ -286,26 +264,6 @@ def test_serial_run_loads_neither_numpy_random_nor_openssl(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.splitlines()[-1] == "0 []"
-
-
-def fake_pool(made):
-    """A ProcessPoolExecutor stand-in that runs its tasks in this process
-    (no worker is started) and appends each pool's max_workers to `made`."""
-
-    class FakePool:
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return list(map(fn, *iterables))
-
-    return FakePool
 
 
 def _reference_csv(record) -> bytes:

@@ -134,6 +134,14 @@ class TestArgumentChecks:
             with pytest.raises(InputError, match="count"):
                 gaussian(-3, variance, 0)
 
+    @pytest.mark.parametrize("n", [2.5, np.float64(3.0), "3", None])
+    def test_non_integer_count(self, draws, n):
+        with pytest.raises(InputError, match="symbol count must be an integer"):
+            generate_bpsk(n, 0)
+        for variance in (1.0, 0.0):
+            with pytest.raises(InputError, match="sample count must be an integer"):
+                gaussian(n, variance, 0)
+
     @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf])
     def test_non_finite_variance(self, draws, variance):
         with pytest.raises(InputError, match="variance"):
@@ -154,6 +162,11 @@ class TestArgumentChecks:
         want = generate_bpsk(50, 7).tobytes(), gaussian(51, 0.5, 7).tobytes()
         for seed in (np.int64(7), np.uint8(7), np.int32(7)):
             assert (generate_bpsk(50, seed).tobytes(), gaussian(51, 0.5, seed).tobytes()) == want
+
+    def test_integer_types_are_counts(self, draws):
+        want = generate_bpsk(50, 7).tobytes(), gaussian(51, 0.5, 7).tobytes()
+        for n, m in ((np.int64(50), np.int64(51)), (np.uint16(50), np.int32(51))):
+            assert (generate_bpsk(n, 7).tobytes(), gaussian(m, 0.5, 7).tobytes()) == want
 
     def test_empty_draw(self, draws):
         assert gaussian(0, 1.0, 3).shape == (0,)
