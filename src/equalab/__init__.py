@@ -9,6 +9,16 @@ harness that emits learning-curve CSVs and machine-readable summaries.
 
 __version__ = "0.1.0"
 
+import os
+
+# Start numpy's OpenBLAS with one thread.  Its dot products here span 5-37
+# taps, which OpenBLAS never splits across threads, yet on a 2-core host the
+# second worker it starts spun about 0.15 s of CPU per `equalab run` (0.49 s
+# against 0.33 s).  A value the user set wins; OpenBLAS reads it once, when
+# numpy loads, so this must come before the first submodule imports numpy and
+# has no effect in a process that imported numpy first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .adapt import AdaptParams, effective_step, ilms_step, lms_step, lms_update
 from .dfe import (
     ALGO_ILMS,

@@ -43,12 +43,21 @@ def _parse_mode(text: str) -> str:
     raise ValueError(f"expected dd or trained, got {text!r}")
 
 
+def _entries(text: str) -> list[str]:
+    """The comma-separated entries of `text`, stripped.  An empty entry is an
+    error, not skipped: `0.5,,0.3` would otherwise run a 2-tap channel."""
+    items = [x.strip() for x in text.split(",")]
+    if "" in items:
+        raise ValueError(f"empty entry in list {text.strip()!r}")
+    return items
+
+
 def _parse_algos(text: str) -> tuple[str, ...]:
-    return tuple(a.strip() for a in text.split(",") if a.strip())
+    return tuple(_entries(text))
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    return tuple(float(x) for x in _entries(text))
 
 
 def _optional(parse):

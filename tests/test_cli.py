@@ -214,6 +214,37 @@ class TestConfigErrors:
         assert err.startswith(f"error: {field}: ")
         assert not curves.exists() and not summary.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("channel", "0.5,,0.3"),
+            ("channel", "0.84,0.543,"),
+            ("channel", " ,0.84"),
+            ("algo", "lms,,ilms"),
+            ("algo", "lms, "),
+        ],
+    )
+    def test_empty_list_entry_exits_2_naming_setting(
+        self, tmp_path, capsys, monkeypatch, source, key, value
+    ):
+        # Skipping the empty entry would run `0.5,,0.3` as the channel 0.5,0.3.
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        if source == "flag":
+            flag = {s.key: s.flag for s in SETTINGS}[key]
+            code, curves, summary = run_cli(tmp_path, flag, value)
+            where = ""
+        else:
+            cfg = tmp_path / "list.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            code, curves, summary = run_cli(tmp_path, "--config", str(cfg))
+            where = "line 1: "
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {key}: {where}empty entry in list ")
+        assert not curves.exists() and not summary.exists()
+
     def test_write_failure_after_the_run_exits_1(self, tmp_path, capsys, monkeypatch):
         def full_disk(record, path):
             raise OSError(28, "No space left on device", path)
@@ -421,6 +452,15 @@ def test_flag_and_file_key_give_same_config(tmp_path, setting):
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs))
         flags = [item for k, v in pairs for item in (flag_of[k], v)]
         assert parse_config(*flags) == parse_config("--config", str(cfg)), value
+
+
+def test_spaces_around_list_entries_are_valid(tmp_path):
+    cfg = tmp_path / "list.cfg"
+    cfg.write_text("channel =  0.84, 0.543 \nalgo = ilms , lms\n")
+    flags = parse_config("--channel", " 0.84, 0.543 ", "--algo", "ilms , lms")
+    for config in (flags, parse_config("--config", str(cfg))):
+        assert config.channel == (0.84, 0.543)
+        assert config.algos == ("ilms", "lms")
 
 
 def _readme():

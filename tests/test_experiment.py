@@ -224,6 +224,12 @@ class TestRunExperiment:
         assert calls == [(a, (r, n_symbols)) for r in rows for a in ("lms", "ilms")]
 
 
+def _child_env() -> dict:
+    """This environment, with the equalab under test first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_serial_run_does_not_import_the_pool():
     """A run never loads multiprocessing, whatever jobs says: every run is
     one process, even with more than one block (2 seeds at jobs=2)."""
@@ -236,10 +242,8 @@ def test_serial_run_does_not_import_the_pool():
         "pool = ('multiprocessing', 'concurrent.futures.process')\n"
         "print([m for m in pool if m in sys.modules])\n"
     )
-    src = os.path.dirname(os.path.dirname(experiment.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
     )
     assert out.stdout.strip() == "[]"
 
@@ -257,13 +261,39 @@ def test_serial_run_loads_neither_numpy_random_nor_openssl(tmp_path):
         "           '--out-summary', sys.argv[2]])\n"
         "print(rc, [m for m in ('numpy.random', 'hashlib', '_hashlib') if m in sys.modules])\n"
     )
-    src = os.path.dirname(os.path.dirname(experiment.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path / "c.csv"), str(tmp_path / "s.txt")],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=_child_env(), check=True,
     )
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
+def test_import_starts_openblas_with_one_thread_unless_set(preset, expected):
+    """Importing equalab sets OPENBLAS_NUM_THREADS=1 before numpy loads, and
+    numpy's OpenBLAS then reports one thread; a value already set wins."""
+    code = (
+        "import ctypes, os\n"
+        "import equalab.cli\n"
+        "from numpy._core import _multiarray_umath\n"
+        "lib = ctypes.CDLL(_multiarray_umath.__file__)\n"
+        "name = 'scipy_openblas_get_num_threads64_'\n"
+        "threads = getattr(lib, name)() if hasattr(lib, name) else None\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], threads)\n"
+    )
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    variable, threads = out.stdout.split()
+    assert variable == expected
+    if threads == "None":
+        pytest.skip("numpy's BLAS does not export scipy_openblas_get_num_threads64_")
+    # OpenBLAS caps its thread count at the CPUs this process may use.
+    assert int(threads) == min(int(expected), len(os.sched_getaffinity(0)))
 
 
 def _reference_csv(record) -> bytes:
