@@ -19,7 +19,7 @@ import os
 # has no effect in a process that imported numpy first.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .adapt import AdaptParams, effective_step, ilms_step, lms_step, lms_update
+from .adapt import AdaptParams, effective_step, lms_update
 from .dfe import (
     ALGO_ILMS,
     ALGO_LMS,
@@ -28,10 +28,8 @@ from .dfe import (
     DfeConfig,
     DfeState,
     StepTrace,
-    combiner,
     dfe_step,
     equalize,
-    form_error,
     initial_state,
     quantize,
 )

@@ -13,6 +13,7 @@ fails, and the callers keep the numpy loop and numpy.random.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import platform
 import tempfile
@@ -36,10 +37,13 @@ _PTR = ctypes.c_void_p
 _M64 = 2**64 - 1
 
 
+@functools.cache
 def load():
     """(lockstep, uniform) from one build, or None if the library cannot be
     built or linked here (a missing compiler raises FileNotFoundError, a
-    failing one OSError).  `lockstep` is called as dfe._numpy_loop is;
+    failing one OSError); cached, so `dfe` and `_pcg64` share one load
+    (`load.cache_clear()` after changing CC, CACHE, FLAGS, DDOT_SYMBOLS or
+    SOURCE).  `lockstep` is called as dfe._numpy_loop is;
     `uniform(state, seq, n)` returns n PCG64 doubles from the two 128-bit
     seed halves that _pcg64 derives."""
     try:

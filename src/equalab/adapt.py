@@ -1,13 +1,10 @@
 """Weight-adaptation rules for the equalizer filters.
 
-Two rules share the canonical stochastic-gradient update w[k] += step*e*x[k]:
-`lms` uses a fixed step `mu`, `ilms` rescales it every iteration by
-|e(n) - e(n-1)|, so the step is large while the error is still changing fast
-and shrinks as the error settles.
-
-The combiner subtracts the feedback filter output, so both filters descend
-the same squared-error surface only if the feedback gradient regressor is
-the negated decision history.
+Two rules share the canonical stochastic-gradient update w[k] += step*e*x[k]
+(`lms_update`) and differ only in the step: `lms` uses a fixed step `mu`,
+`ilms` rescales it every iteration by |e(n) - e(n-1)| (`effective_step`), so
+the step is large while the error is still changing fast and shrinks as the
+error settles.  `dfe.dfe_step` applies the update to both equalizer filters.
 """
 
 from __future__ import annotations
@@ -58,32 +55,3 @@ def effective_step(params: AdaptParams, e_curr: float, e_prev: float) -> float:
     if params.step_cap is not None and s > params.step_cap:
         s = params.step_cap
     return s
-
-
-def lms_step(
-    params: AdaptParams,
-    ff_weights: TapWeights,
-    ff_regressor: DelayLine,
-    fb_weights: TapWeights,
-    fb_regressor: DelayLine,
-    e: float,
-) -> tuple[TapWeights, TapWeights, float]:
-    """`lms` on both filters; returns (ff', fb', step applied)."""
-    step = params.mu
-    ff = lms_update(ff_weights, ff_regressor, e, step)
-    return ff, lms_update(fb_weights, -fb_regressor, e, step), step
-
-
-def ilms_step(
-    params: AdaptParams,
-    ff_weights: TapWeights,
-    ff_regressor: DelayLine,
-    fb_weights: TapWeights,
-    fb_regressor: DelayLine,
-    e: float,
-    e_prev: float,
-) -> tuple[TapWeights, TapWeights, float]:
-    """`ilms` on both filters; e_prev is 0 on the first iteration."""
-    step = effective_step(params, e, e_prev)
-    ff = lms_update(ff_weights, ff_regressor, e, step)
-    return ff, lms_update(fb_weights, -fb_regressor, e, step), step

@@ -122,6 +122,7 @@ def _apply(overrides: dict, setting: Setting, text: str, where: str = "") -> Non
 def read_config_file(path: str) -> dict:
     """Parse a flat key=value config file into ExperimentConfig overrides."""
     overrides: dict = {}
+    seen: dict = {}  # key -> the line that set it; a key may be set once
     with open(path, encoding="utf-8-sig") as fh:  # utf-8-sig: a leading BOM is dropped
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -135,6 +136,9 @@ def read_config_file(path: str) -> dict:
                 )
             if key not in _BY_KEY:
                 raise ConfigurationError("unknown configuration key", field=key)
+            if key in seen:
+                raise ConfigurationError(f"line {lineno}: key already set on line {seen[key]}", field=key)
+            seen[key] = lineno
             _apply(overrides, _BY_KEY[key], value.strip(), f"line {lineno}: ")
     return overrides
 
@@ -205,9 +209,13 @@ def main(argv=None) -> int:
         return 2
     try:
         # Fail before the run, not after it, and write nothing.
-        for path in (config.out_curves, config.out_summary):
+        paths = (config.out_curves, config.out_summary)
+        for path in paths:
             _check_writable(path)
-        if os.path.realpath(config.out_curves) == os.path.realpath(config.out_summary):
+        # Two existing paths may be hard links to one file, which realpath misses.
+        if os.path.realpath(paths[0]) == os.path.realpath(paths[1]) or (
+            all(map(os.path.exists, paths)) and os.path.samefile(*paths)
+        ):
             raise OSError(f"out_curves and out_summary name the same file: {config.out_summary!r}")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

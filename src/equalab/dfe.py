@@ -2,16 +2,18 @@
 
 Per received sample: the feed-forward filter runs on the received history,
 the feedback filter output (driven by past hard decisions) is subtracted,
-the result is quantized to +/-1, and the error between the reference symbol
-and the combiner output drives the weight update.  In decision-directed
-mode the reference is the quantizer output itself; a training preamble can
-use the true (delayed) transmitted symbols instead.
+the result y is quantized to +/-1, and the error e = reference - y drives
+the weight update.  In decision-directed mode the reference is the quantizer
+output itself; a training preamble can use the true (delayed) transmitted
+symbols instead.  Because the feedback output is subtracted, the feedback
+filter's gradient regressor is the negated decision history; this module is
+the only one that knows that sign.
 
 State is an explicit value: each `dfe_step` returns a fresh `DfeState` plus
 a `StepTrace` of what happened, so runs are replayable and side-effect free.
-`dfe_step` is the executable specification.  Whole runs go through
-`equalize`, which steps a batch of independent runs in lockstep and
-reproduces `dfe_step` bit for bit.
+`dfe_step` is the executable specification, built from the `dsp` and
+`adapt` primitives.  Whole runs go through `equalize`, which steps a batch
+of independent runs in lockstep and reproduces `dfe_step` bit for bit.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import adapt
-from .adapt import AdaptParams
+from .adapt import AdaptParams, effective_step, lms_update
 from .dsp import DelayLine, TapWeights, delay_line, dot, shift_in
 from .errors import ConfigurationError, InputError
 
@@ -110,7 +111,7 @@ class DfeState:
 
 @dataclass(frozen=True, slots=True)
 class StepTrace:
-    """What one step did: combiner output, decision, error, step size applied."""
+    """What one step did: output y (FF minus FB), decision, error, step size applied."""
 
     iteration: int
     combiner_out: float
@@ -134,25 +135,6 @@ def quantize(y: float) -> float:
     return 1.0 if y >= 0.0 else -1.0
 
 
-def combiner(state: DfeState, r: float) -> tuple[float, DfeState]:
-    """Shift `r` into the FF line and form y = ff.line' - fb.decisions.
-
-    The feedback line is not advanced here; it moves only once the step's
-    decision is known (see `dfe_step`).
-    """
-    ff_line = shift_in(state.ff_line, r)
-    y = dot(state.ff_weights, ff_line) - dot(state.fb_weights, state.fb_line)
-    mid = DfeState(
-        state.ff_weights, state.fb_weights, ff_line, state.fb_line, state.prev_error, state.iteration
-    )
-    return y, mid
-
-
-def form_error(y: float, reference: float) -> float:
-    """Adaptation error e = reference - y."""
-    return reference - y
-
-
 def dfe_step(
     state: DfeState, r: float, true_symbol: float | None, cfg: DfeConfig
 ) -> tuple[StepTrace, DfeState]:
@@ -165,7 +147,8 @@ def dfe_step(
     produced y (the shifted FF line and the pre-decision FB line); the new
     decision enters the FB line afterwards.
     """
-    y, mid = combiner(state, r)
+    ff_line = shift_in(state.ff_line, r)
+    y = dot(state.ff_weights, ff_line) - dot(state.fb_weights, state.fb_line)
     d = quantize(y)
     if cfg.mode == MODE_TRAINED and state.iteration < cfg.training_len:
         if true_symbol is None:
@@ -175,18 +158,11 @@ def dfe_step(
             raise InputError(f"training reference must be +1 or -1, got {true_symbol!r}")
     else:
         reference = d
-    e = form_error(y, reference)
-    if cfg.algo == ALGO_ILMS:
-        ff_w, fb_w, step = adapt.ilms_step(
-            cfg.params, mid.ff_weights, mid.ff_line, mid.fb_weights, mid.fb_line, e,
-            state.prev_error,
-        )
-    else:
-        ff_w, fb_w, step = adapt.lms_step(
-            cfg.params, mid.ff_weights, mid.ff_line, mid.fb_weights, mid.fb_line, e
-        )
-    fb_line = shift_in(mid.fb_line, d)
-    nxt = DfeState(ff_w, fb_w, mid.ff_line, fb_line, e, state.iteration + 1)
+    e = reference - y
+    step = effective_step(cfg.params, e, state.prev_error) if cfg.algo == ALGO_ILMS else cfg.params.mu
+    ff_w = lms_update(state.ff_weights, ff_line, e, step)
+    fb_w = lms_update(state.fb_weights, -state.fb_line, e, step)  # y subtracts the FB output
+    nxt = DfeState(ff_w, fb_w, ff_line, shift_in(state.fb_line, d), e, state.iteration + 1)
     return StepTrace(state.iteration, y, d, e, step), nxt
 
 
@@ -211,7 +187,7 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
 
     Returns (sq_errors, decisions), both (S, N) float64: the squared errors
     in C order and the decisions a view into the feedback buffer.  A
-    non-finite sample or combiner output, or else a squared error that
+    non-finite sample or output y, or else a squared error that
     overflows, raises InputError naming the first failing row and its
     iteration.
     """
@@ -286,7 +262,7 @@ def _numpy_loop(R, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
                 step = mu
             g = (step * e)[:, None]
             W += g * x
-            B -= g * f  # fb + g * (-f): the combiner subtracts the FB output
+            B -= g * f  # fb + g * (-f): y subtracts the FB output
 
 
 # Probe configs: both rules, trained and decision-directed, floor and cap

@@ -17,14 +17,14 @@ import pytest
 from equalab import (
     AdaptParams,
     DfeConfig,
+    DfeState,
     apply_channel,
     delay_line,
     dfe_step,
     dot,
+    effective_step,
     generate_bpsk,
-    ilms_step,
     initial_state,
-    lms_step,
     lms_update,
     shift_in,
     smooth,
@@ -163,9 +163,14 @@ def test_criterion_4_hand_computed_lms_step():
     x = np.array([1.0, -1.0])
     updated = lms_update(w, x, 1.0, 0.1)
     assert updated.tolist() == [0.1, -0.1]
-    p = AdaptParams(mu=0.1)
-    ff_conv, _, _ = lms_step(p, w, x, np.zeros(0), np.zeros(0), 1.0)
-    ff_impr, _, step = ilms_step(p, w, x, np.zeros(0), np.zeros(0), 1.0, 0.0)
+    # One `dfe_step` of each rule on those weights: shifting 1.0 into the FF
+    # line [-1, *] makes x the regressor; y = 0, decision +1, so e = 1.0, and
+    # e(-1) = 0 gives `ilms` the step 0.1 * |1.0 - 0.0|.
+    state = DfeState(w, np.zeros(0), np.array([-1.0, 9.0]), np.zeros(0), prev_error=0.0)
+    conv, conv_next = dfe_step(state, 1.0, None, DfeConfig(n_ff=2, n_fb=0, mu=0.1))
+    impr, impr_next = dfe_step(state, 1.0, None, DfeConfig(n_ff=2, n_fb=0, mu=0.1, algo="ilms"))
+    assert conv.error == impr.error == 1.0
+    ff_conv, ff_impr, step = conv_next.ff_weights, impr_next.ff_weights, impr.effective_step
     assert step == 0.1
     assert np.array_equal(ff_conv, ff_impr)
     assert ff_impr.tolist() == [0.1, -0.1]
@@ -173,6 +178,8 @@ def test_criterion_4_hand_computed_lms_step():
 
 
 def test_criterion_5_zero_error_fixed_point():
+    # e = 0 through each rule's step: `lms` updates by mu, `ilms` by
+    # effective_step(e = 0, e_prev); the FB regressor is negated as in `dfe_step`.
     rng = np.random.default_rng(99)
     for _ in range(1000):
         n_ff = int(rng.integers(1, 12))
@@ -183,10 +190,9 @@ def test_criterion_5_zero_error_fixed_point():
         fb_x = np.sign(rng.normal(size=n_fb)) + 0.0
         p = AdaptParams(float(rng.uniform(0.001, 0.5)))
         e_prev = float(rng.normal())
-        c_ff, c_fb, _ = lms_step(p, ff_w, ff_x, fb_w, fb_x, 0.0)
-        i_ff, i_fb, _ = ilms_step(p, ff_w, ff_x, fb_w, fb_x, 0.0, e_prev)
-        assert c_ff.tobytes() == ff_w.tobytes() and c_fb.tobytes() == fb_w.tobytes()
-        assert i_ff.tobytes() == ff_w.tobytes() and i_fb.tobytes() == fb_w.tobytes()
+        for step in (p.mu, effective_step(p, 0.0, e_prev)):
+            new_ff, new_fb = lms_update(ff_w, ff_x, 0.0, step), lms_update(fb_w, -fb_x, 0.0, step)
+            assert new_ff.tobytes() == ff_w.tobytes() and new_fb.tobytes() == fb_w.tobytes()
     print("\ncriterion 5 zero-error fixed point (1000 fuzzed cases, bit-identical): PASS")
 
 

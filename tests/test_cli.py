@@ -1,5 +1,6 @@
 """CLI tests: flag parsing, config files, precedence, exit codes, reproducibility."""
 
+import os
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -188,6 +189,21 @@ class TestConfigErrors:
         )
         assert list(Path("out").iterdir()) == []
 
+    def test_hard_links_to_one_file_exit_1_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # Two names of one file: realpath tells them apart, samefile does not.
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        curves, summary = tmp_path / "a.csv", tmp_path / "b.txt"
+        curves.write_text("kept\n")
+        os.link(curves, summary)
+        code = main(["run", *FAST, "--out-curves", str(curves), "--out-summary", str(summary)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "error: cannot write output: out_curves and out_summary name the same file"
+        )
+        assert curves.read_text() == "kept\n"
+
     @pytest.mark.parametrize("flag", ["--out-curves", "--out-summary"])
     def test_empty_output_path_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch, flag):
         monkeypatch.setattr(experiment, "equalize", _no_steps)
@@ -302,8 +318,9 @@ class TestConfigFile:
         [
             (b"mu = 0.01\n\xff\n", "error: cannot read config file: "),
             (b"seeds = 2\n= 5\n", "error: line 2: expected key = value, got '= 5'\n"),
+            (b"mu = 0.01\n# again\nmu = 0.5\n", "error: mu: line 3: key already set on line 1\n"),
         ],
-        ids=["not-utf8", "empty-key"],
+        ids=["not-utf8", "empty-key", "repeated-key"],
     )
     def test_unreadable_file_exits_2_before_the_run(
         self, tmp_path, capsys, monkeypatch, content, err

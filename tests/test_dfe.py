@@ -1,4 +1,4 @@
-"""Equalizer state-machine tests: quantizer, combiner, stepping, invariants."""
+"""Equalizer state-machine tests: quantizer, output y, error, stepping, invariants."""
 
 import importlib.resources
 import math
@@ -18,11 +18,9 @@ from equalab import (
     DfeConfig,
     DfeState,
     InputError,
-    combiner,
     delay_line,
     dfe_step,
     equalize,
-    form_error,
     initial_state,
     quantize,
     taps,
@@ -101,35 +99,43 @@ class TestQuantize:
 
 
 class TestCombiner:
+    """The output y = FF line . FF weights - FB line . FB weights of `dfe_step`."""
+
     def test_zero_weights_zero_output(self):
-        st = initial_state(DfeConfig(n_ff=3, n_fb=2, mu=0.1))
-        y, _ = combiner(st, 5.0)
-        assert y == 0.0
+        cfg = DfeConfig(n_ff=3, n_fb=2, mu=0.1)
+        trace, _ = dfe_step(initial_state(cfg), 5.0, None, cfg)
+        assert trace.combiner_out == 0.0
 
     def test_no_feedback_is_plain_ff(self):
         st = DfeState(taps([0.5, 0.25]), np.zeros(0), delay_line(2), delay_line(0))
-        y, _ = combiner(st, 2.0)
-        assert y == 1.0  # 0.5*2 + 0.25*0
+        trace, _ = dfe_step(st, 2.0, None, cfg_dd())
+        assert trace.combiner_out == 1.0  # 0.5*2 + 0.25*0
 
     def test_hand_ff_minus_fb(self):
-        st = DfeState(taps([1.0]), taps([0.5]), delay_line(1), np.array([1.0]))
-        y, mid = combiner(st, 1.0)
-        assert y == 0.5
-        assert mid.ff_line.tolist() == [1.0]
-        # feedback line must not advance inside the combiner
-        assert mid.fb_line.tolist() == [1.0]
+        st = DfeState(taps([1.0]), taps([0.5, 0.0]), delay_line(1), np.array([1.0, -1.0]))
+        trace, nxt = dfe_step(st, 1.0, None, cfg_dd(n_ff=1, n_fb=2))
+        assert trace.combiner_out == 0.5
+        assert nxt.ff_line.tolist() == [1.0]
+        # The FB update uses the line that formed y, negated: the decision
+        # (+1) enters the FB line only after it.
+        assert nxt.fb_weights.tolist() == [0.5 - 0.05, 0.05]
+        assert nxt.fb_line.tolist() == [1.0, 1.0]
 
 
 class TestFormError:
+    """The error e = reference - y of `dfe_step`."""
+
     def test_hand_values(self):
-        assert form_error(0.6, 1.0) == pytest.approx(0.4, abs=1e-15)
-        assert form_error(1.0, 1.0) == 0.0
+        cfg = cfg_dd(n_ff=1)
+        st = DfeState(taps([1.0]), np.zeros(0), delay_line(1), delay_line(0))
+        assert dfe_step(st, 0.6, None, cfg)[0].error == pytest.approx(0.4, abs=1e-15)
+        assert dfe_step(st, 1.0, None, cfg)[0].error == 0.0
 
     def test_decision_directed_sign(self):
-        y = -0.2
-        ref = quantize(y)
-        assert ref == -1.0
-        assert form_error(y, ref) == pytest.approx(-0.8, abs=1e-15)
+        st = DfeState(taps([1.0]), np.zeros(0), delay_line(1), delay_line(0))
+        trace, _ = dfe_step(st, -0.2, None, cfg_dd(n_ff=1))
+        assert trace.decision == -1.0
+        assert trace.error == pytest.approx(-0.8, abs=1e-15)
 
 
 class TestDfeStep:
@@ -205,9 +211,8 @@ class TestDfeStep:
                 np.sign(rng.normal(size=2)) + 0.0, prev_error=float(rng.normal()),
             )
             r = float(rng.normal())
-            y, _ = combiner(st, r)
-            true_symbol = quantize(y)  # decision happens to be correct
             t_dd, s_dd = dfe_step(st, r, None, dd)
+            true_symbol = t_dd.decision  # decision happens to be correct
             t_tr, s_tr = dfe_step(st, r, true_symbol, tr)
             assert t_dd.error == t_tr.error
             assert s_dd.ff_weights.tobytes() == s_tr.ff_weights.tobytes()
@@ -321,10 +326,14 @@ def _use_kernel(monkeypatch, kernel):
 
 @pytest.fixture
 def fresh_choice():
-    """Let `dfe._loop` choose again on its next call, and after the test."""
-    dfe._loop.cache_clear()
+    """Let `dfe._loop` choose, and `_kernel.load` load, again on their next
+    call, and after the test (which may have replaced `_kernel.load`)."""
+    loop, load = dfe._loop, _kernel.load
+    loop.cache_clear()
+    load.cache_clear()
     yield
-    dfe._loop.cache_clear()
+    loop.cache_clear()
+    load.cache_clear()
 
 
 # A trained `ilms` setting whose rows diverge on `_batch(4, 200, seed=8)`.
@@ -515,10 +524,11 @@ class TestKernelChoice:
                 compiled(*bufs, 0.01, True, 0.0, math.inf)
             assert [b.tobytes() for b in bufs] == before
 
-    def test_cached_library_loads_without_a_compiler(self, monkeypatch):
+    def test_cached_library_loads_without_a_compiler(self, monkeypatch, fresh_choice):
         if _kernel.load() is None:  # builds into the cache if need be
             pytest.skip(_NO_KERNEL)
         monkeypatch.setattr(_kernel, "CC", "no-such-compiler")
+        _kernel.load.cache_clear()
         assert _kernel.load() is not None
 
     def test_cached_library_loads_without_subprocess(self):

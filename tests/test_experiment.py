@@ -19,7 +19,7 @@ from equalab import (
     smooth,
     steady_state_mse,
 )
-from equalab import _kernel, experiment
+from equalab import _kernel, cli, dfe, experiment
 from equalab.experiment import (
     NOISE_SEED_OFFSET,
     ExperimentConfig,
@@ -266,6 +266,57 @@ def test_serial_run_loads_neither_numpy_random_nor_openssl(tmp_path):
         capture_output=True, text=True, env=_child_env(), check=True,
     )
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_a_run_loads_the_kernel_once():
+    """`dfe` and `_pcg64` share one cached `_kernel.load`: one build or lookup
+    and one link per process."""
+    code = (
+        "import equalab._kernel as k\n"
+        "from equalab.experiment import ExperimentConfig, run_experiment\n"
+        "run_experiment(ExperimentConfig(n_symbols=300, n_seeds=2, window=10))\n"
+        "print(k.load.cache_info().misses)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
+    )
+    assert out.stdout.strip() == "1"
+
+
+# The scalar spec: `dfe_step` and the primitives it is built from.
+_SPEC = ("dfe_step", "initial_state", "quantize", "shift_in", "dot", "delay_line", "lms_update", "effective_step")
+
+
+@pytest.mark.parametrize("loop", ["chosen", "numpy"])
+@pytest.mark.parametrize(
+    "flags", [[], ["--mode", "trained", "--train-len", "100", "--step-cap", "0.05"]], ids=["dd", "trained-cap"]
+)
+def test_a_run_never_calls_the_spec(tmp_path, monkeypatch, loop, flags):
+    """Tests check `equalize` against the spec; a run itself calls none of it,
+    so with every spec function raising it writes the same bytes."""
+    if loop == "numpy":
+        monkeypatch.setattr(dfe, "_loop", lambda: dfe._numpy_loop)
+
+    def outputs(tag):
+        paths = [tmp_path / f"{tag}.csv", tmp_path / f"{tag}.txt"]
+        argv = ["--n-symbols", "400", "--seeds", "4", "--window", "20", *flags]
+        assert cli.main(["run", *argv, "--out-curves", str(paths[0]), "--out-summary", str(paths[1])]) == 0
+        return [p.read_bytes() for p in paths]
+
+    want = outputs("spec-bound")
+
+    def raising(name):
+        def spec_function(*args, **kwargs):
+            raise AssertionError(f"the run called the spec function {name}")
+
+        return spec_function
+
+    modules = [m for n, m in sys.modules.items() if n == "equalab" or n.startswith("equalab.")]
+    bound = [(m, name) for m in modules for name in _SPEC if hasattr(m, name)]
+    assert {name for _, name in bound} == set(_SPEC)
+    for module, name in bound:
+        monkeypatch.setattr(module, name, raising(name))
+    assert outputs("spec-raising") == want
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
