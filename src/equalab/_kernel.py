@@ -7,7 +7,8 @@ Adler-32 of the source, the machine and the build flags (zlib, so that no
 run loads OpenSSL through hashlib).  Its dot products call the BLAS `ddot`
 that numpy's own dot calls, looked up at run time through numpy's extension
 module, so that both loops sum alike.  `load` returns None when any step
-fails, and the callers keep the numpy loop and numpy.random.
+fails or either probe differs, and the process then runs the numpy loop and
+draws through numpy.random.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ _M64 = 2**64 - 1
 
 @functools.cache
 def load():
-    """(lockstep, uniform) from one build, or None if the library cannot be
-    built or linked here (a missing compiler raises FileNotFoundError, a
-    failing one OSError); cached, so `dfe` and `_pcg64` share one load
-    (`load.cache_clear()` after changing CC, CACHE, FLAGS, DDOT_SYMBOLS or
-    SOURCE).  `lockstep` is called as dfe._numpy_loop is;
-    `uniform(state, seq, n)` returns n PCG64 doubles from the two 128-bit
-    seed halves that _pcg64 derives."""
+    """(lockstep, uniform) from one build, or None: the one choice of the
+    process between the compiled kernel and numpy.  None unless the library
+    builds and links here and both its loop and its draws pass their probes
+    (`dfe._probe`, `_pcg64.probe`).  Cached: `load.cache_clear()` after
+    changing CC, CACHE, FLAGS, DDOT_SYMBOLS or SOURCE.  `lockstep` is called
+    as dfe._numpy_loop is; `uniform(state, seq, n)` returns n PCG64 doubles
+    from the two 128-bit seed halves that _pcg64 derives."""
     try:
         ddot = _ddot()
         lib = ctypes.CDLL(str(_build()))
@@ -73,7 +74,11 @@ def load():
         draw(state >> 64, state & _M64, seq >> 64, seq & _M64, n, out.ctypes.data)
         return out
 
-    return lockstep, uniform
+    from . import _pcg64, dfe  # here, not at import: _pcg64 imports this module
+
+    if dfe._probe(lockstep) and _pcg64.probe(uniform):
+        return lockstep, uniform
+    return None
 
 
 def _ddot() -> int:

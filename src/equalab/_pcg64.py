@@ -1,16 +1,12 @@
 """numpy's `Generator(PCG64(seed)).random(n)`, byte for byte, without numpy.random.
 
 The seed is expanded here as numpy's SeedSequence expands it, and the
-stream is drawn by the compiled kernel (_kernel.c), which is used only if it
-reproduces draws recorded from numpy.random.  Importing numpy.random loads
-OpenSSL (through `secrets` and `hashlib`) and costs about 6 MB of memory.
-Where the kernel does not load, or its draws differ, numpy.random draws the
-stream.
+stream is drawn by the compiled kernel (_kernel.c) if `_kernel.load`
+accepted it, else by numpy.random, whose import loads OpenSSL (through
+`secrets` and `hashlib`) and costs about 6 MB of memory.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -32,30 +28,22 @@ RECORDED = {
 
 
 def uniform(seed: int, n: int) -> np.ndarray:
-    """n doubles in [0, 1) of the PCG64 stream of an int `seed` >= 0."""
-    return draw()(seed, n)
-
-
-@functools.cache
-def draw():
-    """How `uniform` draws, chosen on its first call: in the compiled kernel
-    if it loads and reproduces the recorded draws byte for byte, else
-    through numpy.random."""
+    """n doubles in [0, 1) of the PCG64 stream of an int `seed` >= 0, drawn
+    in the compiled kernel if `_kernel.load` accepted it, else by numpy.random."""
     kernel = _kernel.load()
-    if kernel is not None:
-        compiled_uniform = kernel[1]
-
-        def compiled(seed, n):
-            return compiled_uniform(*seed_state(seed), n)
-
-        recorded = {seed: np.array([float.fromhex(x) for x in want]) for seed, want in RECORDED.items()}
-        if all(compiled(seed, len(want)).tobytes() == want.tobytes() for seed, want in recorded.items()):
-            return compiled
-    return numpy_random
+    if kernel is None:
+        return np.random.Generator(np.random.PCG64(seed)).random(n)
+    return kernel[1](*seed_state(seed), n)
 
 
-def numpy_random(seed: int, n: int) -> np.ndarray:
-    return np.random.Generator(np.random.PCG64(seed)).random(n)
+def probe(draw) -> bool:
+    """Whether the kernel's `draw` (`uniform` of `_kernel.load`) reproduces
+    the recorded draws bit for bit."""
+    for seed, want in RECORDED.items():
+        got = draw(*seed_state(seed), len(want))
+        if tuple(x.hex() for x in got.tolist()) != want:
+            return False
+    return True
 
 
 def seed_state(seed: int) -> tuple[int, int]:

@@ -150,23 +150,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an experiment and write curve/summary files")
-    run.add_argument("--config", metavar="FILE", help="flat key=value config file")
+    # Each flag keeps every value it is given, so that `main` can refuse a repeat.
+    run.add_argument("--config", action="append", metavar="FILE", help="flat key=value config file")
     for s in SETTINGS:
         # A bare boolean flag means true; `--flag false` turns it off.
         bare = dict(nargs="?", const="true") if s.parse is _parse_bool else {}
-        run.add_argument(s.flag, dest=s.key, metavar=s.metavar, help=s.help, **bare)
+        run.add_argument(s.flag, action="append", dest=s.key, metavar=s.metavar, help=s.help, **bare)
     return parser
 
 
+def _last(given: list | None):
+    """The last value a flag was given, or None if it was not given."""
+    return given[-1] if given else None
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The config of parsed `run` arguments.  Of a flag given more than once
+    the last value counts here; `main` refuses the repeat."""
     overrides: dict = {}
-    if args.config:
-        overrides.update(read_config_file(args.config))
+    config = _last(args.config)
+    if config:
+        overrides.update(read_config_file(config))
     for s in SETTINGS:
-        text = getattr(args, s.key)
+        text = _last(getattr(args, s.key))
         if text is not None:
             _apply(overrides, s, text)
     return ExperimentConfig(**overrides)
+
+
+def _refuse_repeated_flags(args: argparse.Namespace) -> None:
+    """A flag given twice is an error, as a key set twice in a config file is."""
+    for flag, key, field in [("--config", "config", None), *((s.flag, s.key, s.key) for s in SETTINGS)]:
+        given = getattr(args, key) or []
+        if len(given) > 1:
+            raise ConfigurationError(f"{flag} given {len(given)} times", field=field)
 
 
 def _print_report(record: RunRecord) -> None:
@@ -197,9 +214,18 @@ def _check_writable(path: str) -> None:
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), parent)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths `a` and `b` name one file: alike once `..` and symbolic
+    links are resolved, or two existing hard links to it, which realpath misses."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _refuse_repeated_flags(args)
         config = config_from_args(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -212,11 +238,12 @@ def main(argv=None) -> int:
         paths = (config.out_curves, config.out_summary)
         for path in paths:
             _check_writable(path)
-        # Two existing paths may be hard links to one file, which realpath misses.
-        if os.path.realpath(paths[0]) == os.path.realpath(paths[1]) or (
-            all(map(os.path.exists, paths)) and os.path.samefile(*paths)
-        ):
+        if _same_file(*paths):
             raise OSError(f"out_curves and out_summary name the same file: {config.out_summary!r}")
+        source = _last(args.config)
+        for name, path in zip(("out_curves", "out_summary"), paths):
+            if source and _same_file(path, source):
+                raise OSError(f"{name} names the config file: {path!r}")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

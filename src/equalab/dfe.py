@@ -18,7 +18,6 @@ of independent runs in lockstep and reproduces `dfe_step` bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .adapt import AdaptParams, effective_step, lms_update
 from .dsp import DelayLine, TapWeights, delay_line, dot, shift_in
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, require_integer
 
 # The two adaptation rules: fixed-step LMS and error-difference-scaled LMS.
 ALGO_LMS = "lms"
@@ -64,6 +63,8 @@ class DfeConfig:
     params: AdaptParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("n_ff", "n_fb", "training_len"):
+            require_integer(getattr(self, name), name)
         if self.n_ff < 1:
             raise ConfigurationError("must be >= 1", field="n_ff")
         if self.n_fb < 0:
@@ -79,8 +80,10 @@ class DfeConfig:
             raise ConfigurationError("must be >= 0", field="training_len")
         if self.mode == MODE_DECISION_DIRECTED and self.training_len != 0:
             raise ConfigurationError("must be 0 in decision-directed mode", field="training_len")
-        if self.decision_delay is not None and self.decision_delay < 0:
-            raise ConfigurationError("must be >= 0", field="decision_delay")
+        if self.decision_delay is not None:
+            require_integer(self.decision_delay, "decision_delay")
+            if self.decision_delay < 0:
+                raise ConfigurationError("must be >= 0", field="decision_delay")
         object.__setattr__(self, "params", AdaptParams(self.mu, self.step_floor, self.step_cap))
         if self.center_spike and not self.delay < self.n_ff:
             raise ConfigurationError(
@@ -179,11 +182,9 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     dot products go through the same BLAS routine as `np.dot`, which needs
     contiguous, positive-stride operands.
 
-    The steps run in a compiled kernel (_kernel.c) when one could be built
-    here and reproduced the numpy loop byte for byte on a probe, and in the
-    numpy loop otherwise (`KERNEL` names the one in use).  The two agree bit
-    for bit: the kernel calls the same `ddot` as numpy, forms no fused
-    multiply-add and does every operation in the numpy loop's order.
+    The steps run in the compiled kernel (_kernel.c, which does every
+    operation of the numpy loop in its order) if `_kernel.load` accepted it,
+    else in the numpy loop; `KERNEL` names the one in use.
 
     Returns (sq_errors, decisions), both (S, N) float64: the squared errors
     in C order and the decisions a view into the feedback buffer.  A
@@ -276,17 +277,19 @@ _PROBES = (
 )
 
 
-@functools.cache
 def _loop():
-    """The loop `equalize` runs, chosen on its first call (not at import, so
-    that importing equalab builds nothing): the compiled loop if it builds
-    and reproduces `_numpy_loop` byte for byte on the probes, else `_numpy_loop`."""
+    """The loop `equalize` runs: the compiled one if `_kernel.load` accepted
+    the kernel, else `_numpy_loop`.  Asked on the first run, not at import,
+    so that importing equalab builds nothing."""
     from . import _kernel  # here: a process that only imports equalab never loads it
 
     kernel = _kernel.load()
-    if kernel is None:
-        return _numpy_loop
-    compiled = kernel[0]
+    return _numpy_loop if kernel is None else kernel[0]
+
+
+def _probe(compiled) -> bool:
+    """Whether the `compiled` loop leaves the buffers of `_numpy_loop`, byte
+    for byte, on the probe configs."""
     k = np.arange(2 * 64.0).reshape(2, 64)
     tx = np.where(np.sin(0.37 * k * k) > 0.0, 1.0, -1.0)
     rx = 0.8 * tx + 0.3 * np.cos(1.7 * k)
@@ -294,12 +297,12 @@ def _loop():
         got = _lockstep(compiled, rx, cfg, tx)
         want = _lockstep(_numpy_loop, rx, cfg, tx)
         if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
-            return _numpy_loop
-    return compiled
+            return False
+    return True
 
 
 def __getattr__(name):
-    # KERNEL, read-only: "c" or "numpy", the loop `equalize` runs (chosen now if not yet).
+    # KERNEL, read-only: "c" or "numpy", what runs the loop and the draws (chosen now if not yet).
     if name == "KERNEL":
         return "numpy" if _loop() is _numpy_loop else "c"
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of a config field."""
+
+import operator
 
 
 class ConfigurationError(ValueError):
@@ -23,3 +25,12 @@ class InputError(ValueError):
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
+
+
+def require_integer(value, field: str) -> None:
+    """Raise ConfigurationError naming `field` unless `value` is an integer
+    (any integer type): a float count would otherwise fail deep in numpy."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"must be an integer, got {value!r}", field=field) from None

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .dfe import ALGO_ILMS, ALGO_LMS, MODE_DECISION_DIRECTED, DfeConfig, equalize
 from .dsp import taps
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, require_integer
 from .metrics import LearningCurve, ber, learning_curve, speedup
 from .txrx import apply_channel, generate_bpsk
 
@@ -66,6 +66,11 @@ class ExperimentConfig:
     out_summary: str = "summary.txt"
 
     def __post_init__(self):
+        for name, value in (
+            ("n_symbols", self.n_symbols), ("seeds", self.n_seeds), ("base_seed", self.base_seed),
+            ("window", self.window), ("jobs", self.jobs),
+        ):
+            require_integer(value, name)  # the equalizer's counts are DfeConfig's to check
         if self.n_symbols < 1:
             raise ConfigurationError("must be >= 1", field="n_symbols")
         if not self.algos:

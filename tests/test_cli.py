@@ -19,10 +19,13 @@ def _no_steps(*args, **kwargs):
 
 
 def run_cli(tmp_path, *extra, name="run"):
+    """`equalab run` with the FAST flags that `extra` does not set again
+    (a flag may be given once) and outputs named after `name`."""
     curves = tmp_path / f"{name}_curves.csv"
     summary = tmp_path / f"{name}_summary.txt"
+    fast = [x for flag, value in zip(FAST[::2], FAST[1::2]) if flag not in extra for x in (flag, value)]
     code = main(
-        ["run", *FAST, "--out-curves", str(curves), "--out-summary", str(summary), *extra]
+        ["run", *fast, "--out-curves", str(curves), "--out-summary", str(summary), *extra]
     )
     return code, curves, summary
 
@@ -204,11 +207,36 @@ class TestConfigErrors:
         )
         assert curves.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("link", ["same", "dotdot", "hard-link"])
+    @pytest.mark.parametrize("setting", ["out_curves", "out_summary"])
+    def test_config_file_as_output_exits_1_before_the_run(
+        self, tmp_path, capsys, monkeypatch, setting, link
+    ):
+        # Writing there would replace the config with an output, and the
+        # next run from it would fail on the output's keys.
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        monkeypatch.chdir(tmp_path)
+        Path("out").mkdir()
+        Path("out/run.cfg").write_text("seeds = 2\n")
+        if link == "hard-link":
+            os.link("out/run.cfg", "out/other.cfg")
+        output = {"same": "out/run.cfg", "dotdot": "out/../out/run.cfg", "hard-link": "out/other.cfg"}[link]
+        paths = {"out_curves": "c.csv", "out_summary": "s.txt", setting: output}
+        code = main(["run", *FAST, "--config", "out/run.cfg", "--out-curves", paths["out_curves"],
+                     "--out-summary", paths["out_summary"]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write output: {setting} names the config file: {output!r}\n"
+        assert Path("out/run.cfg").read_text() == "seeds = 2\n"
+        written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
+        assert written - {"out/other.cfg"} == {"out", "out/run.cfg"}
+
     @pytest.mark.parametrize("flag", ["--out-curves", "--out-summary"])
     def test_empty_output_path_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch, flag):
         monkeypatch.setattr(experiment, "equalize", _no_steps)
         monkeypatch.chdir(tmp_path)
-        code = main(["run", *FAST, "--out-curves", "c.csv", "--out-summary", "s.txt", flag, ""])
+        paths = {"--out-curves": "c.csv", "--out-summary": "s.txt", flag: ""}
+        code = main(["run", *FAST, *(x for item in paths.items() for x in item)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -271,6 +299,28 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: cannot write output: ") and "No space left" in err
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["--mu", "0.01", "--mu", "0.03"], "error: mu: --mu given 2 times\n"),
+            (
+                ["--center-spike", "--center-spike", "false"],
+                "error: center_spike: --center-spike given 2 times\n",
+            ),
+            (["--seeds", "2", "--seeds", "2", "--seeds", "3"], "error: seeds: --seeds given 3 times\n"),
+            (["--config", "a.cfg", "--config", "b.cfg"], "error: --config given 2 times\n"),
+        ],
+        ids=["mu", "bare-boolean", "thrice", "config"],
+    )
+    def test_flag_given_twice_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch, argv, err):
+        # As a key set twice in a config file: the last value does not
+        # silently win.
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        code, curves, summary = run_cli(tmp_path, *argv)
+        assert code == 2
+        assert capsys.readouterr().err == err
+        assert not curves.exists() and not summary.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])
@@ -355,6 +405,11 @@ class TestConfigFile:
         )
         assert entries["mu"] == "0.02"  # flag wins
         assert entries["n_symbols"] == "250"  # file survives
+
+    def test_config_from_args_takes_the_last_of_a_repeated_flag(self):
+        # `main` refuses the repeat; the library call keeps the last value,
+        # which the benchmark's counting pass relies on.
+        assert parse_config("--seeds", "4", "--seeds", "2").n_seeds == 2
 
     def test_noiseless_key_in_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

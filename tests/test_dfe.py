@@ -21,6 +21,8 @@ from equalab import (
     delay_line,
     dfe_step,
     equalize,
+    gaussian,
+    generate_bpsk,
     initial_state,
     quantize,
     taps,
@@ -32,9 +34,6 @@ from equalab.dfe import MODE_TRAINED, PAD_SYMBOL
 # Ids of the `lms` and `ilms` cases, kept as they were so that results stay
 # comparable by id across versions.
 _RULE_IDS = ["conventional", "improved"]
-
-_NO_KERNEL = "no C kernel could be built here (no C compiler, or numpy's BLAS has no 64-bit-int ddot)"
-
 
 def cfg_dd(**kw):
     base = dict(n_ff=2, n_fb=0, mu=0.1)
@@ -310,32 +309,6 @@ def _batch(rows, n, seed=6):
 N_ORACLE = 240
 
 
-def _compiled_loop():
-    """The compiled lockstep loop, or a skip where none can be built."""
-    kernel = _kernel.load()
-    if kernel is None:
-        pytest.skip(_NO_KERNEL)
-    return kernel[0]
-
-
-def _use_kernel(monkeypatch, kernel):
-    """Make `equalize` run the numpy loop or the compiled kernel."""
-    loop = dfe._numpy_loop if kernel == "numpy" else _compiled_loop()
-    monkeypatch.setattr(dfe, "_loop", lambda: loop)
-
-
-@pytest.fixture
-def fresh_choice():
-    """Let `dfe._loop` choose, and `_kernel.load` load, again on their next
-    call, and after the test (which may have replaced `_kernel.load`)."""
-    loop, load = dfe._loop, _kernel.load
-    loop.cache_clear()
-    load.cache_clear()
-    yield
-    loop.cache_clear()
-    load.cache_clear()
-
-
 # A trained `ilms` setting whose rows diverge on `_batch(4, 200, seed=8)`.
 _DIVERGING = dict(n_ff=11, n_fb=5, mu=0.2, algo="ilms", mode=MODE_TRAINED, training_len=500)
 
@@ -381,8 +354,8 @@ class TestEqualizeOracle:
     KERNEL = "numpy"
 
     @pytest.fixture(autouse=True)
-    def kernel(self, monkeypatch):
-        _use_kernel(monkeypatch, self.KERNEL)
+    def kernel(self, use_kernel):
+        use_kernel(self.KERNEL)
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize(
@@ -467,24 +440,40 @@ class TestEqualizeOracleC(TestEqualizeOracle):
 
 
 class TestKernelChoice:
-    """The compiled kernel is used only when it builds, links and passes the
-    probe; otherwise `equalize` runs the numpy loop and gives the same bytes."""
+    """The compiled kernel is used only when it builds, links and passes both
+    probes; otherwise a run takes the numpy loop and numpy.random, and gives
+    the same bytes."""
 
     CFG = DfeConfig(n_ff=11, n_fb=5, mu=0.03, algo="ilms", center_spike=True, step_cap=0.05)
 
     def _run(self):
+        """What a run computes: the equalizer's outputs and final weights, and
+        the symbols and noise it equalizes."""
         rx, _ = _batch(3, N_ORACLE, seed=9)
         sq, dec = equalize(rx, self.CFG)
         W = dfe._lockstep(dfe._loop(), rx, self.CFG, None)[2]
-        return [sq.tobytes(), dec.tobytes()] + [w.tobytes() for w in W]
+        out = [sq, dec, *W]
+        for seed in (0, 2**32, 2**200 + 7):
+            for n in (1, 3, 301):
+                out += [generate_bpsk(n, seed), gaussian(n, 0.3, seed)]
+        return [a.tobytes() for a in out]
+
+    # Edits of the C source that build a kernel whose loop or draws are one
+    # ulp off numpy's, as with a numpy built against another BLAS.
+    _SKEWED = {
+        "probe-mismatch": ("e_row[i] = e;", "e_row[i] = nextafter(e, INFINITY);"),
+        "draw-probe-mismatch": (
+            "out[k] = (double)(x >> 11) * (1.0 / 9007199254740992.0);",
+            "out[k] = nextafter((double)(x >> 11) * (1.0 / 9007199254740992.0), 1.0);",
+        ),
+    }
 
     @pytest.mark.parametrize(
-        "failure", ["no-compiler", "compiler-fails", "no-ddot", "probe-mismatch"]
+        "failure", ["no-compiler", "compiler-fails", "no-ddot", "probe-mismatch", "draw-probe-mismatch"]
     )
-    def test_falls_back_to_numpy(self, monkeypatch, tmp_path, capfd, fresh_choice, failure):
-        monkeypatch.setattr(dfe, "_loop", lambda: dfe._numpy_loop)
-        want = self._run()
-        monkeypatch.undo()
+    def test_falls_back_to_numpy(self, monkeypatch, tmp_path, capfd, fresh_load, failure):
+        want = self._run()  # as shipped: the kernel if it loads here
+        _kernel.load.cache_clear()
         monkeypatch.setattr(_kernel, "CACHE", tmp_path)  # nothing cached: a load must build
         if failure == "no-compiler":
             monkeypatch.setattr(_kernel, "CC", "no-such-compiler")
@@ -493,27 +482,40 @@ class TestKernelChoice:
         elif failure == "no-ddot":
             monkeypatch.setattr(_kernel, "DDOT_SYMBOLS", ("no_such_ddot",))
         else:
-            def skewed(R, D, W, B, E, *rest):
-                dfe._numpy_loop(R, D, W, B, E, *rest)
-                E[0, -1] = np.nextafter(E[0, -1], np.inf)
+            if shutil.which(_kernel.CC) is None:
+                pytest.skip("no C compiler here")
+            old, new = self._SKEWED[failure]
+            source = _kernel.SOURCE.read_text()
+            assert source.count(old) == 1
+            (tmp_path / "_kernel.c").write_text(source.replace(old, new))
+            monkeypatch.setattr(_kernel, "SOURCE", tmp_path / "_kernel.c")
+        drawn, pcg64 = [], np.random.PCG64
 
-            monkeypatch.setattr(_kernel, "load", lambda: (skewed, None))
-        assert self._run() == want
+        def counted_pcg64(seed):
+            drawn.append(seed)
+            return pcg64(seed)
+
+        monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
+        assert _kernel.load() is None
         assert dfe.KERNEL == "numpy"
+        assert self._run() == want
+        assert drawn  # numpy.random drew the symbols and the noise
         assert capfd.readouterr().err == ""
 
-    def test_compiled_kernel_is_used_when_it_passes_the_probe(self, fresh_choice):
-        if _kernel.load() is None:
-            pytest.skip(_NO_KERNEL)
+    def test_compiled_kernel_is_used_when_it_passes_the_probe(self, monkeypatch, fresh_load, compiled):
+        def no_numpy_random(seed):
+            raise AssertionError("numpy.random drew")
+
+        monkeypatch.setattr(np.random, "PCG64", no_numpy_random)
         assert dfe.KERNEL == "c"
-        assert dfe._loop() is not dfe._numpy_loop
-        assert dfe._loop.cache_info().misses == 1  # chosen once, then reused
+        assert dfe._loop() is compiled[0]
+        generate_bpsk(10, 3)
+        assert _kernel.load.cache_info().misses == 1  # chosen once, for the loop and the draws
 
     @pytest.mark.parametrize("bad", ["float32", "non-contiguous"])
-    def test_compiled_loop_rejects_other_buffers(self, bad):
+    def test_compiled_loop_rejects_other_buffers(self, compiled, bad):
         # The kernel reads raw C-ordered float64 memory: any other buffer of
         # R, D, W, B, E or refs is refused before the C code runs.
-        compiled = _compiled_loop()
         rows, n, n_ff, n_fb, train = 2, 20, 5, 3, 4
         shapes = [(rows, n + n_ff - 1), (rows, n + n_fb), (rows, n_ff), (rows, n_fb), (rows, n), (train, rows)]
         for k, (r, c) in enumerate(shapes):
@@ -521,21 +523,17 @@ class TestKernelChoice:
             bufs[k] = np.ones((r, c), np.float32) if bad == "float32" else np.ones((r, 2 * c))[:, ::2]
             before = [b.tobytes() for b in bufs]
             with pytest.raises(ValueError, match="C-contiguous float64"):
-                compiled(*bufs, 0.01, True, 0.0, math.inf)
+                compiled[0](*bufs, 0.01, True, 0.0, math.inf)
             assert [b.tobytes() for b in bufs] == before
 
-    def test_cached_library_loads_without_a_compiler(self, monkeypatch, fresh_choice):
-        if _kernel.load() is None:  # builds into the cache if need be
-            pytest.skip(_NO_KERNEL)
+    def test_cached_library_loads_without_a_compiler(self, monkeypatch, fresh_load, compiled):
         monkeypatch.setattr(_kernel, "CC", "no-such-compiler")
         _kernel.load.cache_clear()
         assert _kernel.load() is not None
 
-    def test_cached_library_loads_without_subprocess(self):
+    def test_cached_library_loads_without_subprocess(self, compiled):
         # Only a build runs the compiler; a process that finds the library
         # cached never imports subprocess.
-        if _kernel.load() is None:  # builds into the cache if need be
-            pytest.skip(_NO_KERNEL)
         code = "import sys\nimport equalab.dfe as dfe\nprint(dfe.KERNEL, 'subprocess' in sys.modules)"
         src = os.path.dirname(os.path.dirname(dfe.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -547,14 +545,13 @@ class TestKernelChoice:
     @pytest.mark.parametrize(
         "limits", [{}, dict(step_floor=0.01, step_cap=50.0)], ids=["plain", "floor-cap"]
     )
-    def test_loops_leave_identical_buffers_on_diverging_rows(self, limits):
+    def test_loops_leave_identical_buffers_on_diverging_rows(self, compiled, limits):
         # Past a row's first non-finite error both loops carry the inf/nan on
         # alike: the kernel's floor and cap let a NaN through as numpy's do.
-        compiled = _compiled_loop()
         cfg = DfeConfig(**_DIVERGING, **limits)
         rx, tx = _batch(4, 200, seed=8)
         with np.errstate(all="ignore"):
-            got = dfe._lockstep(compiled, rx, cfg, tx)
+            got = dfe._lockstep(compiled[0], rx, cfg, tx)
             want = dfe._lockstep(dfe._numpy_loop, rx, cfg, tx)
         assert not np.isfinite(want[4]).all()
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]

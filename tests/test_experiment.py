@@ -19,7 +19,7 @@ from equalab import (
     smooth,
     steady_state_mse,
 )
-from equalab import _kernel, cli, dfe, experiment
+from equalab import cli, experiment
 from equalab.experiment import (
     NOISE_SEED_OFFSET,
     ExperimentConfig,
@@ -96,6 +96,25 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError) as exc:
             ExperimentConfig(**kw)
         assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "name,field",
+        [
+            ("n_symbols", "n_symbols"), ("n_seeds", "seeds"), ("base_seed", "base_seed"),
+            ("window", "window"), ("jobs", "jobs"), ("n_ff", "n_ff"), ("n_fb", "n_fb"),
+            ("training_len", "training_len"), ("decision_delay", "decision_delay"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [2.0, 1.5, "3"], ids=["2.0", "1.5", "str"])
+    def test_rejects_a_count_that_is_no_integer(self, name, field, value):
+        # Accepted, a float count would fail deep in numpy with a TypeError.
+        with pytest.raises(ConfigurationError, match="must be an integer") as exc:
+            ExperimentConfig(**{name: value})
+        assert exc.value.field == field
+
+    def test_accepts_integer_types(self):
+        kw = dict(n_symbols=np.int64(400), n_seeds=np.uint8(2), window=np.int32(10), n_ff=np.int16(7))
+        assert ExperimentConfig(**kw) == ExperimentConfig(n_symbols=400, n_seeds=2, window=10, n_ff=7)
 
     def test_noise_variance_from_snr(self):
         assert ExperimentConfig(snr_db=20.0).noise_variance == pytest.approx(0.01)
@@ -248,12 +267,10 @@ def test_serial_run_does_not_import_the_pool():
     assert out.stdout.strip() == "[]"
 
 
-def test_serial_run_loads_neither_numpy_random_nor_openssl(tmp_path):
+def test_serial_run_loads_neither_numpy_random_nor_openssl(tmp_path, compiled):
     """With the compiled kernel, a serial `equalab run` draws its symbols and
     noise without numpy.random, and names the kernel's cache file without
     hashlib, so neither they nor OpenSSL (_hashlib) are loaded."""
-    if _kernel.load() is None:  # builds into the cache if need be
-        pytest.skip("no C kernel could be built here")
     code = (
         "import sys\n"
         "from equalab.cli import main\n"
@@ -266,6 +283,21 @@ def test_serial_run_loads_neither_numpy_random_nor_openssl(tmp_path):
         capture_output=True, text=True, env=_child_env(), check=True,
     )
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_set_up_loads_neither_the_kernel_nor_the_draws():
+    """Importing `equalab.cli` and building a config (what the benchmark's
+    `setup_s` times) loads neither `_kernel` nor `_pcg64`: only a run does."""
+    code = (
+        "import sys\n"
+        "from equalab.cli import build_parser, config_from_args\n"
+        "config_from_args(build_parser().parse_args(['run', '--seeds', '4', '--mode', 'trained']))\n"
+        "print([m for m in ('equalab._kernel', 'equalab._pcg64') if m in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_a_run_loads_the_kernel_once():
@@ -291,11 +323,11 @@ _SPEC = ("dfe_step", "initial_state", "quantize", "shift_in", "dot", "delay_line
 @pytest.mark.parametrize(
     "flags", [[], ["--mode", "trained", "--train-len", "100", "--step-cap", "0.05"]], ids=["dd", "trained-cap"]
 )
-def test_a_run_never_calls_the_spec(tmp_path, monkeypatch, loop, flags):
+def test_a_run_never_calls_the_spec(tmp_path, monkeypatch, use_kernel, loop, flags):
     """Tests check `equalize` against the spec; a run itself calls none of it,
     so with every spec function raising it writes the same bytes."""
     if loop == "numpy":
-        monkeypatch.setattr(dfe, "_loop", lambda: dfe._numpy_loop)
+        use_kernel("numpy")
 
     def outputs(tag):
         paths = [tmp_path / f"{tag}.csv", tmp_path / f"{tag}.txt"]

@@ -10,7 +10,6 @@ import pytest
 from equalab import (
     ConfigurationError,
     InputError,
-    _kernel,
     _pcg64,
     apply_channel,
     gaussian,
@@ -122,12 +121,8 @@ class TestArgumentChecks:
     uniforms are drawn."""
 
     @pytest.fixture(params=["c", "numpy"])
-    def draws(self, request, monkeypatch):
-        if request.param == "c":
-            if _pcg64.draw() is _pcg64.numpy_random:
-                pytest.skip(_NO_DRAWS)
-        else:
-            monkeypatch.setattr(_pcg64, "draw", lambda: _pcg64.numpy_random)
+    def draws(self, request, use_kernel):
+        use_kernel(request.param)
 
     def test_negative_count(self, draws):
         for variance in (1.0, 0.0):
@@ -172,8 +167,6 @@ class TestArgumentChecks:
         assert gaussian(0, 1.0, 3).shape == (0,)
 
 
-_NO_DRAWS = "the compiled draws are not in use here (no kernel could be built, or its probe failed)"
-
 # Seeds of one to ten 32-bit words: the seed expansion pads the first four
 # words, and mixes any beyond them into the pool one by one.
 _SEEDS = sorted(
@@ -188,14 +181,6 @@ def _numpy_uniform(seed, n):
     return np.random.Generator(np.random.PCG64(seed)).random(n)
 
 
-@pytest.fixture
-def fresh_draws():
-    """Let `_pcg64.draw` choose again on its next call, and after the test."""
-    _pcg64.draw.cache_clear()
-    yield
-    _pcg64.draw.cache_clear()
-
-
 class TestCompiledDraws:
     """The uniforms drawn in the compiled kernel are numpy.random's, byte for byte."""
 
@@ -207,37 +192,13 @@ class TestCompiledDraws:
             words = [int(w) for w in np.random.SeedSequence(seed).generate_state(4, np.uint64)]
             assert _pcg64.seed_state(seed) == (words[0] << 64 | words[1], words[2] << 64 | words[3])
 
-    def test_draws_are_numpys(self):
-        if _pcg64.draw() is _pcg64.numpy_random:
-            pytest.skip(_NO_DRAWS)
+    def test_draws_are_numpys(self, compiled):
         for seed in _SEEDS:
             for n in (1, 2, 3, 37, 5001):
                 assert txrx._uniform(seed, n).tobytes() == _numpy_uniform(seed, n).tobytes(), (seed, n)
 
     def test_recorded_draws_are_numpys(self):
-        # The probe's stored draws, which the compiled draws must reproduce.
+        # The probe's stored draws, which the compiled draws must reproduce,
+        # each as float.hex writes it, since the probe compares the text.
         for seed, want in _pcg64.RECORDED.items():
-            assert _numpy_uniform(seed, len(want)).tolist() == [float.fromhex(x) for x in want]
-
-    def _outputs(self):
-        out = []
-        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 7):
-            for n in (1, 2, 3, 301, 5001):
-                tx = generate_bpsk(n, seed)
-                out += [tx, gaussian(n, 0.3, seed), apply_channel(tx, [0.84, 0.543], 0.01, seed + 7)]
-        return [a.tobytes() for a in out]
-
-    @pytest.mark.parametrize("failure", ["no-library", "probe-mismatch"])
-    def test_falls_back_to_numpy_random(self, monkeypatch, fresh_draws, failure):
-        if _pcg64.draw() is _pcg64.numpy_random:
-            pytest.skip(_NO_DRAWS)
-        want = self._outputs()
-        _pcg64.draw.cache_clear()
-        if failure == "no-library":
-            monkeypatch.setattr(_kernel, "load", lambda: None)
-        else:
-            seed, draws = next(iter(_pcg64.RECORDED.items()))
-            broken = (*draws[:-1], math.nextafter(float.fromhex(draws[-1]), 1.0).hex())
-            monkeypatch.setitem(_pcg64.RECORDED, seed, broken)
-        assert _pcg64.draw() is _pcg64.numpy_random
-        assert self._outputs() == want
+            assert tuple(x.hex() for x in _numpy_uniform(seed, len(want)).tolist()) == want
