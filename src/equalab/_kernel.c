@@ -1,5 +1,5 @@
-/* The lockstep loop of equalab.dfe.equalize and the uniform draws of
- * equalab._pcg64, compiled (see _kernel.py).
+/* The lockstep loop of equalab.dfe.equalize, the uniform draws of
+ * equalab._pcg64 and the rows of curves.csv, compiled (see _kernel.py).
  *
  * It runs the same operations on the same buffers as the numpy loop
  * (`_numpy_loop` in dfe.py), but walks each row to the end before starting
@@ -9,6 +9,8 @@
  * product is rounded before it is added, as numpy rounds it. */
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
 
@@ -70,4 +72,115 @@ void equalab_uniform(uint64_t s_hi, uint64_t s_lo, uint64_t i_hi, uint64_t i_lo,
         x = (x >> rot) | (x << ((-rot) & 63u));
         out[k] = (double)(x >> 11) * (1.0 / 9007199254740992.0);
     }
+}
+
+/* curves.csv's rows of one rule, `i,<name>,<sq[i]>,<sm[i]>\n` for i < m and
+ * `i,<name>,<sq[i]>,\n` after, written at `out`, which holds at least
+ * n * (72 + name_len) + 1 bytes; returns the number written.  Each value has
+ * the bytes of Python's format(v, ".17g").  For a normal |v| in [2^-129, 1e17)
+ * the 17 digits are round(|v| * 10^q) with q = 16 - k and 10^k <= |v| <
+ * 10^(k+1), so 0 <= q <= 55 and 5^q fits in 128 bits: the product of the
+ * 53-bit mantissa and 5^q, shifted left to fill 128 bits, holds |v| * 10^q
+ * exactly and is rounded half to even.  Every other value goes through
+ * snprintf("%.17g"), but a NaN of either sign is written as Python writes it. */
+typedef unsigned __int128 u128;
+
+static char *put(char *p, const char *s, int len)
+{
+    memcpy(p, s, len);
+    return p + len;
+}
+
+/* Digits d[0..j), then a point and d[j..nd) if any of them is left. */
+static char *put_point(char *p, const char *d, int j, int nd)
+{
+    p = put(p, d, j);
+    if (nd > j) {
+        *p++ = '.';
+        p = put(p, d + j, nd - j);
+    }
+    return p;
+}
+
+static char *put_g17(char *p, double v, const u128 *pow5, const int *shift)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    int E = (int)(bits >> 52 & 0x7ff) - 1023; /* 2^E <= |v| < 2^(E+1) if normal */
+    if (v != v)
+        return put(p, "nan", 3);
+    if (E < -129 || fabs(v) >= 1e17)
+        return p + snprintf(p, 25, "%.17g", v);
+    if (bits >> 63)
+        *p++ = '-';
+    uint64_t f = (bits & ((1ULL << 52) - 1)) | 1ULL << 52, n;
+    u128 hi, rest, half;
+    uint64_t lo;
+    int k = (E * 78913) >> 18, u; /* floor(E log10 2): the k above, or k - 1 */
+    for (;;) {
+        int q = 16 - k;
+        u128 low = (u128)f * (uint64_t)pow5[q];
+        hi = (u128)f * (uint64_t)(pow5[q] >> 64) + (low >> 64);
+        lo = (uint64_t)low;
+        /* |v| * 10^q = (hi * 2^64 + lo) / 2^(u + 64), u in [56, 63] */
+        u = shift[q] - (E - 52) - q - 64;
+        n = (uint64_t)(hi >> u);
+        if (n < 100000000000000000ULL) /* else k was one short */
+            break;
+        k++;
+    }
+    rest = hi & (((u128)1 << u) - 1);
+    half = (u128)1 << (u - 1);
+    if (rest > half || (rest == half && (lo || (n & 1))))
+        n++;
+    if (n == 100000000000000000ULL) {
+        n /= 10;
+        k++;
+    }
+    char d[17];
+    for (int i = 16; i >= 0; i--, n /= 10)
+        d[i] = (char)('0' + n % 10);
+    int nd = 17; /* digits left once trailing zeros are dropped */
+    while (d[nd - 1] == '0')
+        nd--;
+    if (k >= 0) /* %g's fixed notation: k <= 16 */
+        return put_point(p, d, k + 1, nd);
+    if (k >= -4)
+        return put(put(p, "0.000", 1 - k), d, nd);
+    p = put_point(p, d, 1, nd); /* exponent notation, k in [-39, -5] */
+    *p++ = 'e';
+    *p++ = '-';
+    *p++ = (char)('0' + -k / 10);
+    *p++ = (char)('0' + -k % 10);
+    return p;
+}
+
+int64_t equalab_rows(const char *name, int64_t name_len, const double *sq, int64_t n,
+                     const double *sm, int64_t m, char *out)
+{
+    u128 pow5[56], p5 = 1; /* 5^q << shift[q]: its top bit is bit 127 */
+    int shift[56];
+    for (int q = 0; q < 56; q++, p5 *= 5) {
+        uint64_t top = (uint64_t)(p5 >> 64);
+        shift[q] = top ? __builtin_clzll(top) : 64 + __builtin_clzll((uint64_t)p5);
+        pow5[q] = p5 << shift[q];
+    }
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        char digits[20];
+        int len = 0;
+        for (uint64_t x = (uint64_t)i; len == 0 || x; x /= 10)
+            digits[len++] = (char)('0' + x % 10);
+        while (len)
+            *p++ = digits[--len];
+        *p++ = ',';
+        p = put(p, name, (int)name_len);
+        *p++ = ',';
+        p = put_g17(p, sq[i], pow5, shift);
+        *p++ = ',';
+        if (i < m)
+            p = put_g17(p, sm[i], pow5, shift);
+        *p++ = '\n';
+    }
+    return p - out;
 }

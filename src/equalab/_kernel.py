@@ -1,5 +1,6 @@
 """Build and load the compiled kernels (_kernel.c): the lockstep loop of
-`dfe.equalize` and the PCG64 uniform draws of `_pcg64`.
+`dfe.equalize`, the PCG64 uniform draws of `_pcg64` and the rows that
+`experiment.emit_curves_csv` writes.
 
 The shared library is built with the system C compiler the first time it is
 needed and cached in this package's __pycache__/, named by a CRC-32 and an
@@ -7,8 +8,8 @@ Adler-32 of the source, the machine and the build flags (zlib, so that no
 run loads OpenSSL through hashlib).  Its dot products call the BLAS `ddot`
 that numpy's own dot calls, looked up at run time through numpy's extension
 module, so that both loops sum alike.  `load` returns None when any step
-fails or either probe differs, and the process then runs the numpy loop and
-draws through numpy.random.
+fails or any of the three probes differs, and the process then runs the
+numpy loop, draws through numpy.random and formats curves.csv in Python.
 """
 
 from __future__ import annotations
@@ -36,21 +37,28 @@ _F64 = ctypes.c_double
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 _M64 = 2**64 - 1
+# Most bytes of one row besides its name: a 20-digit index, two 24-byte
+# values ("-2.2250738585072014e-308"), three commas and the newline.
+_ROW_BYTES = 72
 
 
 @functools.cache
 def load():
-    """(lockstep, uniform) from one build, or None: the one choice of the
-    process between the compiled kernel and numpy.  None unless the library
-    builds and links here and both its loop and its draws pass their probes
-    (`dfe._probe`, `_pcg64.probe`).  Cached: `load.cache_clear()` after
-    changing CC, CACHE, FLAGS, DDOT_SYMBOLS or SOURCE.  `lockstep` is called
-    as dfe._numpy_loop is; `uniform(state, seq, n)` returns n PCG64 doubles
-    from the two 128-bit seed halves that _pcg64 derives."""
+    """(lockstep, uniform, rows) from one build, or None: the one choice of
+    the process between the compiled kernel and numpy.  None unless the
+    library builds and links here and its loop, its draws and its CSV writer
+    all pass their probes (`dfe._probe`, `_pcg64.probe`, `experiment._probe`).
+    Cached: `load.cache_clear()` after changing CC, CACHE, FLAGS,
+    DDOT_SYMBOLS or SOURCE.  `lockstep` is called as dfe._numpy_loop is;
+    `uniform(state, seq, n)` returns n PCG64 doubles from the two 128-bit
+    seed halves that _pcg64 derives; `rows` is called as
+    experiment._text_rows is and returns a memoryview of the bytes.  The
+    writer formats a normal |v| in [2^-129, 1e17) itself and every other
+    value (zero, subnormal, larger, inf) through the C library's snprintf."""
     try:
         ddot = _ddot()
         lib = ctypes.CDLL(str(_build()))
-        kernel, draw = lib.equalab_lockstep, lib.equalab_uniform
+        kernel, draw, write = lib.equalab_lockstep, lib.equalab_uniform, lib.equalab_rows
     except (ImportError, AttributeError, OSError):
         return None
     kernel.argtypes = [_PTR, _I64, _I64, _I64, _I64, *[_PTR] * 6, _I64, _F64, ctypes.c_int, _F64, _F64]
@@ -74,10 +82,26 @@ def load():
         draw(state >> 64, state & _M64, seq >> 64, seq & _M64, n, out.ctypes.data)
         return out
 
-    from . import _pcg64, dfe  # here, not at import: _pcg64 imports this module
+    write.argtypes = [ctypes.c_char_p, _I64, _PTR, _I64, _PTR, _I64, _PTR]
+    write.restype = _I64
 
-    if dfe._probe(lockstep) and _pcg64.probe(uniform):
-        return lockstep, uniform
+    def rows(name, sq, smoothed):
+        if any(a.dtype != np.float64 or a.ndim != 1 or not a.flags.c_contiguous for a in (sq, smoothed)):
+            raise ValueError("the compiled writer needs one-dimensional C-contiguous float64 arrays")
+        if smoothed.size > sq.size:
+            raise ValueError("more smoothed values than squared errors")
+        key = name.encode()
+        # + 1 for the NUL that snprintf ends with.  np.empty, not bytearray:
+        # the pages the rows do not reach are never touched.
+        out = np.empty(sq.size * (_ROW_BYTES + len(key)) + 1, np.uint8)
+        size = write(key, len(key), sq.ctypes.data, sq.size, smoothed.ctypes.data, smoothed.size, out.ctypes.data)
+        return memoryview(out)[:size]
+
+    # here, not at import: _pcg64 imports this module
+    from . import _pcg64, dfe, experiment
+
+    if dfe._probe(lockstep) and _pcg64.probe(uniform) and experiment._probe(rows):
+        return lockstep, uniform, rows
     return None
 
 

@@ -169,7 +169,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     the last value counts here; `main` refuses the repeat."""
     overrides: dict = {}
     config = _last(args.config)
-    if config:
+    if config is not None:  # "" too: a path that names no file
         overrides.update(read_config_file(config))
     for s in SETTINGS:
         text = _last(getattr(args, s.key))

@@ -302,7 +302,8 @@ def _probe(compiled) -> bool:
 
 
 def __getattr__(name):
-    # KERNEL, read-only: "c" or "numpy", what runs the loop and the draws (chosen now if not yet).
+    # KERNEL, read-only: "c" or "numpy", what runs the loop, the draws and the CSV writer
+    # (chosen now if not yet).
     if name == "KERNEL":
         return "numpy" if _loop() is _numpy_loop else "c"
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -254,21 +254,54 @@ def emit_curves_csv(record: RunRecord, path) -> None:
 
     Rows are sorted by (algo, iteration).  The smoothed column is empty for
     the trailing window-1 iterations where the forward window runs off the
-    end of the curve.  Values have 17 significant digits, which round-trip
-    float64 exactly.  Each run of rows is one %-format call: `%.17g` gives
-    the bytes of format(x, ".17g").
+    end of the curve.  Values have the 17 significant digits of
+    format(x, ".17g"), which round-trip float64 exactly.  The rows are
+    written by the compiled kernel's CSV writer if `_kernel.load` accepted
+    it (exact integer arithmetic for a normal |x| in [2^-129, 1e17), the C
+    library's snprintf for any other value), else by `_text_rows`.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write("iteration,algo,inst_sq_error,smoothed_mse\n")
+    from . import _kernel  # here: a process that only imports equalab never loads it
+
+    kernel = _kernel.load()
+    rows = _text_rows if kernel is None else kernel[2]
+    with open(path, "wb") as fh:
+        fh.write(b"iteration,algo,inst_sq_error,smoothed_mse\n")
         for algo in sorted(record.curves):
             curve = record.curves[algo]
-            sq, sm = curve.sq_errors.tolist(), curve.smoothed.tolist()
-            m, n = len(sm), len(sq)
-            name = algo.replace("%", "%%")
-            rows = itertools.chain.from_iterable(zip(range(m), sq, sm))
-            fh.write((f"%d,{name},%.17g,%.17g\n" * m) % tuple(rows))
-            rows = itertools.chain.from_iterable(zip(range(m, n), sq[m:]))
-            fh.write((f"%d,{name},%.17g,\n" * (n - m)) % tuple(rows))
+            sq, smoothed = (np.ascontiguousarray(a, np.float64) for a in (curve.sq_errors, curve.smoothed))
+            fh.write(rows(algo, sq, smoothed))
+
+
+def _text_rows(name: str, sq: np.ndarray, smoothed: np.ndarray) -> bytes:
+    """One rule's rows, `i,name,sq[i],smoothed[i]` and a blank smoothed field
+    past its end, formatted in Python: each run of rows is one %-format
+    call, whose `%.17g` gives the bytes of format(x, ".17g")."""
+    sq, sm = sq.tolist(), smoothed.tolist()
+    m, n = len(sm), len(sq)
+    name = name.replace("%", "%%")
+    full = itertools.chain.from_iterable(zip(range(m), sq, sm))
+    tail = itertools.chain.from_iterable(zip(range(m, n), sq[m:]))
+    text = (f"%d,{name},%.17g,%.17g\n" * m) % tuple(full) + (f"%d,{name},%.17g,\n" * (n - m)) % tuple(tail)
+    return text.encode()
+
+
+def _probe(rows) -> bool:
+    """Whether the compiled CSV writer `rows` writes the bytes of `_text_rows`
+    on values at the edges of both its paths: the powers of ten from 1e-40
+    to 1e17 and their neighbours, ties of the 17th digit that round down and
+    up, the ends of the exact range, subnormals, ±0, ±inf and ±nan."""
+    edges = [
+        0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308,
+        math.inf, math.nan, 2.0**-129, math.nextafter(2.0**-129, 0.0),
+        32001 / 2**18, 32003 / 2**18, 2.0**50 + 0.25, 2.0**50 + 0.75,
+    ]
+    smoothed = np.array([*edges, *(-x for x in edges)])
+    powers = []
+    for k in range(-40, 18):
+        x = float(f"1e{k}")
+        powers += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    sq = np.array([*smoothed[::-1].tolist(), *powers])
+    return bytes(rows("probe", sq, smoothed)) == _text_rows("probe", sq, smoothed)
 
 
 def _fmt(value) -> str:

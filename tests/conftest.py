@@ -21,8 +21,9 @@ def fresh_load():
 
 @pytest.fixture
 def compiled():
-    """The (lockstep, uniform) that `_kernel.load` accepted, building the
-    library into its cache if need be; a skip where it accepted none."""
+    """The (lockstep, uniform, rows) that `_kernel.load` accepted: the loop,
+    the draws and the CSV writer, building the library into its cache if need
+    be; a skip where it accepted none."""
     kernel = _kernel.load()
     if kernel is None:
         pytest.skip(NO_KERNEL)
@@ -33,7 +34,7 @@ def compiled():
 def use_kernel(monkeypatch):
     """`use_kernel("c")` runs the compiled kernel (a skip where `_kernel.load`
     accepts none); `use_kernel("numpy")` makes `_kernel.load` return None, so
-    that the numpy loop and numpy.random run."""
+    that the numpy loop, numpy.random and the Python CSV writer run."""
 
     def use(kernel):
         if kernel == "numpy":

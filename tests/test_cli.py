@@ -384,6 +384,16 @@ class TestConfigFile:
         assert out.count("\n") == 1 and out.startswith(err)
         assert not curves.exists() and not summary.exists()
 
+    def test_empty_config_path_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # "" is a path like any other, one that names no file: not "no config
+        # file", which would run the defaults.
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        code, curves, summary = run_cli(tmp_path, "--config", "")
+        assert code == 2
+        out = capsys.readouterr().err
+        assert out.count("\n") == 1 and out.startswith("error: cannot read config file: ")
+        assert not curves.exists() and not summary.exists()
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("just words\n")

@@ -1,5 +1,6 @@
 """Harness tests: config validation, aggregation, CSV/summary emission contracts."""
 
+import math
 import os
 import subprocess
 import sys
@@ -391,17 +392,36 @@ def _reference_csv(record) -> bytes:
 
 
 def _assert_fields_round_trip(raw: bytes, record) -> None:
-    """Every value field parses back to the float64 bits it was written from."""
+    """Every value field parses back to the float64 bits it was written from,
+    a NaN of either sign to a NaN (float.hex names every other bit pattern)."""
     rows = [r.split(",") for r in raw.decode().split("\n")[1:-1]]
     for algo, curve in record.curves.items():
         mine = [r for r in rows if r[1] == algo]
-        inst = np.array([float(r[2]) for r in mine])
-        smoothed = np.array([float(r[3]) for r in mine if r[3]])
-        assert inst.view(np.uint64).tolist() == curve.sq_errors.view(np.uint64).tolist()
-        assert smoothed.view(np.uint64).tolist() == curve.smoothed.view(np.uint64).tolist()
+        inst = [float(r[2]).hex() for r in mine]
+        smoothed = [float(r[3]).hex() for r in mine if r[3]]
+        assert inst == [x.hex() for x in curve.sq_errors.tolist()]
+        assert smoothed == [x.hex() for x in curve.smoothed.tolist()]
+
+
+def _powers_of_ten(lo: int, hi: int) -> list[float]:
+    """10^k for lo <= k < hi, each with the doubles one ulp below and above."""
+    out = []
+    for k in range(lo, hi):
+        x = float(f"1e{k}")
+        out += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return out
 
 
 class TestEmission:
+    """The CSV writer in Python (`_kernel.load` made to return None);
+    `TestEmissionC` runs every case again through the compiled writer."""
+
+    KERNEL = "numpy"
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, use_kernel):
+        use_kernel(self.KERNEL)
+
     @pytest.mark.parametrize(
         "kw",
         [{}, {"window": 1}, {"window": 400}, {"algos": ("ilms",)}],
@@ -416,14 +436,28 @@ class TestEmission:
         _assert_fields_round_trip(raw, rec)
 
     def test_csv_bytes_of_extreme_values(self, tmp_path):
-        values = np.array([0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1, 1 / 3])
-        curve = LearningCurve(values, values[::-1][:4].copy(), 3, float(values[-1]), None)
+        # Both sides of every edge of the compiled writer: its exact path
+        # (a normal |v| in [2^-129, 1e17)), its snprintf path, the powers of
+        # ten where the digit count changes, and ties of the 17th digit that
+        # round to even down (32001/2^18, 2^50+1/4) and up (32003/2^18,
+        # 2^50+3/4).
+        edges = [
+            0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300,
+            1.7976931348623157e308, math.inf, math.nan, 2.0**-129, math.nextafter(2.0**-129, 0.0),
+            32001 / 2**18, 32003 / 2**18, 2.0**50 + 0.25, 2.0**50 + 0.75, 0.1, 1 / 3,
+        ]
+        values = np.array([*edges, *(-x for x in edges), *_powers_of_ten(-41, 19)])
+        # A reversed view: both writers take any float64 array of a curve.
+        curve = LearningCurve(values, values[::-1][:-3], 3, float(values[-1]), None)
         rec = RunRecord(tiny_config(), {"lms": curve}, {"lms": 0.0}, None)
         path = tmp_path / "curves.csv"
         emit_curves_csv(rec, path)
         raw = path.read_bytes()
         assert raw == _reference_csv(rec)
-        assert b"4.9406564584124654e-324" in raw and b"1.7976931348623157e+308" in raw
+        for text in (b"4.9406564584124654e-324", b"1.7976931348623157e+308", b",-0,", b",-inf,", b",nan,"):
+            assert text in raw
+        assert b"0.12207412719726562," in raw and b"0.12208175659179688," in raw
+        assert b"-nan" not in raw
         _assert_fields_round_trip(raw, rec)
 
     def test_csv_format_contract(self, tmp_path):
@@ -519,3 +553,53 @@ class TestEmission:
             emit_summary(rec, sp)
             paths.append((cp.read_bytes(), sp.read_bytes()))
         assert paths[0] == paths[1]
+
+
+class TestEmissionC(TestEmission):
+    KERNEL = "c"
+
+
+def test_compiled_rows_match_format_on_bulk_values(compiled):
+    """The compiled writer gives format(v, ".17g") on 2*10^5 seeded random
+    finite bit patterns (half of them with exponents in its exact range),
+    ties of the 17th digit at 24 scales, and the powers of ten and their
+    neighbours."""
+    rows = compiled[2]
+    rng = np.random.default_rng(16)
+    n = 100_000
+    anywhere = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    exact = rng.integers(1023 - 129, 1023 + 57, n, dtype=np.uint64) << np.uint64(52)
+    exact |= rng.integers(0, 2**52, n, dtype=np.uint64) | rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    # j/2^s with j odd has exactly 18 significant digits when j*5^s does:
+    # j in [10^17/5^s, 10^18/5^s), which holds a 53-bit j for s = 2..25.
+    ties = [
+        math.ldexp(int(j) | 1, -s)
+        for s in range(2, 26)
+        for j in rng.integers(-(-(10**17) // 5**s), min(2**53, 10**18 // 5**s), 200)
+    ]
+    ties += (np.arange(26215, 2**18, 2) / 2**18).tolist()  # every tie of j/2^18
+    values = np.concatenate(
+        [anywhere[np.isfinite(anywhere)], exact.view(np.float64), ties, _powers_of_ten(-330, 309)]
+    )
+    texts = [format(v, ".17g") for v in values.tolist()]
+    smoothed = values[::-1][:1000].copy()
+    want = [f"{i},x,{a},{b}\n" for i, (a, b) in enumerate(zip(texts, texts[::-1][:1000]))]
+    want += [f"{i},x,{a},\n" for i, a in enumerate(texts[1000:], 1000)]
+    assert bytes(rows("x", values, smoothed)) == "".join(want).encode()
+
+
+@pytest.mark.parametrize("bad", ["float32", "non-contiguous", "two-dimensional", "smoothed-longer"])
+def test_compiled_rows_reject_other_buffers(compiled, bad):
+    # The writer reads raw C-ordered float64 memory, one value per row, and
+    # the smoothed column never has more values than the squared errors.
+    sq, smoothed = np.ones(10), np.ones(8)
+    if bad == "float32":
+        sq = sq.astype(np.float32)
+    elif bad == "non-contiguous":
+        smoothed = np.ones(16)[::2]
+    elif bad == "two-dimensional":
+        sq = np.ones((2, 5))
+    else:
+        smoothed = np.ones(11)
+    with pytest.raises(ValueError):
+        compiled[2]("lms", sq, smoothed)
