@@ -1,14 +1,14 @@
 """Build and load the compiled kernels (_kernel.c): the lockstep loop of
-`dfe.equalize`, the PCG64 uniform draws of `_pcg64` and the rows that
-`experiment.emit_curves_csv` writes.
+`dfe.equalize`, the PCG64 uniform draws of `txrx` (seeded as `_pcg64`
+expands the seed) and the rows that `experiment.emit_curves_csv` writes.
 
 The shared library is built with the system C compiler the first time it is
 needed and cached in this package's __pycache__/, named by a CRC-32 and an
 Adler-32 of the source, the machine and the build flags (zlib, so that no
 run loads OpenSSL through hashlib).  Its dot products call the BLAS `ddot`
 that numpy's own dot calls, looked up at run time through numpy's extension
-module, so that both loops sum alike.  `load` returns None when any step
-fails or any of the three probes differs, and the process then runs the
+module, so that both loops sum alike.  When any step fails or any of the
+three probes differs, `load` returns `numpy()`: the process then runs the
 numpy loop, draws through numpy.random and formats curves.csv in Python.
 """
 
@@ -21,8 +21,11 @@ import platform
 import tempfile
 import zlib
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+from . import _pcg64, dfe, experiment
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE = Path(__file__).with_name("__pycache__")
@@ -42,25 +45,33 @@ _M64 = 2**64 - 1
 _ROW_BYTES = 72
 
 
+class Kernel(NamedTuple):
+    """The loop, draws and CSV writer of a process, all "c" or all "numpy"
+    (`name`): `lockstep` is called as dfe._numpy_loop is, `uniform(seed, n)`
+    as txrx._uniform is, and `rows` as experiment._text_rows is."""
+
+    name: str
+    lockstep: Callable
+    uniform: Callable
+    rows: Callable
+
+
 @functools.cache
-def load():
-    """(lockstep, uniform, rows) from one build, or None: the one choice of
-    the process between the compiled kernel and numpy.  None unless the
-    library builds and links here and its loop, its draws and its CSV writer
-    all pass their probes (`dfe._probe`, `_pcg64.probe`, `experiment._probe`).
-    Cached: `load.cache_clear()` after changing CC, CACHE, FLAGS,
-    DDOT_SYMBOLS or SOURCE.  `lockstep` is called as dfe._numpy_loop is;
-    `uniform(state, seq, n)` returns n PCG64 doubles from the two 128-bit
-    seed halves that _pcg64 derives; `rows` is called as
-    experiment._text_rows is and returns a memoryview of the bytes.  The
-    writer formats a normal |v| in [2^-129, 1e17) itself and every other
-    value (zero, subnormal, larger, inf) through the C library's snprintf."""
+def load() -> Kernel:
+    """The one choice of the process between the compiled kernel and
+    `numpy()`: the compiled kernel only if the library builds and links here
+    and its loop, its draws and its CSV writer all pass their probes
+    (`dfe._probe`, `_pcg64.probe`, `experiment._probe`).  Cached:
+    `load.cache_clear()` after changing CC, CACHE, FLAGS, DDOT_SYMBOLS or
+    SOURCE.  The compiled writer formats a normal |v| in [2^-129, 1e17)
+    itself and every other value (zero, subnormal, larger, inf) through the
+    C library's snprintf."""
     try:
         ddot = _ddot()
         lib = ctypes.CDLL(str(_build()))
         kernel, draw, write = lib.equalab_lockstep, lib.equalab_uniform, lib.equalab_rows
     except (ImportError, AttributeError, OSError):
-        return None
+        return numpy()
     kernel.argtypes = [_PTR, _I64, _I64, _I64, _I64, *[_PTR] * 6, _I64, _F64, ctypes.c_int, _F64, _F64]
     kernel.restype = None
 
@@ -77,7 +88,8 @@ def load():
     draw.argtypes = [*[ctypes.c_uint64] * 4, _I64, _PTR]
     draw.restype = None
 
-    def uniform(state, seq, n):
+    def uniform(seed, n):
+        state, seq = _pcg64.seed_state(seed)
         out = np.empty(n)
         draw(state >> 64, state & _M64, seq >> 64, seq & _M64, n, out.ctypes.data)
         return out
@@ -97,12 +109,19 @@ def load():
         size = write(key, len(key), sq.ctypes.data, sq.size, smoothed.ctypes.data, smoothed.size, out.ctypes.data)
         return memoryview(out)[:size]
 
-    # here, not at import: _pcg64 imports this module
-    from . import _pcg64, dfe, experiment
-
     if dfe._probe(lockstep) and _pcg64.probe(uniform) and experiment._probe(rows):
-        return lockstep, uniform, rows
-    return None
+        return Kernel("c", lockstep, uniform, rows)
+    return numpy()
+
+
+def numpy() -> Kernel:
+    """The fallback: the numpy loop, numpy.random's draws (whose import loads
+    OpenSSL through `secrets` and `hashlib`) and the Python CSV writer."""
+    return Kernel("numpy", dfe._numpy_loop, _numpy_uniform, experiment._text_rows)
+
+
+def _numpy_uniform(seed, n):
+    return np.random.Generator(np.random.PCG64(seed)).random(n)
 
 
 def _ddot() -> int:

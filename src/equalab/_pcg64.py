@@ -1,16 +1,12 @@
-"""numpy's `Generator(PCG64(seed)).random(n)`, byte for byte, without numpy.random.
+"""The seed expansion of numpy's `Generator(PCG64(seed))`, without numpy.random.
 
-The seed is expanded here as numpy's SeedSequence expands it, and the
-stream is drawn by the compiled kernel (_kernel.c) if `_kernel.load`
-accepted it, else by numpy.random, whose import loads OpenSSL (through
-`secrets` and `hashlib`) and costs about 6 MB of memory.
+The seed is expanded here as numpy's SeedSequence expands it; the compiled
+kernel (_kernel.c) draws the stream from that state.  `probe` checks those
+draws against ones recorded from numpy.random, whose import loads OpenSSL
+(through `secrets` and `hashlib`) and costs about 6 MB of memory.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from . import _kernel
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -27,20 +23,11 @@ RECORDED = {
 }
 
 
-def uniform(seed: int, n: int) -> np.ndarray:
-    """n doubles in [0, 1) of the PCG64 stream of an int `seed` >= 0, drawn
-    in the compiled kernel if `_kernel.load` accepted it, else by numpy.random."""
-    kernel = _kernel.load()
-    if kernel is None:
-        return np.random.Generator(np.random.PCG64(seed)).random(n)
-    return kernel[1](*seed_state(seed), n)
-
-
 def probe(draw) -> bool:
-    """Whether the kernel's `draw` (`uniform` of `_kernel.load`) reproduces
-    the recorded draws bit for bit."""
+    """Whether `draw(seed, n)` (the compiled `uniform` of `_kernel.load`)
+    reproduces the recorded draws bit for bit."""
     for seed, want in RECORDED.items():
-        got = draw(*seed_state(seed), len(want))
+        got = draw(seed, len(want))
         if tuple(x.hex() for x in got.tolist()) != want:
             return False
     return True

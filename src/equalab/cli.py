@@ -202,12 +202,16 @@ def _print_report(record: RunRecord) -> None:
 
 
 def _check_writable(path: str) -> None:
-    """Raise OSError unless `path` names a file in an existing, writable directory."""
+    """Raise OSError unless `path`, once its symbolic links are resolved,
+    names a file in an existing, writable directory."""
     if not path:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    parent = os.path.dirname(path) or "."
+    real = os.path.realpath(path)
+    if os.path.islink(real):  # realpath stops at a link it cannot resolve: a loop
+        raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), path)
+    parent = os.path.dirname(real)
     if not os.path.isdir(parent):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
     if not os.access(parent, os.W_OK):

@@ -198,7 +198,9 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     if rx.size == 0:
         raise InputError("received sequence is empty")
     _raise_first_non_finite(rx, "non-finite sample")
-    R, D, W, B, E = _lockstep(_loop(), rx, cfg, transmitted)
+    from . import _kernel  # here: a process that only imports equalab never loads it
+
+    R, D, W, B, E = _lockstep(_kernel.load().lockstep, rx, cfg, transmitted)
     # e(n) = reference - y(n) with a +/-1 reference: non-finite exactly when y(n) is.
     _raise_first_non_finite(E, "non-finite quantizer input")
     with np.errstate(over="ignore"):
@@ -277,16 +279,6 @@ _PROBES = (
 )
 
 
-def _loop():
-    """The loop `equalize` runs: the compiled one if `_kernel.load` accepted
-    the kernel, else `_numpy_loop`.  Asked on the first run, not at import,
-    so that importing equalab builds nothing."""
-    from . import _kernel  # here: a process that only imports equalab never loads it
-
-    kernel = _kernel.load()
-    return _numpy_loop if kernel is None else kernel[0]
-
-
 def _probe(compiled) -> bool:
     """Whether the `compiled` loop leaves the buffers of `_numpy_loop`, byte
     for byte, on the probe configs."""
@@ -305,7 +297,9 @@ def __getattr__(name):
     # KERNEL, read-only: "c" or "numpy", what runs the loop, the draws and the CSV writer
     # (chosen now if not yet).
     if name == "KERNEL":
-        return "numpy" if _loop() is _numpy_loop else "c"
+        from . import _kernel
+
+        return _kernel.load().name
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

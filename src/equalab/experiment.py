@@ -161,60 +161,55 @@ class RunRecord:
 
 # Most rows x symbols one `equalize` call steps at once; a run steps its
 # blocks one after another in this process.  The bound is on memory: a block
-# holds about six float64 arrays of that shape (tx, rx, the equalizer's
-# buffers and the previous rule's squared errors), about 48 MB here, and the
-# fold keeps no block once it is summed.  The compiled kernel costs the same
-# per row and step whatever the block; the numpy fallback pays its per-step
-# overhead once per block, so larger blocks make it faster.  Runs longer than
-# this step one seed at a time.
+# holds at most five float64 arrays of that shape at once (tx, rx and the
+# equalizer's R, D and E), since each rule's rows are summed and freed before
+# the next rule runs: tracemalloc's peak for one 2^20-element block (64 seeds
+# x 16384 symbols, either kernel) is 41.3 MB.  The compiled kernel costs the
+# same per row and step whatever the block; the numpy fallback pays its
+# per-step overhead once per block, so larger blocks make it faster.  Runs
+# longer than this step one seed at a time.
 _BLOCK_ELEMENTS = 2**20
-
-
-def _run_block(
-    config: ExperimentConfig, seeds: tuple[int, ...]
-) -> dict[str, tuple[np.ndarray, list[float]]]:
-    """One block of seeds, every algorithm: {algo: ((rows, N) squared errors, BERs)}.
-
-    The block draws its own symbols and noise from the config and the
-    seeds.  A run that fails raises the InputError the serial order (seed,
-    then algorithm) would meet first.
-    """
-    n = config.n_symbols
-    skip = config.ber_skip
-    tx = np.empty((len(seeds), n))
-    rx = np.empty_like(tx)
-    for k, s in enumerate(seeds):
-        tx[k] = generate_bpsk(n, s)
-        rx[k] = apply_channel(tx[k], config.channel, config.noise_variance, s + NOISE_SEED_OFFSET)
-    out: dict[str, tuple[np.ndarray, list[float]]] = {}
-    failures = []
-    for k, algo in enumerate(config.algos):
-        cfg = config.dfe_config(algo)
-        try:
-            e, decisions = equalize(rx, cfg, tx)
-        except InputError as exc:
-            failures.append((exc.row or 0, k, algo, exc))  # no row: the whole block
-            continue
-        out[algo] = (e, [ber(d, t, cfg.delay, skip) for d, t in zip(decisions, tx)])
-        del decisions  # a view of the feedback buffer: drop it before the next rule runs
-    if failures:
-        row, _, algo, exc = min(failures, key=lambda f: f[:2])
-        raise InputError(f"algorithm {algo}, seed {seeds[row]}: {exc}") from None
-    return out
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Run all seeds and algorithms and aggregate into curves and statistics.
 
     The seeds run in this process in contiguous blocks of at most
-    `_BLOCK_ELEMENTS` samples (rows x symbols).  Rows are summed in seed
-    order as each block finishes, so the fold is the same sum in the same
-    order whatever the split, and the first failure raised is the first in
-    serial order.  `config.jobs` changes nothing here.
+    `_BLOCK_ELEMENTS` samples (rows x symbols), each drawing its own symbols
+    and noise.  Each rule's rows are added to zeros one at a time in seed
+    order, as np.mean(axis=0) adds them, so the sum over the seed count has
+    the bytes of the mean of all rows at once, whatever the split, without
+    keeping them.  A run that fails raises the InputError the serial order
+    (seed, then algorithm) would meet first.  `config.jobs` changes nothing.
     """
-    seeds = config.seeds
-    rows = max(1, _BLOCK_ELEMENTS // config.n_symbols)
-    sums, seed_bers = _fold(config, [seeds[lo : lo + rows] for lo in range(0, len(seeds), rows)])
+    seeds, n, skip = config.seeds, config.n_symbols, config.ber_skip
+    sums = {algo: np.zeros(n) for algo in config.algos}
+    seed_bers: dict[str, list[float]] = {algo: [] for algo in config.algos}
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, len(seeds), rows):
+        block = seeds[lo : lo + rows]
+        tx = np.empty((len(block), n))
+        rx = np.empty_like(tx)
+        for k, s in enumerate(block):
+            tx[k] = generate_bpsk(n, s)
+            rx[k] = apply_channel(tx[k], config.channel, config.noise_variance, s + NOISE_SEED_OFFSET)
+        failures = []
+        for k, algo in enumerate(config.algos):
+            cfg = config.dfe_config(algo)
+            try:
+                sq, decisions = equalize(rx, cfg, tx)
+            except InputError as exc:
+                failures.append((exc.row or 0, k, algo, exc))  # no row: the whole block
+                continue
+            for i in range(len(sq)):  # no view of sq outlives this loop
+                sums[algo] += sq[i]
+            seed_bers[algo] += [ber(d, t, cfg.delay, skip) for d, t in zip(decisions, tx)]
+            # decisions is a view of the feedback buffer: free both before the next rule runs
+            del sq, decisions
+        del tx, rx  # free the block before the next one is drawn
+        if failures:
+            row, _, algo, exc = min(failures, key=lambda f: f[:2])
+            raise InputError(f"algorithm {algo}, seed {block[row]}: {exc}") from None
 
     curves: dict[str, LearningCurve] = {}
     bers: dict[str, float] = {}
@@ -228,27 +223,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     return RunRecord(config=config, curves=curves, ber=bers, speedup=ratio)
 
 
-def _fold(config: ExperimentConfig, blocks) -> tuple[dict[str, np.ndarray], dict[str, list[float]]]:
-    """Per algorithm, the sum of the squared-error rows and the list of BERs
-    of the seed blocks in `blocks`, each block run and added in turn.
-
-    The rows are added to zeros one at a time in seed order, as
-    np.mean(axis=0) adds them, so the sum divided by the seed count has the
-    bytes of the mean of all rows at once, without keeping them.
-    """
-    sums = {algo: np.zeros(config.n_symbols) for algo in config.algos}
-    bers: dict[str, list[float]] = {algo: [] for algo in config.algos}
-    for block in blocks:
-        part = _run_block(config, block)
-        for algo in config.algos:
-            sq, block_bers = part.pop(algo)
-            for k in range(len(sq)):
-                sums[algo] += sq[k]
-            bers[algo].extend(block_bers)
-            del sq  # the block's rows are summed: free them before the next block runs
-    return sums, bers
-
-
 def emit_curves_csv(record: RunRecord, path) -> None:
     """Write the ensemble curves: iteration,algo,inst_sq_error,smoothed_mse.
 
@@ -256,14 +230,13 @@ def emit_curves_csv(record: RunRecord, path) -> None:
     the trailing window-1 iterations where the forward window runs off the
     end of the curve.  Values have the 17 significant digits of
     format(x, ".17g"), which round-trip float64 exactly.  The rows are
-    written by the compiled kernel's CSV writer if `_kernel.load` accepted
-    it (exact integer arithmetic for a normal |x| in [2^-129, 1e17), the C
-    library's snprintf for any other value), else by `_text_rows`.
+    written by the `rows` of `_kernel.load`: the compiled CSV writer (exact
+    integer arithmetic for a normal |x| in [2^-129, 1e17), the C library's
+    snprintf for any other value) or `_text_rows`.
     """
     from . import _kernel  # here: a process that only imports equalab never loads it
 
-    kernel = _kernel.load()
-    rows = _text_rows if kernel is None else kernel[2]
+    rows = _kernel.load().rows
     with open(path, "wb") as fh:
         fh.write(b"iteration,algo,inst_sq_error,smoothed_mse\n")
         for algo in sorted(record.curves):

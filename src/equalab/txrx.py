@@ -1,8 +1,8 @@
 """Transmit side and channel: BPSK source, FIR distortion, additive Gaussian noise.
 
 All randomness is drawn from seeded PCG64 streams: the uniforms of numpy's
-`Generator(PCG64(seed)).random(n)`, byte for byte, drawn without
-numpy.random where the compiled kernel allows (_pcg64).  Gaussian deviates
+`Generator(PCG64(seed)).random(n)`, byte for byte, drawn by `_kernel.load`
+(without numpy.random where the compiled kernel loads).  Gaussian deviates
 use an explicit Box-Muller transform over the uniform stream, so the
 generator is a named, stable recipe that other implementations can match
 statistically.
@@ -70,9 +70,9 @@ def _uniform(seed, n: int) -> np.ndarray:
     seed = _integer(seed, "seed")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    from . import _pcg64  # here: a process that only imports equalab never loads it
+    from . import _kernel  # here: a process that only imports equalab never loads it
 
-    return _pcg64.uniform(seed, n)
+    return _kernel.load().uniform(seed, n)
 
 
 def _integer(value, name: str) -> int:

@@ -21,11 +21,11 @@ def fresh_load():
 
 @pytest.fixture
 def compiled():
-    """The (lockstep, uniform, rows) that `_kernel.load` accepted: the loop,
-    the draws and the CSV writer, building the library into its cache if need
-    be; a skip where it accepted none."""
+    """The compiled `Kernel` that `_kernel.load` accepted: the loop, the
+    draws and the CSV writer, building the library into its cache if need
+    be; a skip where it fell back to numpy."""
     kernel = _kernel.load()
-    if kernel is None:
+    if kernel.name != "c":
         pytest.skip(NO_KERNEL)
     return kernel
 
@@ -33,13 +33,14 @@ def compiled():
 @pytest.fixture
 def use_kernel(monkeypatch):
     """`use_kernel("c")` runs the compiled kernel (a skip where `_kernel.load`
-    accepts none); `use_kernel("numpy")` makes `_kernel.load` return None, so
-    that the numpy loop, numpy.random and the Python CSV writer run."""
+    falls back to numpy); `use_kernel("numpy")` makes `_kernel.load` return
+    `_kernel.numpy()`, so that the numpy loop, numpy.random and the Python
+    CSV writer run."""
 
     def use(kernel):
         if kernel == "numpy":
-            monkeypatch.setattr(_kernel, "load", lambda: None)
-        elif _kernel.load() is None:
+            monkeypatch.setattr(_kernel, "load", _kernel.numpy)
+        elif _kernel.load().name != "c":
             pytest.skip(NO_KERNEL)
 
     return use

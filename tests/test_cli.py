@@ -231,6 +231,25 @@ class TestConfigErrors:
         written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
         assert written - {"out/other.cfg"} == {"out", "out/run.cfg"}
 
+    @pytest.mark.parametrize("link", ["missing-dir", "loop"])
+    @pytest.mark.parametrize("flag", ["--out-curves", "--out-summary"])
+    def test_unresolvable_link_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch, flag, link):
+        # A symbolic link into a missing directory, or a link loop: opening it
+        # fails, so the check fails first and the other output is left as it was.
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        monkeypatch.chdir(tmp_path)
+        os.symlink("nodir/out.txt" if link == "missing-dir" else "link", "link")
+        paths = {"--out-curves": "curves.csv", "--out-summary": "summary.txt", flag: "link"}
+        kept = next(p for p in paths.values() if p != "link")
+        Path(kept).write_text("kept\n")
+        code = main(["run", *FAST, *(x for item in paths.items() for x in item)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot write output: ")
+        assert Path(kept).read_text() == "kept\n"
+        assert sorted(os.listdir()) == sorted([kept, "link"])
+
     @pytest.mark.parametrize("flag", ["--out-curves", "--out-summary"])
     def test_empty_output_path_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch, flag):
         monkeypatch.setattr(experiment, "equalize", _no_steps)

@@ -14,7 +14,9 @@ from equalab import (
     InputError,
     LearningCurve,
     apply_channel,
+    ber,
     dfe_step,
+    equalize,
     generate_bpsk,
     initial_state,
     smooth,
@@ -175,14 +177,19 @@ class TestRunExperiment:
     def test_block_fold_is_the_mean_of_all_rows(self, monkeypatch):
         cfg = tiny_config(n_seeds=13)
         single = run_experiment(cfg)
-        whole = experiment._run_block(cfg, cfg.seeds)  # every seed in one (13, N) block
+        # Every seed in one (13, N) batch, averaged at once.
+        tx = np.array([generate_bpsk(cfg.n_symbols, s) for s in cfg.seeds])
+        rx = np.array([apply_channel(t, cfg.channel, cfg.noise_variance, s) for t, s in zip(tx, cfg.noise_seeds)])
         monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", 3 * cfg.n_symbols)  # 3, 3, 3, 3, 1 rows
         folded = run_experiment(cfg)
         for algo in cfg.algos:
-            want = np.mean(whole[algo][0], axis=0).tobytes()
+            dfe_cfg = cfg.dfe_config(algo)
+            sq, decisions = equalize(rx, dfe_cfg, tx)
+            want = np.mean(sq, axis=0).tobytes()
             assert single.curves[algo].sq_errors.tobytes() == want
             assert folded.curves[algo].sq_errors.tobytes() == want
-            assert folded.ber[algo] == single.ber[algo] == float(np.mean(whole[algo][1]))
+            bers = [ber(d, t, dfe_cfg.delay, cfg.ber_skip) for d, t in zip(decisions, tx)]
+            assert folded.ber[algo] == single.ber[algo] == float(np.mean(bers))
 
     def test_fold_memory_does_not_grow_with_seeds(self, monkeypatch):
         # Each block is summed as it arrives and then dropped.  Keeping every
@@ -196,6 +203,22 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert peak < 60 * 400 * 8
+
+    def test_block_holds_five_arrays_at_most(self, monkeypatch):
+        # tx, rx and the equalizer's R, D and E: each rule's rows are summed
+        # and freed before the next rule runs, and the block before the next
+        # block is drawn.  Holding one rule's rows on would peak at six.
+        rows, n = 32, 4096
+        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", rows * n)
+        cfg = tiny_config(n_symbols=n, n_seeds=2 * rows)
+        run_experiment(tiny_config())  # the kernel is loaded before tracing
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * rows * n * 8
 
     @pytest.mark.parametrize(
         "algos,jobs,block_rows",
@@ -301,9 +324,23 @@ def test_set_up_loads_neither_the_kernel_nor_the_draws():
     assert out.stdout.strip() == "[]"
 
 
+def test_seed_expansion_imports_neither_the_kernel_nor_numpy_random():
+    """The dependency runs one way: `_kernel` uses `_pcg64`'s seed expansion
+    and probe, and `_pcg64` imports no equalab module and no numpy.random."""
+    code = (
+        "import sys\n"
+        "import equalab._pcg64\n"
+        "print([m for m in ('equalab._kernel', 'numpy.random') if m in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_a_run_loads_the_kernel_once():
-    """`dfe` and `_pcg64` share one cached `_kernel.load`: one build or lookup
-    and one link per process."""
+    """`dfe`, `txrx` and `experiment` share one cached `_kernel.load`: one
+    build or lookup and one link per process."""
     code = (
         "import equalab._kernel as k\n"
         "from equalab.experiment import ExperimentConfig, run_experiment\n"
@@ -413,7 +450,7 @@ def _powers_of_ten(lo: int, hi: int) -> list[float]:
 
 
 class TestEmission:
-    """The CSV writer in Python (`_kernel.load` made to return None);
+    """The CSV writer in Python (`_kernel.load` made to return `_kernel.numpy()`);
     `TestEmissionC` runs every case again through the compiled writer."""
 
     KERNEL = "numpy"
@@ -564,7 +601,7 @@ def test_compiled_rows_match_format_on_bulk_values(compiled):
     finite bit patterns (half of them with exponents in its exact range),
     ties of the 17th digit at 24 scales, and the powers of ten and their
     neighbours."""
-    rows = compiled[2]
+    rows = compiled.rows
     rng = np.random.default_rng(16)
     n = 100_000
     anywhere = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
@@ -602,4 +639,4 @@ def test_compiled_rows_reject_other_buffers(compiled, bad):
     else:
         smoothed = np.ones(11)
     with pytest.raises(ValueError):
-        compiled[2]("lms", sq, smoothed)
+        compiled.rows("lms", sq, smoothed)
