@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -259,12 +260,34 @@ def main(argv=None) -> int:
     try:
         emit_curves_csv(record, config.out_curves)
         emit_summary(record, config.out_summary)
+        _print_report(record)
+        sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
-    _print_report(record)
     return 0
 
 
+def entry() -> int:
+    """The process entry of `equalab` and `python -m equalab.cli`: `main` on
+    `sys.argv`, after `gc.freeze()`.
+
+    The freeze moves every object alive now (numpy's and equalab's modules,
+    functions and tables, which live until exit) out of the collector's
+    reach, so neither the run's collections nor the full ones at interpreter
+    exit walk them again.  Only the entry freezes: `main` also runs in long
+    processes, where frozen cyclic garbage would never be freed.
+    """
+    gc.freeze()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # `main` has reported it.  Drop what stdout still holds, or the
+        # interpreter's own flush at exit fails again and exits 120.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -62,8 +62,9 @@ def convergence_iteration(curve: LearningCurve, ratio: float) -> int | None:
     w = curve.window
     if below.size < w:
         return None
-    run = np.convolve(below.astype(np.int64), np.ones(w, dtype=np.int64), mode="valid")
-    hits = np.nonzero(run == w)[0]
+    # Points at or below in each window of w: differences of a running count.
+    count = np.concatenate(([0], np.cumsum(below, dtype=np.int64)))
+    hits = np.nonzero(count[w:] - count[:-w] == w)[0]
     return int(hits[0]) if hits.size else None
 
 

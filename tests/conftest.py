@@ -1,4 +1,7 @@
-"""Fixtures shared by the test modules: the process's one kernel choice."""
+"""Fixtures shared by the test modules: the process's one kernel choice, and
+the environment of a child process."""
+
+import os
 
 import pytest
 
@@ -44,3 +47,10 @@ def use_kernel(monkeypatch):
             pytest.skip(NO_KERNEL)
 
     return use
+
+
+@pytest.fixture
+def child_env() -> dict:
+    """This environment, with the equalab under test first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(_kernel.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

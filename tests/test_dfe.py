@@ -2,7 +2,6 @@
 
 import importlib.resources
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -533,14 +532,12 @@ class TestKernelChoice:
         _kernel.load.cache_clear()
         assert _kernel.load().name == "c"
 
-    def test_cached_library_loads_without_subprocess(self, compiled):
+    def test_cached_library_loads_without_subprocess(self, compiled, child_env):
         # Only a build runs the compiler; a process that finds the library
         # cached never imports subprocess.
         code = "import sys\nimport equalab.dfe as dfe\nprint(dfe.KERNEL, 'subprocess' in sys.modules)"
-        src = os.path.dirname(os.path.dirname(dfe.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
         )
         assert out.stdout.split() == ["c", "False"]
 

@@ -267,13 +267,7 @@ class TestRunExperiment:
         assert calls == [(a, (r, n_symbols)) for r in rows for a in ("lms", "ilms")]
 
 
-def _child_env() -> dict:
-    """This environment, with the equalab under test first on PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(experiment.__file__))
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-
-def test_serial_run_does_not_import_the_pool():
+def test_serial_run_does_not_import_the_pool(child_env):
     """A run never loads multiprocessing, whatever jobs says: every run is
     one process, even with more than one block (2 seeds at jobs=2)."""
     code = (
@@ -286,12 +280,12 @@ def test_serial_run_does_not_import_the_pool():
         "print([m for m in pool if m in sys.modules])\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
     )
     assert out.stdout.strip() == "[]"
 
 
-def test_serial_run_loads_neither_numpy_random_nor_openssl(tmp_path, compiled):
+def test_serial_run_loads_neither_numpy_random_nor_openssl(tmp_path, compiled, child_env):
     """With the compiled kernel, a serial `equalab run` draws its symbols and
     noise without numpy.random, and names the kernel's cache file without
     hashlib, so neither they nor OpenSSL (_hashlib) are loaded."""
@@ -304,12 +298,12 @@ def test_serial_run_loads_neither_numpy_random_nor_openssl(tmp_path, compiled):
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path / "c.csv"), str(tmp_path / "s.txt")],
-        capture_output=True, text=True, env=_child_env(), check=True,
+        capture_output=True, text=True, env=child_env, check=True,
     )
     assert out.stdout.splitlines()[-1] == "0 []"
 
 
-def test_set_up_loads_neither_the_kernel_nor_the_draws():
+def test_set_up_loads_neither_the_kernel_nor_the_draws(child_env):
     """Importing `equalab.cli` and building a config (what the benchmark's
     `setup_s` times) loads neither `_kernel` nor `_pcg64`: only a run does."""
     code = (
@@ -319,12 +313,12 @@ def test_set_up_loads_neither_the_kernel_nor_the_draws():
         "print([m for m in ('equalab._kernel', 'equalab._pcg64') if m in sys.modules])\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
     )
     assert out.stdout.strip() == "[]"
 
 
-def test_seed_expansion_imports_neither_the_kernel_nor_numpy_random():
+def test_seed_expansion_imports_neither_the_kernel_nor_numpy_random(child_env):
     """The dependency runs one way: `_kernel` uses `_pcg64`'s seed expansion
     and probe, and `_pcg64` imports no equalab module and no numpy.random."""
     code = (
@@ -333,12 +327,12 @@ def test_seed_expansion_imports_neither_the_kernel_nor_numpy_random():
         "print([m for m in ('equalab._kernel', 'numpy.random') if m in sys.modules])\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
     )
     assert out.stdout.strip() == "[]"
 
 
-def test_a_run_loads_the_kernel_once():
+def test_a_run_loads_the_kernel_once(child_env):
     """`dfe`, `txrx` and `experiment` share one cached `_kernel.load`: one
     build or lookup and one link per process."""
     code = (
@@ -348,7 +342,7 @@ def test_a_run_loads_the_kernel_once():
         "print(k.load.cache_info().misses)\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
     )
     assert out.stdout.strip() == "1"
 
@@ -390,7 +384,7 @@ def test_a_run_never_calls_the_spec(tmp_path, monkeypatch, use_kernel, loop, fla
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
-def test_import_starts_openblas_with_one_thread_unless_set(preset, expected):
+def test_import_starts_openblas_with_one_thread_unless_set(preset, expected, child_env):
     """Importing equalab sets OPENBLAS_NUM_THREADS=1 before numpy loads, and
     numpy's OpenBLAS then reports one thread; a value already set wins."""
     code = (
@@ -402,7 +396,7 @@ def test_import_starts_openblas_with_one_thread_unless_set(preset, expected):
         "threads = getattr(lib, name)() if hasattr(lib, name) else None\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'], threads)\n"
     )
-    env = _child_env()
+    env = child_env
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset

@@ -120,6 +120,40 @@ class TestConvergenceIteration:
         with pytest.raises(InputError):
             convergence_iteration(make_curve([1.0, 1.0], 1.0, 1), 0.0)
 
+    @staticmethod
+    def convolved(below, w):
+        """The window-count formula by integer convolution, O(n*w)."""
+        if below.size < w:
+            return None
+        run = np.convolve(below.astype(np.int64), np.ones(w, dtype=np.int64), mode="valid")
+        hits = np.nonzero(run == w)[0]
+        return int(hits[0]) if hits.size else None
+
+    @pytest.mark.parametrize(
+        "below, w",
+        [
+            ([True, False, True], 3),  # below.size == w, no hit
+            ([True, True, True], 3),  # below.size == w, a hit at 0
+            ([False, True, False], 1),  # w == 1
+            ([True, True, False, True], 2),  # a hit at 0
+            ([False] * 6, 2),  # no hit
+            ([True] * 2, 3),  # the span does not fit
+        ],
+    )
+    def test_running_count_matches_convolution_at_the_edges(self, below, w):
+        below = np.array(below)
+        curve = make_curve(np.where(below, 0.0, 2.0), 1.0, w)
+        assert convergence_iteration(curve, 1.0) == self.convolved(below, w)
+
+    def test_running_count_matches_convolution_on_random_curves(self):
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            w = int(rng.integers(1, n + 1))
+            below = rng.random(n) < rng.choice([0.5, 0.9, 0.99, 1.0])
+            curve = make_curve(np.where(below, 0.0, 2.0), 1.0, w)
+            assert convergence_iteration(curve, 1.0) == self.convolved(below, w)
+
 
 class TestSpeedup:
     def test_paper_ratio_semantics(self):
