@@ -1,9 +1,10 @@
 /* The lockstep loop of equalab.dfe.equalize, the uniform draws of
- * equalab._pcg64 and the rows of curves.csv, compiled (see _kernel.py).
+ * equalab.txrx and the rows of curves.csv, compiled; _kernel.py builds and
+ * loads it and holds the numpy twin of each.
  *
- * It runs the same operations on the same buffers as the numpy loop
- * (`_numpy_loop` in dfe.py), but walks each row to the end before starting
- * the next; rows are independent.  Both dot products go through the BLAS
+ * The loop runs the same operations on the same buffers as `_numpy_loop`,
+ * but walks each row to the end before starting the next; rows are
+ * independent.  Both dot products go through the BLAS
  * `ddot` that numpy's own dot uses, formed as 0.0 + ddot(...) as numpy's
  * DOUBLE_dot forms them.  Built with -ffp-contract=off, so that every
  * product is rounded before it is added, as numpy rounds it. */
@@ -55,8 +56,8 @@ void equalab_lockstep(ddot_fn ddot, int64_t rows, int64_t n, int64_t n_ff, int64
 
 /* numpy's Generator(PCG64(seed)).random(n).  The initial state (s_hi, s_lo)
  * and the stream (i_hi, i_lo) are the two 128-bit halves of
- * SeedSequence(seed).generate_state(4, uint64), derived in _pcg64, each given
- * as its high and low 64-bit words.  PCG64 is a 128-bit LCG with the XSL-RR
+ * SeedSequence(seed).generate_state(4, uint64), derived by `seed_state` in
+ * _kernel.py, each given as its high and low 64-bit words.  PCG64 is a 128-bit LCG with the XSL-RR
  * output (O'Neill, HMC-CS-2014-0905, 2014); a double takes the top 53 bits
  * of each output, as numpy's next_double does. */
 void equalab_uniform(uint64_t s_hi, uint64_t s_lo, uint64_t i_hi, uint64_t i_lo, int64_t n, double *out)

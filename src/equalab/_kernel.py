@@ -1,21 +1,29 @@
-"""Build and load the compiled kernels (_kernel.c): the lockstep loop of
-`dfe.equalize`, the PCG64 uniform draws of `txrx` (seeded as `_pcg64`
-expands the seed) and the rows that `experiment.emit_curves_csv` writes.
+"""The hot operations of a run, each compiled (_kernel.c) and as its numpy
+twin with the same bytes, and the one choice of the process between them.
 
-The shared library is built with the system C compiler the first time it is
-needed and cached in this package's __pycache__/, named by a CRC-32 and an
-Adler-32 of the source, the machine and the build flags (zlib, so that no
-run loads OpenSSL through hashlib).  Its dot products call the BLAS `ddot`
-that numpy's own dot calls, looked up at run time through numpy's extension
-module, so that both loops sum alike.  When any step fails or any of the
-three probes differs, `load` returns `numpy()`: the process then runs the
-numpy loop, draws through numpy.random and formats curves.csv in Python.
+- `lockstep`, the loop of `dfe.equalize` over the buffers of
+  `dfe._lockstep`; twin `_numpy_loop`.
+- `uniform(seed, n)`, numpy's `Generator(PCG64(seed)).random(n)`: C steps
+  PCG64 from `seed_state`, SeedSequence's expansion; twin `_numpy_uniform`,
+  whose numpy.random loads OpenSSL (`secrets`, `hashlib`) and ~6 MB.
+- `rows`, curves.csv's rows with the bytes of format(x, ".17g"): C converts
+  a normal |x| in [2^-129, 1e17) with exact integers and any other value
+  with snprintf; twin `_text_rows`.
+
+`load` builds the library with the system C compiler once, caches it in
+__pycache__/ under a zlib checksum (not hashlib: no OpenSSL) of the source,
+machine and flags, and links numpy's own BLAS `ddot` so both loops sum
+alike.  It keeps the library only if each operation passes its probe
+against its twin; else all three fall back to `numpy()` together.  `dfe`,
+`txrx` and `experiment` read `load()` and nothing else of this module.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
+import math
 import os
 import platform
 import tempfile
@@ -24,8 +32,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _pcg64, dfe, experiment
+from . import dfe
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE = Path(__file__).with_name("__pycache__")
@@ -46,9 +55,7 @@ _ROW_BYTES = 72
 
 
 class Kernel(NamedTuple):
-    """The loop, draws and CSV writer of a process, all "c" or all "numpy"
-    (`name`): `lockstep` is called as dfe._numpy_loop is, `uniform(seed, n)`
-    as txrx._uniform is, and `rows` as experiment._text_rows is."""
+    """The operations of a process, called as their twins are: `name` is "c" or "numpy"."""
 
     name: str
     lockstep: Callable
@@ -58,14 +65,9 @@ class Kernel(NamedTuple):
 
 @functools.cache
 def load() -> Kernel:
-    """The one choice of the process between the compiled kernel and
-    `numpy()`: the compiled kernel only if the library builds and links here
-    and its loop, its draws and its CSV writer all pass their probes
-    (`dfe._probe`, `_pcg64.probe`, `experiment._probe`).  Cached:
-    `load.cache_clear()` after changing CC, CACHE, FLAGS, DDOT_SYMBOLS or
-    SOURCE.  The compiled writer formats a normal |v| in [2^-129, 1e17)
-    itself and every other value (zero, subnormal, larger, inf) through the
-    C library's snprintf."""
+    """The compiled kernel if it builds, links and passes its three probes
+    here, else `numpy()`.  Cached: `load.cache_clear()` after changing CC,
+    CACHE, FLAGS, DDOT_SYMBOLS or SOURCE."""
     try:
         ddot = _ddot()
         lib = ctypes.CDLL(str(_build()))
@@ -89,7 +91,7 @@ def load() -> Kernel:
     draw.restype = None
 
     def uniform(seed, n):
-        state, seq = _pcg64.seed_state(seed)
+        state, seq = seed_state(seed)
         out = np.empty(n)
         draw(state >> 64, state & _M64, seq >> 64, seq & _M64, n, out.ctypes.data)
         return out
@@ -109,19 +111,172 @@ def load() -> Kernel:
         size = write(key, len(key), sq.ctypes.data, sq.size, smoothed.ctypes.data, smoothed.size, out.ctypes.data)
         return memoryview(out)[:size]
 
-    if dfe._probe(lockstep) and _pcg64.probe(uniform) and experiment._probe(rows):
+    if _probe_loop(lockstep) and _probe_draws(uniform) and _probe_rows(rows):
         return Kernel("c", lockstep, uniform, rows)
     return numpy()
 
 
 def numpy() -> Kernel:
-    """The fallback: the numpy loop, numpy.random's draws (whose import loads
-    OpenSSL through `secrets` and `hashlib`) and the Python CSV writer."""
-    return Kernel("numpy", dfe._numpy_loop, _numpy_uniform, experiment._text_rows)
+    """The numpy twins of the three compiled operations."""
+    return Kernel("numpy", _numpy_loop, _numpy_uniform, _text_rows)
+
+
+# The numpy twins.
+
+
+def _numpy_loop(R, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
+    """Step every row of the buffers of `dfe._lockstep` through all N
+    iterations, one iteration of all rows at a time.  `refs` is (train, S);
+    `cap` is inf when the step has no cap."""
+    n = E.shape[1]
+    # Per step: the FF and FB line windows of `dfe._lockstep`, the decision
+    # column and the error column.  Iterating these views beats slicing.
+    steps = zip(
+        sliding_window_view(R, W.shape[1], axis=1)[:, n - 1 :: -1].swapaxes(0, 1),
+        sliding_window_view(D, B.shape[1], axis=1)[:, n:0:-1].swapaxes(0, 1),
+        D.T[n - 1 :: -1],
+        E.T,
+    )
+    refs = iter(refs)
+    e_prev = np.zeros(len(E))
+    mu, floor, cap = (np.full(len(E), v) for v in (mu, floor, cap))  # converted once, not every step
+    # A diverging row turns to inf/nan and stays so; `equalize` reports it.
+    with np.errstate(all="ignore"):
+        for x, f, d_out, e_out in steps:
+            y = np.vecdot(W, x) - np.vecdot(B, f)
+            # quantize(): +1 for y >= 0.  Adding +0.0 turns -0.0 into +0.0.
+            d = np.copysign(1.0, y + 0.0, out=d_out)
+            e = np.subtract(next(refs, d), y, out=e_out)  # the preamble, then decisions
+            if ilms:
+                step = np.minimum(mu * np.maximum(np.abs(e - e_prev), floor), cap)
+                e_prev = e
+            else:
+                step = mu
+            g = (step * e)[:, None]
+            W += g * x
+            B -= g * f  # fb + g * (-f): y subtracts the FB output
 
 
 def _numpy_uniform(seed, n):
     return np.random.Generator(np.random.PCG64(seed)).random(n)
+
+
+def _text_rows(name: str, sq: np.ndarray, smoothed: np.ndarray) -> bytes:
+    """One rule's rows, `i,name,sq[i],smoothed[i]` and a blank smoothed field
+    past its end, formatted in Python: each run of rows is one %-format
+    call, whose `%.17g` gives the bytes of format(x, ".17g")."""
+    sq, sm = sq.tolist(), smoothed.tolist()
+    m, n = len(sm), len(sq)
+    name = name.replace("%", "%%")
+    full = itertools.chain.from_iterable(zip(range(m), sq, sm))
+    tail = itertools.chain.from_iterable(zip(range(m, n), sq[m:]))
+    text = (f"%d,{name},%.17g,%.17g\n" * m) % tuple(full) + (f"%d,{name},%.17g,\n" * (n - m)) % tuple(tail)
+    return text.encode()
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), for `seed_state`.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 2**32 - 1
+
+
+def seed_state(seed: int) -> tuple[int, int]:
+    """SeedSequence(seed).generate_state(4, uint64) as PCG64 reads it: the
+    128-bit initial state and stream, each from two words, high word first."""
+    entropy = [seed & _M32]
+    while seed := seed >> 32:
+        entropy.append(seed & _M32)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):  # every word feeds every other, so late bits reach early ones
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:  # entropy beyond the pool is mixed into each word
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = _hasher(_INIT_B, _MULT_B)
+    words = [out(pool[k % 4]) for k in range(8)]  # eight 32-bit words, the pool cycled twice
+    w = [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]  # little-endian uint64
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's 32-bit hash, whose constant `h` advances on every call."""
+
+    def hashmix(value):
+        nonlocal h
+        value ^= h
+        h = h * mult & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+# The probes: small, as every process that loads the kernel runs them once.
+
+# The loop's configs: both rules, trained and decision-directed, floor and
+# cap active, and an FF filter long enough for the BLAS's unrolled ddot path.
+_PROBE_CONFIGS = (
+    dfe.DfeConfig(n_ff=37, n_fb=5, mu=0.01, center_spike=True),
+    dfe.DfeConfig(
+        n_ff=37, n_fb=5, mu=0.05, algo=dfe.ALGO_ILMS, mode=dfe.MODE_TRAINED, training_len=20,
+        step_floor=0.01, step_cap=0.03,
+    ),
+)
+
+# Draws recorded from numpy.random: Generator(PCG64(seed)).random(3) as
+# float.hex, for a seed of one, three and seven 32-bit words.
+RECORDED = {
+    0: ("0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2", "0x1.4fa7b529d9bd0p-5"),
+    2**64 + 3: ("0x1.72e3130a8e59ep-1", "0x1.a43614024d64ep-2", "0x1.035a1d03efee3p-1"),
+    2**200 + 7: ("0x1.c29c317a2d499p-1", "0x1.685935c8e4b0ep-2", "0x1.132947d08103cp-1"),
+}
+
+
+def _probe_loop(lockstep) -> bool:
+    """Whether the compiled `lockstep` leaves the buffers of `_numpy_loop`,
+    byte for byte, on the probe configs."""
+    k = np.arange(2 * 64.0).reshape(2, 64)
+    tx = np.where(np.sin(0.37 * k * k) > 0.0, 1.0, -1.0)
+    rx = 0.8 * tx + 0.3 * np.cos(1.7 * k)
+    return all(
+        [a.tobytes() for a in dfe._lockstep(lockstep, rx, cfg, tx)]
+        == [b.tobytes() for b in dfe._lockstep(_numpy_loop, rx, cfg, tx)]
+        for cfg in _PROBE_CONFIGS
+    )
+
+
+def _probe_draws(uniform) -> bool:
+    """Whether the compiled `uniform` reproduces the recorded draws bit for bit."""
+    draws = ((uniform(seed, len(want)).tolist(), want) for seed, want in RECORDED.items())
+    return all(tuple(x.hex() for x in got) == want for got, want in draws)
+
+
+def _probe_rows(rows) -> bool:
+    """Whether the compiled writer `rows` writes the bytes of `_text_rows`
+    on values at the edges of both its paths: the powers of ten where it
+    changes path or notation (1e-39, 1e-38, 1e-5, 1e-4, 1e16, 1e17) and
+    their neighbours, ties of the 17th digit that round down and up, the
+    ends of the exact range, subnormals, ±0, ±inf and ±nan."""
+    edges = [
+        0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308,
+        math.inf, math.nan, 2.0**-129, math.nextafter(2.0**-129, 0.0),
+        32001 / 2**18, 32003 / 2**18, 2.0**50 + 0.25, 2.0**50 + 0.75,
+    ]
+    smoothed = np.array([*edges, *(-x for x in edges)])
+    powers = []
+    for x in (1e-39, 1e-38, 1e-5, 1e-4, 1e16, 1e17):
+        powers += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    sq = np.array([*smoothed[::-1].tolist(), *powers])
+    return bytes(rows("probe", sq, smoothed)) == _text_rows("probe", sq, smoothed)
 
 
 def _ddot() -> int:

@@ -144,8 +144,13 @@ def read_config_file(path: str) -> dict:
     return overrides
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own writer drops an OSError
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="equalab",
         description="Decision-feedback equalizer experiments: fixed-step vs. variable-step LMS.",
     )
@@ -277,14 +282,24 @@ def entry() -> int:
     reach, so neither the run's collections nor the full ones at interpreter
     exit walk them again.  Only the entry freezes: `main` also runs in long
     processes, where frozen cyclic garbage would never be freed.
+
+    A stdout that cannot take the help text or the report gives exit 1 and
+    one error line, as an output file that cannot be written does.
     """
     gc.freeze()
-    code = main()
+    code = None
     try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's, after --help or a usage error
+            code = exc.code
         sys.stdout.flush()
-    except OSError:
-        # `main` has reported it.  Drop what stdout still holds, or the
-        # interpreter's own flush at exit fails again and exits 120.
+    except OSError as exc:
+        if code != 1:  # else `main` has reported that its report failed
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = 1
+        # Drop what stdout still holds, or the interpreter's own flush at
+        # exit fails again and exits 120.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .adapt import AdaptParams, effective_step, lms_update
 from .dsp import DelayLine, TapWeights, delay_line, dot, shift_in
@@ -182,9 +181,7 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     dot products go through the same BLAS routine as `np.dot`, which needs
     contiguous, positive-stride operands.
 
-    The steps run in the compiled kernel (_kernel.c, which does every
-    operation of the numpy loop in its order) if `_kernel.load` accepted it,
-    else in the numpy loop; `KERNEL` names the one in use.
+    The steps run in the loop that `_kernel.load` chose; `KERNEL` names it.
 
     Returns (sq_errors, decisions), both (S, N) float64: the squared errors
     in C order and the decisions a view into the feedback buffer.  A
@@ -235,67 +232,8 @@ def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):
     return R, D, W, B, E
 
 
-def _numpy_loop(R, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
-    """Step every row of the buffers of `_lockstep` through all N iterations,
-    one iteration of all rows at a time.  `refs` is (train, S); `cap` is inf
-    when the step has no cap."""
-    n = E.shape[1]
-    # Per step: the FF and FB line windows of `_lockstep`, the decision column
-    # and the error column.  Iterating makes these views faster than slicing.
-    steps = zip(
-        sliding_window_view(R, W.shape[1], axis=1)[:, n - 1 :: -1].swapaxes(0, 1),
-        sliding_window_view(D, B.shape[1], axis=1)[:, n:0:-1].swapaxes(0, 1),
-        D.T[n - 1 :: -1],
-        E.T,
-    )
-    refs = iter(refs)
-    e_prev = np.zeros(len(E))
-    mu, floor, cap = (np.full(len(E), v) for v in (mu, floor, cap))  # converted once, not every step
-    # A diverging row turns to inf/nan and stays so; `equalize` reports it.
-    with np.errstate(all="ignore"):
-        for x, f, d_out, e_out in steps:
-            y = np.vecdot(W, x) - np.vecdot(B, f)
-            # quantize(): +1 for y >= 0.  Adding +0.0 turns -0.0 into +0.0.
-            d = np.copysign(1.0, y + 0.0, out=d_out)
-            e = np.subtract(next(refs, d), y, out=e_out)  # the preamble, then decisions
-            if ilms:
-                step = np.minimum(mu * np.maximum(np.abs(e - e_prev), floor), cap)
-                e_prev = e
-            else:
-                step = mu
-            g = (step * e)[:, None]
-            W += g * x
-            B -= g * f  # fb + g * (-f): y subtracts the FB output
-
-
-# Probe configs: both rules, trained and decision-directed, floor and cap
-# active, and an FF filter long enough for the BLAS's unrolled ddot path.
-_PROBES = (
-    DfeConfig(n_ff=37, n_fb=5, mu=0.01, center_spike=True),
-    DfeConfig(
-        n_ff=37, n_fb=5, mu=0.05, algo=ALGO_ILMS, mode=MODE_TRAINED, training_len=20,
-        step_floor=0.01, step_cap=0.03,
-    ),
-)
-
-
-def _probe(compiled) -> bool:
-    """Whether the `compiled` loop leaves the buffers of `_numpy_loop`, byte
-    for byte, on the probe configs."""
-    k = np.arange(2 * 64.0).reshape(2, 64)
-    tx = np.where(np.sin(0.37 * k * k) > 0.0, 1.0, -1.0)
-    rx = 0.8 * tx + 0.3 * np.cos(1.7 * k)
-    for cfg in _PROBES:
-        got = _lockstep(compiled, rx, cfg, tx)
-        want = _lockstep(_numpy_loop, rx, cfg, tx)
-        if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
-            return False
-    return True
-
-
 def __getattr__(name):
-    # KERNEL, read-only: "c" or "numpy", what runs the loop, the draws and the CSV writer
-    # (chosen now if not yet).
+    # KERNEL, read-only: "c" or "numpy", the name of `_kernel.load()` (chosen now if not yet).
     if name == "KERNEL":
         from . import _kernel
 

@@ -9,7 +9,6 @@ byte-deterministic for a given config and whatever the block split.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -229,10 +228,8 @@ def emit_curves_csv(record: RunRecord, path) -> None:
     Rows are sorted by (algo, iteration).  The smoothed column is empty for
     the trailing window-1 iterations where the forward window runs off the
     end of the curve.  Values have the 17 significant digits of
-    format(x, ".17g"), which round-trip float64 exactly.  The rows are
-    written by the `rows` of `_kernel.load`: the compiled CSV writer (exact
-    integer arithmetic for a normal |x| in [2^-129, 1e17), the C library's
-    snprintf for any other value) or `_text_rows`.
+    format(x, ".17g"), which round-trip float64 exactly, written by the
+    writer that `_kernel.load` chose.
     """
     from . import _kernel  # here: a process that only imports equalab never loads it
 
@@ -243,39 +240,6 @@ def emit_curves_csv(record: RunRecord, path) -> None:
             curve = record.curves[algo]
             sq, smoothed = (np.ascontiguousarray(a, np.float64) for a in (curve.sq_errors, curve.smoothed))
             fh.write(rows(algo, sq, smoothed))
-
-
-def _text_rows(name: str, sq: np.ndarray, smoothed: np.ndarray) -> bytes:
-    """One rule's rows, `i,name,sq[i],smoothed[i]` and a blank smoothed field
-    past its end, formatted in Python: each run of rows is one %-format
-    call, whose `%.17g` gives the bytes of format(x, ".17g")."""
-    sq, sm = sq.tolist(), smoothed.tolist()
-    m, n = len(sm), len(sq)
-    name = name.replace("%", "%%")
-    full = itertools.chain.from_iterable(zip(range(m), sq, sm))
-    tail = itertools.chain.from_iterable(zip(range(m, n), sq[m:]))
-    text = (f"%d,{name},%.17g,%.17g\n" * m) % tuple(full) + (f"%d,{name},%.17g,\n" * (n - m)) % tuple(tail)
-    return text.encode()
-
-
-def _probe(rows) -> bool:
-    """Whether the compiled CSV writer `rows` writes the bytes of `_text_rows`
-    on values at the edges of both its paths: the powers of ten where it
-    changes path or notation (1e-39, 1e-38, 1e-5, 1e-4, 1e16, 1e17) and
-    their neighbours, ties of the 17th digit that round down and up, the
-    ends of the exact range, subnormals, ±0, ±inf and ±nan.  Kept small, as
-    every process runs it once; the tests hold the bulk comparison."""
-    edges = [
-        0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308,
-        math.inf, math.nan, 2.0**-129, math.nextafter(2.0**-129, 0.0),
-        32001 / 2**18, 32003 / 2**18, 2.0**50 + 0.25, 2.0**50 + 0.75,
-    ]
-    smoothed = np.array([*edges, *(-x for x in edges)])
-    powers = []
-    for x in (1e-39, 1e-38, 1e-5, 1e-4, 1e16, 1e17):
-        powers += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
-    sq = np.array([*smoothed[::-1].tolist(), *powers])
-    return bytes(rows("probe", sq, smoothed)) == _text_rows("probe", sq, smoothed)
 
 
 def _fmt(value) -> str:

@@ -1,11 +1,10 @@
 """Transmit side and channel: BPSK source, FIR distortion, additive Gaussian noise.
 
 All randomness is drawn from seeded PCG64 streams: the uniforms of numpy's
-`Generator(PCG64(seed)).random(n)`, byte for byte, drawn by `_kernel.load`
-(without numpy.random where the compiled kernel loads).  Gaussian deviates
-use an explicit Box-Muller transform over the uniform stream, so the
-generator is a named, stable recipe that other implementations can match
-statistically.
+`Generator(PCG64(seed)).random(n)`, byte for byte, from the draws that
+`_kernel.load` chose.  Gaussian deviates use an explicit Box-Muller
+transform over the uniform stream, so the generator is a named, stable
+recipe that other implementations can match statistically.
 """
 
 from __future__ import annotations

@@ -101,3 +101,20 @@ def test_unwritable_report_exits_1_naming_it(tmp_path, child_env, unbuffered):
     assert proc.returncode == 1
     assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
     assert (tmp_path / "c.csv").exists() and (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_unwritable_help_exits_1_naming_it(child_env, unbuffered):
+    # argparse drops the OSError of its help text: unbuffered, it exited 0
+    # with nothing written; buffered, the exit-time flush failed with 120.
+    child_env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        child_env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "equalab.cli", "run", "--help"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=child_env,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"

@@ -1,10 +1,12 @@
 """Harness tests: config validation, aggregation, CSV/summary emission contracts."""
 
+import ast
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,31 +307,50 @@ def test_serial_run_loads_neither_numpy_random_nor_openssl(tmp_path, compiled, c
 
 def test_set_up_loads_neither_the_kernel_nor_the_draws(child_env):
     """Importing `equalab.cli` and building a config (what the benchmark's
-    `setup_s` times) loads neither `_kernel` nor `_pcg64`: only a run does."""
+    `setup_s` times) does not load `_kernel`, which holds the draws' seed
+    expansion: only a run does."""
     code = (
         "import sys\n"
         "from equalab.cli import build_parser, config_from_args\n"
         "config_from_args(build_parser().parse_args(['run', '--seeds', '4', '--mode', 'trained']))\n"
-        "print([m for m in ('equalab._kernel', 'equalab._pcg64') if m in sys.modules])\n"
+        "print('equalab._kernel' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "False"
 
 
-def test_seed_expansion_imports_neither_the_kernel_nor_numpy_random(child_env):
-    """The dependency runs one way: `_kernel` uses `_pcg64`'s seed expansion
-    and probe, and `_pcg64` imports no equalab module and no numpy.random."""
-    code = (
-        "import sys\n"
-        "import equalab._pcg64\n"
-        "print([m for m in ('equalab._kernel', 'numpy.random') if m in sys.modules])\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
-    )
-    assert out.stdout.strip() == "[]"
+def test_only_kernel_knows_the_twins():
+    """`_kernel` is the one module that knows a second implementation of the
+    hot operations: every other module reads its `load` and nothing else of
+    it, and it imports no equalab module but `dfe`."""
+    readers = set()
+    for path in sorted(Path(experiment.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, aliases = set(), set()  # the equalab modules it imports; its names for _kernel
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("equalab")):
+                module = (node.module or "").removeprefix("equalab").lstrip(".").partition(".")[0]
+                assert module != "_kernel" or path.stem == "_kernel", f"{path.name} imports from _kernel"
+                for a in node.names:
+                    imported.add(module or a.name)
+                    if not module and a.name == "_kernel":
+                        aliases.add(a.asname or a.name)
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.startswith("equalab."):
+                        imported.add(a.name.split(".")[1])
+                    if a.name == "equalab._kernel" and a.asname:
+                        aliases.add(a.asname)
+        if path.stem == "_kernel":
+            assert imported == {"dfe"}
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                assert node.attr == "load", f"{path.name} reads _kernel.{node.attr}"
+                readers.add(path.stem)
+    assert readers == {"dfe", "experiment", "txrx"}
 
 
 def test_a_run_loads_the_kernel_once(child_env):

@@ -10,7 +10,7 @@ import pytest
 from equalab import (
     ConfigurationError,
     InputError,
-    _pcg64,
+    _kernel,
     apply_channel,
     gaussian,
     generate_bpsk,
@@ -190,7 +190,7 @@ class TestCompiledDraws:
     def test_seed_expansion_is_numpys(self):
         for seed in _SEEDS:
             words = [int(w) for w in np.random.SeedSequence(seed).generate_state(4, np.uint64)]
-            assert _pcg64.seed_state(seed) == (words[0] << 64 | words[1], words[2] << 64 | words[3])
+            assert _kernel.seed_state(seed) == (words[0] << 64 | words[1], words[2] << 64 | words[3])
 
     def test_draws_are_numpys(self, compiled):
         for seed in _SEEDS:
@@ -200,5 +200,5 @@ class TestCompiledDraws:
     def test_recorded_draws_are_numpys(self):
         # The probe's stored draws, which the compiled draws must reproduce,
         # each as float.hex writes it, since the probe compares the text.
-        for seed, want in _pcg64.RECORDED.items():
+        for seed, want in _kernel.RECORDED.items():
             assert tuple(x.hex() for x in _numpy_uniform(seed, len(want)).tolist()) == want
