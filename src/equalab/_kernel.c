@@ -1,6 +1,6 @@
 /* The lockstep loop of equalab.dfe.equalize, the uniform draws of
- * equalab.txrx and the rows of curves.csv, compiled; _kernel.py builds and
- * loads it and holds the numpy twin of each.
+ * equalab.txrx from the seed on and the rows of curves.csv, compiled;
+ * _kernel.py builds and loads it and holds the numpy twin of each.
  *
  * The loop runs the same operations on the same buffers as `_numpy_loop`,
  * but walks each row to the end before starting the next; rows are
@@ -13,6 +13,7 @@
 #include <stdio.h>
 #include <string.h>
 
+typedef unsigned __int128 u128;
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
 
 void equalab_lockstep(ddot_fn ddot, int64_t rows, int64_t n, int64_t n_ff, int64_t n_fb,
@@ -54,18 +55,56 @@ void equalab_lockstep(ddot_fn ddot, int64_t rows, int64_t n, int64_t n_ff, int64
     }
 }
 
-/* numpy's Generator(PCG64(seed)).random(n).  The initial state (s_hi, s_lo)
- * and the stream (i_hi, i_lo) are the two 128-bit halves of
- * SeedSequence(seed).generate_state(4, uint64), derived by `seed_state` in
- * _kernel.py, each given as its high and low 64-bit words.  PCG64 is a 128-bit LCG with the XSL-RR
- * output (O'Neill, HMC-CS-2014-0905, 2014); a double takes the top 53 bits
- * of each output, as numpy's next_double does. */
-void equalab_uniform(uint64_t s_hi, uint64_t s_lo, uint64_t i_hi, uint64_t i_lo, int64_t n, double *out)
+/* SeedSequence's 32-bit hash (numpy/random/bit_generator.pyx), whose
+ * constant *h advances on every call, and its mix of two words. */
+static uint32_t hashmix(uint32_t value, uint32_t *h, uint32_t mult)
 {
-    const unsigned __int128 mult = ((unsigned __int128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL;
+    value ^= *h;
+    *h *= mult;
+    value *= *h;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xCA01F9DDu * x - 0x4973F715u * y;
+    return r ^ r >> 16;
+}
+
+/* The 128-bit value PCG64 reads from four 32-bit words of generate_state:
+ * the uint64 w[0] | w[1] << 32 high, w[2] | w[3] << 32 low. */
+static u128 join(const uint32_t *w)
+{
+    return (u128)w[1] << 96 | (u128)w[0] << 64 | (u128)w[3] << 32 | w[2];
+}
+
+/* numpy's Generator(PCG64(seed)).random(n), for the seed's n_words 32-bit
+ * words at `words`, lowest first (one word for 0).  SeedSequence(seed)
+ * hashes them into a pool of four words, and generate_state(4, uint64)
+ * hashes the pool, cycled twice, into PCG64's 128-bit initial state and
+ * stream.  PCG64 is a 128-bit LCG with the XSL-RR output (O'Neill,
+ * HMC-CS-2014-0905, 2014); a double takes the top 53 bits of each output,
+ * as numpy's next_double does. */
+void equalab_uniform(const uint32_t *words, int64_t n_words, int64_t n, double *out)
+{
+    const uint32_t mult_a = 0x931E8875u, mult_b = 0x58F38DEDu;
+    uint32_t pool[4], gen[8], h = 0x43B0D7E5u; /* gen: generate_state(4, uint64) */
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < n_words ? words[i] : 0, &h, mult_a);
+    for (int src = 0; src < 4; src++) /* every word feeds every other, so late bits reach early ones */
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &h, mult_a));
+    for (int64_t src = 4; src < n_words; src++) /* words beyond the pool are mixed into each word */
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(words[src], &h, mult_a));
+    h = 0x8B51F9DDu;
+    for (int k = 0; k < 8; k++)
+        gen[k] = hashmix(pool[k % 4], &h, mult_b);
+    const u128 mult = (u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL;
     /* pcg_setseq_128_srandom_r: state 0, one step, add the seed, one step. */
-    unsigned __int128 inc = ((((unsigned __int128)i_hi << 64) | i_lo) << 1) | 1u;
-    unsigned __int128 state = (inc + (((unsigned __int128)s_hi << 64) | s_lo)) * mult + inc;
+    u128 inc = join(gen + 4) << 1 | 1u;
+    u128 state = (inc + join(gen)) * mult + inc;
     for (int64_t k = 0; k < n; k++) {
         state = state * mult + inc;
         uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
@@ -84,7 +123,6 @@ void equalab_uniform(uint64_t s_hi, uint64_t s_lo, uint64_t i_hi, uint64_t i_lo,
  * 53-bit mantissa and 5^q, shifted left to fill 128 bits, holds |v| * 10^q
  * exactly and is rounded half to even.  Every other value goes through
  * snprintf("%.17g"), but a NaN of either sign is written as Python writes it. */
-typedef unsigned __int128 u128;
 
 static char *put(char *p, const char *s, int len)
 {

@@ -3,9 +3,10 @@ twin with the same bytes, and the one choice of the process between them.
 
 - `lockstep`, the loop of `dfe.equalize` over the buffers of
   `dfe._lockstep`; twin `_numpy_loop`.
-- `uniform(seed, n)`, numpy's `Generator(PCG64(seed)).random(n)`: C steps
-  PCG64 from `seed_state`, SeedSequence's expansion; twin `_numpy_uniform`,
-  whose numpy.random loads OpenSSL (`secrets`, `hashlib`) and ~6 MB.
+- `uniform(seed, n)`, numpy's `Generator(PCG64(seed)).random(n)`: C
+  expands the seed's 32-bit words as SeedSequence does and steps PCG64;
+  twin `_numpy_uniform`, whose numpy.random loads OpenSSL (`secrets`,
+  `hashlib`) and ~6 MB.
 - `rows`, curves.csv's rows with the bytes of format(x, ".17g"): C converts
   a normal |x| in [2^-129, 1e17) with exact integers and any other value
   with snprintf; twin `_text_rows`.
@@ -48,7 +49,6 @@ DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_")
 _F64 = ctypes.c_double
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
-_M64 = 2**64 - 1
 # Most bytes of one row besides its name: a 20-digit index, two 24-byte
 # values ("-2.2250738585072014e-308"), three commas and the newline.
 _ROW_BYTES = 72
@@ -87,13 +87,14 @@ def load() -> Kernel:
             refs.ctypes.data, len(refs), mu, ilms, floor, cap,
         )
 
-    draw.argtypes = [*[ctypes.c_uint64] * 4, _I64, _PTR]
+    draw.argtypes = [_PTR, _I64, _I64, _PTR]
     draw.restype = None
 
     def uniform(seed, n):
-        state, seq = seed_state(seed)
+        size = max(1, (seed.bit_length() + 31) // 32)  # SeedSequence's words: 0 is one
+        words = np.frombuffer(seed.to_bytes(4 * size, "little"), "<u4").astype(np.uint32)
         out = np.empty(n)
-        draw(state >> 64, state & _M64, seq >> 64, seq & _M64, n, out.ctypes.data)
+        draw(words.ctypes.data, size, n, out.ctypes.data)
         return out
 
     write.argtypes = [ctypes.c_char_p, _I64, _PTR, _I64, _PTR, _I64, _PTR]
@@ -174,52 +175,6 @@ def _text_rows(name: str, sq: np.ndarray, smoothed: np.ndarray) -> bytes:
     return text.encode()
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), for `seed_state`.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_M32 = 2**32 - 1
-
-
-def seed_state(seed: int) -> tuple[int, int]:
-    """SeedSequence(seed).generate_state(4, uint64) as PCG64 reads it: the
-    128-bit initial state and stream, each from two words, high word first."""
-    entropy = [seed & _M32]
-    while seed := seed >> 32:
-        entropy.append(seed & _M32)
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        r = (_MIX_L * x - _MIX_R * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):  # every word feeds every other, so late bits reach early ones
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:  # entropy beyond the pool is mixed into each word
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out = _hasher(_INIT_B, _MULT_B)
-    words = [out(pool[k % 4]) for k in range(8)]  # eight 32-bit words, the pool cycled twice
-    w = [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]  # little-endian uint64
-    return w[0] << 64 | w[1], w[2] << 64 | w[3]
-
-
-def _hasher(h: int, mult: int):
-    """SeedSequence's 32-bit hash, whose constant `h` advances on every call."""
-
-    def hashmix(value):
-        nonlocal h
-        value ^= h
-        h = h * mult & _M32
-        value = value * h & _M32
-        return value ^ value >> 16
-
-    return hashmix
-
-
 # The probes: small, as every process that loads the kernel runs them once.
 
 # The loop's configs: both rules, trained and decision-directed, floor and
@@ -233,7 +188,8 @@ _PROBE_CONFIGS = (
 )
 
 # Draws recorded from numpy.random: Generator(PCG64(seed)).random(3) as
-# float.hex, for a seed of one, three and seven 32-bit words.
+# float.hex, for a seed of one, three and seven 32-bit words: the last runs
+# the expansion's loop over the words beyond the pool of four.
 RECORDED = {
     0: ("0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2", "0x1.4fa7b529d9bd0p-5"),
     2**64 + 3: ("0x1.72e3130a8e59ep-1", "0x1.a43614024d64ep-2", "0x1.035a1d03efee3p-1"),

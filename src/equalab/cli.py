@@ -148,6 +148,14 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):  # argparse's own writer drops an OSError
         (file or sys.stdout).write(self.format_help())
 
+    def parse_known_args(self, args=None, namespace=None):
+        # Each parser refuses what it does not know, so `run --bogus` shows
+        # `run`'s usage; argparse would hand it up to the top-level usage.
+        known, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return known, extras
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

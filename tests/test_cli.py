@@ -89,6 +89,25 @@ class TestConfigErrors:
         assert code == 2
         assert "mu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [["--bogus"], ["--bogus=1"], ["stray"]])
+    def test_unknown_argument_exits_2_with_runs_usage(self, tmp_path, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, *extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: equalab run [-h] [--config FILE] ")
+        assert "--out-summary PATH" in err
+        assert err.endswith(f"equalab run: error: unrecognized arguments: {extra[0]}\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_argument_before_run_keeps_the_top_level_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--bogus", "run"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: equalab [-h] {run} ...")
+        assert err.endswith("equalab: error: unrecognized arguments: --bogus\n")
+
     def test_unknown_algo(self, tmp_path, capsys):
         code, *_ = run_cli(tmp_path, "--algo", "kalman")
         assert code == 2

@@ -457,8 +457,9 @@ class TestKernelChoice:
         return [a.tobytes() for a in out]
 
     # Edits of the C source that build a kernel whose loop or draws are one
-    # ulp off numpy's, as with a numpy built against another BLAS, or whose
-    # CSV writer rounds a tie of the 17th digit half up, not half to even.
+    # ulp off numpy's, as with a numpy built against another BLAS, whose
+    # CSV writer rounds a tie of the 17th digit half up, not half to even,
+    # or whose seed expansion differs from SeedSequence's on long seeds only.
     _SKEWED = {
         "probe-mismatch": ("e_row[i] = e;", "e_row[i] = nextafter(e, INFINITY);"),
         "draw-probe-mismatch": (
@@ -466,11 +467,18 @@ class TestKernelChoice:
             "out[k] = nextafter((double)(x >> 11) * (1.0 / 9007199254740992.0), 1.0);",
         ),
         "csv-probe-mismatch": ("if (rest > half || (rest == half && (lo || (n & 1))))", "if (rest >= half)"),
+        # Only a seed of more than four 32-bit words runs this loop.
+        "seed-probe-mismatch": (
+            "for (int64_t src = 4; src < n_words; src++)", "for (int64_t src = 5; src < n_words; src++)"
+        ),
     }
 
     @pytest.mark.parametrize(
         "failure",
-        ["no-compiler", "compiler-fails", "no-ddot", "probe-mismatch", "draw-probe-mismatch", "csv-probe-mismatch"],
+        [
+            "no-compiler", "compiler-fails", "no-ddot",
+            "probe-mismatch", "draw-probe-mismatch", "csv-probe-mismatch", "seed-probe-mismatch",
+        ],
     )
     def test_falls_back_to_numpy(self, monkeypatch, tmp_path, capfd, fresh_load, failure):
         want = self._run()  # as shipped: the kernel if it loads here
