@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 
 import os
 
-# Start numpy's OpenBLAS with one thread.  Its dot products here span 5-37
-# taps, which OpenBLAS never splits across threads, yet on a 2-core host the
-# second worker it starts spun about 0.15 s of CPU per `equalab run` (0.49 s
-# against 0.33 s).  A value the user set wins; OpenBLAS reads it once, when
-# numpy loads, so this must come before the first submodule imports numpy and
-# has no effect in a process that imported numpy first.
+# Start numpy's OpenBLAS with one thread.  No run calls BLAS, but a second
+# worker, started when numpy loads, still cost CPU on a 2-core host: a median
+# 0.28 s per `equalab run --seeds 4` against 0.22 s (12 alternated runs).  A
+# value the user set wins; OpenBLAS reads it once, when numpy loads, so this
+# must come before the first submodule imports numpy and has no effect in a
+# process that imported numpy first.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .adapt import AdaptParams, effective_step, lms_update

@@ -4,19 +4,18 @@
  *
  * The loop runs the same operations on the same buffers as `_numpy_loop`,
  * but walks each row to the end before starting the next; rows are
- * independent.  Both dot products go through the BLAS
- * `ddot` that numpy's own dot uses, formed as 0.0 + ddot(...) as numpy's
- * DOUBLE_dot forms them.  Built with -ffp-contract=off, so that every
- * product is rounded before it is added, as numpy rounds it. */
+ * independent.  Each dot product is 0.0 plus every product added in tap
+ * order, as `_numpy_loop` and `dsp.dot` sum it.  Built with
+ * -ffp-contract=off, so that every product is rounded before it is added,
+ * as numpy and Python round it. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
 
 typedef unsigned __int128 u128;
-typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
 
-void equalab_lockstep(ddot_fn ddot, int64_t rows, int64_t n, int64_t n_ff, int64_t n_fb,
+void equalab_lockstep(int64_t rows, int64_t n, int64_t n_ff, int64_t n_fb,
                       const double *R, double *D, double *W, double *B, double *E,
                       const double *refs, int64_t train,
                       double mu, int ilms, double step_floor, double step_cap)
@@ -28,7 +27,12 @@ void equalab_lockstep(ddot_fn ddot, int64_t rows, int64_t n, int64_t n_ff, int64
         for (int64_t i = 0; i < n; i++) {
             int64_t a = n - 1 - i;
             const double *x = r + a, *f = dl + a + 1;
-            double y = (0.0 + ddot(n_ff, w, 1, x, 1)) - (0.0 + ddot(n_fb, b, 1, f, 1));
+            double ff = 0.0, fb = 0.0;
+            for (int64_t j = 0; j < n_ff; j++)
+                ff = ff + w[j] * x[j];
+            for (int64_t j = 0; j < n_fb; j++)
+                fb = fb + b[j] * f[j];
+            double y = ff - fb;
             double d = copysign(1.0, y + 0.0);
             double e = (i < train ? refs[i * rows + s] : d) - y;
             dl[a] = d;

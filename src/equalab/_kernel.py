@@ -2,7 +2,7 @@
 twin with the same bytes, and the one choice of the process between them.
 
 - `lockstep`, the loop of `dfe.equalize` over the buffers of
-  `dfe._lockstep`; twin `_numpy_loop`.
+  `dfe._lockstep`, summing as `dsp.dot` does; twin `_numpy_loop`.
 - `uniform(seed, n)`, numpy's `Generator(PCG64(seed)).random(n)`: C
   expands the seed's 32-bit words as SeedSequence does and steps PCG64;
   twin `_numpy_uniform`, whose numpy.random loads OpenSSL (`secrets`,
@@ -13,10 +13,10 @@ twin with the same bytes, and the one choice of the process between them.
 
 `load` builds the library with the system C compiler once, caches it in
 __pycache__/ under a zlib checksum (not hashlib: no OpenSSL) of the source,
-machine and flags, and links numpy's own BLAS `ddot` so both loops sum
-alike.  It keeps the library only if each operation passes its probe
-against its twin; else all three fall back to `numpy()` together.  `dfe`,
-`txrx` and `experiment` read `load()` and nothing else of this module.
+machine and flags, and removes older ones.  It keeps the library only if
+each operation passes its probe against its twin; else all three fall back
+to `numpy()` together.  `dfe`, `txrx` and `experiment` read `load()` and
+nothing else of this module.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from . import dfe
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE = Path(__file__).with_name("__pycache__")
 CC = "cc"
-# -ffp-contract=off: no fused multiply-add, so every product is rounded
-# before it is added, as numpy rounds it.
+# -ffp-contract=off: no fused multiply-add (GCC fuses by default on aarch64),
+# so every product is rounded before it is added, as in the twin and dsp.dot.
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# The CBLAS ddot with 64-bit integers that numpy's bundled OpenBLAS exports.
-DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_")
 
 _F64 = ctypes.c_double
 _I64 = ctypes.c_int64
@@ -67,14 +65,13 @@ class Kernel(NamedTuple):
 def load() -> Kernel:
     """The compiled kernel if it builds, links and passes its three probes
     here, else `numpy()`.  Cached: `load.cache_clear()` after changing CC,
-    CACHE, FLAGS, DDOT_SYMBOLS or SOURCE."""
+    CACHE, FLAGS or SOURCE."""
     try:
-        ddot = _ddot()
         lib = ctypes.CDLL(str(_build()))
         kernel, draw, write = lib.equalab_lockstep, lib.equalab_uniform, lib.equalab_rows
     except (ImportError, AttributeError, OSError):
         return numpy()
-    kernel.argtypes = [_PTR, _I64, _I64, _I64, _I64, *[_PTR] * 6, _I64, _F64, ctypes.c_int, _F64, _F64]
+    kernel.argtypes = [_I64, _I64, _I64, _I64, *[_PTR] * 6, _I64, _F64, ctypes.c_int, _F64, _F64]
     kernel.restype = None
 
     def lockstep(R, D, W, B, E, refs, mu, ilms, floor, cap):
@@ -82,7 +79,7 @@ def load() -> Kernel:
             raise ValueError("the compiled loop needs C-contiguous float64 buffers")
         rows, n = E.shape
         kernel(
-            ddot, rows, n, W.shape[1], B.shape[1],
+            rows, n, W.shape[1], B.shape[1],
             R.ctypes.data, D.ctypes.data, W.ctypes.data, B.ctypes.data, E.ctypes.data,
             refs.ctypes.data, len(refs), mu, ilms, floor, cap,
         )
@@ -139,12 +136,16 @@ def _numpy_loop(R, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
         E.T,
     )
     refs = iter(refs)
+    # Each filter's products after a zero column: a row's running sum ends in 0.0 + w[0]*x[0] + ...
+    ff, fb = np.zeros((len(W), W.shape[1] + 1)), np.zeros((len(B), B.shape[1] + 1))
     e_prev = np.zeros(len(E))
     mu, floor, cap = (np.full(len(E), v) for v in (mu, floor, cap))  # converted once, not every step
     # A diverging row turns to inf/nan and stays so; `equalize` reports it.
     with np.errstate(all="ignore"):
         for x, f, d_out, e_out in steps:
-            y = np.vecdot(W, x) - np.vecdot(B, f)
+            np.multiply(W, x, out=ff[:, 1:])
+            np.multiply(B, f, out=fb[:, 1:])
+            y = np.add.accumulate(ff, axis=1)[:, -1] - np.add.accumulate(fb, axis=1)[:, -1]
             # quantize(): +1 for y >= 0.  Adding +0.0 turns -0.0 into +0.0.
             d = np.copysign(1.0, y + 0.0, out=d_out)
             e = np.subtract(next(refs, d), y, out=e_out)  # the preamble, then decisions
@@ -178,7 +179,7 @@ def _text_rows(name: str, sq: np.ndarray, smoothed: np.ndarray) -> bytes:
 # The probes: small, as every process that loads the kernel runs them once.
 
 # The loop's configs: both rules, trained and decision-directed, floor and
-# cap active, and an FF filter long enough for the BLAS's unrolled ddot path.
+# cap active, and a 37-tap FF filter, where a sum in another order would show.
 _PROBE_CONFIGS = (
     dfe.DfeConfig(n_ff=37, n_fb=5, mu=0.01, center_spike=True),
     dfe.DfeConfig(
@@ -235,18 +236,6 @@ def _probe_rows(rows) -> bool:
     return bytes(rows("probe", sq, smoothed)) == _text_rows("probe", sq, smoothed)
 
 
-def _ddot() -> int:
-    """Address of the ddot that numpy's dot calls."""
-    from numpy._core import _multiarray_umath
-
-    # dlsym on the extension's handle also searches the BLAS library it links.
-    lib = ctypes.CDLL(_multiarray_umath.__file__)
-    for name in DDOT_SYMBOLS:
-        if hasattr(lib, name):
-            return ctypes.cast(getattr(lib, name), _PTR).value
-    raise AttributeError(f"numpy's BLAS exports none of {', '.join(DDOT_SYMBOLS)}")
-
-
 def _library() -> Path:
     """Where the library of this source, machine and set of flags is cached."""
     data = SOURCE.read_bytes() + " ".join((platform.machine(), *FLAGS)).encode()
@@ -266,6 +255,9 @@ def _build() -> Path:
             subprocess.run([CC, *FLAGS, "-o", tmp, str(SOURCE)], check=True, capture_output=True, timeout=120)
             # Atomic: a process building at the same time finds no file or a whole one.
             os.replace(tmp, lib)
+            for old in CACHE.glob("_kernel-*.so"):  # older sources or flags; a build's .tmp stays
+                if old != lib:
+                    old.unlink(missing_ok=True)
         except subprocess.SubprocessError as exc:  # the compiler failed or hung
             raise OSError(f"cannot build {SOURCE.name}: {exc}") from exc
         finally:

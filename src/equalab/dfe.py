@@ -177,9 +177,8 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     `training_len` iterations every row switches to its own decisions.
 
     Each row is bit-identical to stepping it alone through `dfe_step`: every
-    step forms the same products and sums in the same order, and the row
-    dot products go through the same BLAS routine as `np.dot`, which needs
-    contiguous, positive-stride operands.
+    step forms the same products and sums them in the order of `dsp.dot`,
+    0.0 and then each product in tap order.
 
     The steps run in the loop that `_kernel.load` chose; `KERNEL` names it.
 

@@ -49,9 +49,12 @@ def shift_in(line: DelayLine, sample: float) -> DelayLine:
 
 
 def dot(weights: TapWeights, line: DelayLine) -> float:
-    """Inner product of the tap vector with the delay line."""
+    """Inner product of the tap vector with the delay line: 0.0, then each product in tap order."""
     if weights.size != line.size:
         raise ConfigurationError(
             f"filter length {weights.size} does not match delay line length {line.size}"
         )
-    return float(np.dot(weights, line))
+    s = 0.0
+    for w, x in zip(weights.tolist(), line.tolist()):
+        s = s + w * x
+    return s

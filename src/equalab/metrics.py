@@ -33,13 +33,16 @@ class LearningCurve:
 
 
 def smooth(sq_errors, window: int) -> np.ndarray:
-    """Forward moving average: out[i] = mean(sq_errors[i .. i+window-1])."""
+    """Forward moving average: out[i] = (0.0 + sq_errors[i] + ... + sq_errors[i+window-1]) / window."""
     x = np.asarray(sq_errors, dtype=np.float64)
     if window < 1:
         raise InputError("smoothing window must be >= 1")
     if window > x.size:
         raise InputError(f"smoothing window {window} exceeds curve length {x.size}")
-    return np.convolve(x, np.ones(window), mode="valid") / window
+    total = np.zeros(x.size - window + 1)
+    for k in range(window):  # one add of the whole curve per window point, in index order
+        total += x[k : k + total.size]
+    return total / window
 
 
 def steady_state_mse(sq_errors, tail_fraction: float) -> float:

@@ -48,17 +48,19 @@ def gaussian(n: int, variance: float, seed: int) -> np.ndarray:
 def apply_channel(tx, impulse, noise_variance: float = 0.0, noise_seed: int = 0) -> np.ndarray:
     """Convolve the transmitted symbols with the channel impulse and add noise.
 
-    Output sample n is sum_k impulse[k] * tx[n-k] (zero before the start)
-    plus Gaussian noise of `noise_variance` drawn from `noise_seed` (none at
-    variance 0); output length equals the input length.  `impulse` must be
-    non-empty and finite.
+    Output sample n is 0.0 + impulse[0] * tx[n] + impulse[1] * tx[n-1] + ...,
+    summed in tap order (zero before the start), plus Gaussian noise of
+    `noise_variance` drawn from `noise_seed` (none at variance 0); output
+    length equals the input length.  `impulse` must be non-empty and finite.
     """
     x = np.asarray(tx, dtype=np.float64)
     if x.size == 0:
         raise InputError("transmitted sequence is empty")
     if not noise_variance >= 0:
         raise ConfigurationError("must be >= 0", field="noise_variance")
-    y = np.convolve(x, taps(impulse))[: x.size]
+    y = np.zeros(x.size)
+    for k, hk in enumerate(taps(impulse).tolist()[: x.size]):  # one add per tap; one past the end adds nothing
+        y[k:] += hk * x[: x.size - k]
     if noise_variance > 0:
         y = y + gaussian(x.size, noise_variance, noise_seed)
     return y

@@ -457,9 +457,9 @@ class TestKernelChoice:
         return [a.tobytes() for a in out]
 
     # Edits of the C source that build a kernel whose loop or draws are one
-    # ulp off numpy's, as with a numpy built against another BLAS, whose
-    # CSV writer rounds a tie of the 17th digit half up, not half to even,
-    # or whose seed expansion differs from SeedSequence's on long seeds only.
+    # ulp off the twins', as a loop that summed in another order would be,
+    # whose CSV writer rounds a tie of the 17th digit half up, not half to
+    # even, or whose seed expansion differs from SeedSequence's on long seeds only.
     _SKEWED = {
         "probe-mismatch": ("e_row[i] = e;", "e_row[i] = nextafter(e, INFINITY);"),
         "draw-probe-mismatch": (
@@ -476,7 +476,7 @@ class TestKernelChoice:
     @pytest.mark.parametrize(
         "failure",
         [
-            "no-compiler", "compiler-fails", "no-ddot",
+            "no-compiler", "compiler-fails",
             "probe-mismatch", "draw-probe-mismatch", "csv-probe-mismatch", "seed-probe-mismatch",
         ],
     )
@@ -488,8 +488,6 @@ class TestKernelChoice:
             monkeypatch.setattr(_kernel, "CC", "no-such-compiler")
         elif failure == "compiler-fails":
             monkeypatch.setattr(_kernel, "FLAGS", (*_kernel.FLAGS, "--no-such-flag"))
-        elif failure == "no-ddot":
-            monkeypatch.setattr(_kernel, "DDOT_SYMBOLS", ("no_such_ddot",))
         else:
             if shutil.which(_kernel.CC) is None:
                 pytest.skip("no C compiler here")
@@ -586,6 +584,19 @@ class TestKernelChoice:
         # Only the library itself is left: no temporary or object file.
         assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [paths[0].name]
         assert [p.name for p in tmp_path.iterdir()] == ["__pycache__"]
+
+    def test_build_removes_stale_libraries(self, monkeypatch, tmp_path):
+        # The library of an earlier source goes when a new one is built; the
+        # temporary file of a build in flight elsewhere and Python's own
+        # bytecode stay.
+        if shutil.which(_kernel.CC) is None:
+            pytest.skip("no C compiler here")
+        monkeypatch.setattr(_kernel, "CACHE", tmp_path)
+        kept = ["_kernel-inflight.tmp", "dfe.cpython-311.pyc"]
+        for name in ["_kernel-0123456789abcdef.so", *kept]:
+            (tmp_path / name).write_bytes(b"")
+        lib = _kernel._build()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([lib.name, *kept])
 
     def test_cache_name_follows_source_flags_and_machine(self, monkeypatch, tmp_path):
         # The library is named by 64 bits of checksum over the source, the

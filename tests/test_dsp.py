@@ -41,6 +41,12 @@ class TestDot:
         with pytest.raises(ConfigurationError):
             dot(taps([1, 2]), np.zeros(3))
 
+    def test_sums_in_tap_order(self):
+        # 2^53 + 1.0 is a tie that rounds back to 2^53: summed from 0.0 in
+        # tap order, every 1.0 is lost; a sum in blocks or lanes keeps some.
+        big = 2.0**53
+        assert dot(taps([big, 1.0, 1.0, -big] * 5), np.ones(20)) == 0.0
+
 
 class TestShiftIn:
     def test_basic_shift(self):

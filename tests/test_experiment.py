@@ -1,8 +1,10 @@
 """Harness tests: config validation, aggregation, CSV/summary emission contracts."""
 
 import ast
+import hashlib
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -432,6 +434,33 @@ def test_import_starts_openblas_with_one_thread_unless_set(preset, expected, chi
     assert int(threads) == min(int(expected), len(os.sched_getaffinity(0)))
 
 
+def _forced_cores_run_here() -> bool:
+    """Whether OPENBLAS_CORETYPE can select Prescott and Nehalem here: an
+    x86-64 machine and a numpy linked against scipy-openblas."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return platform.machine().lower() in ("x86_64", "amd64") and blas.get("name") == "scipy-openblas"
+
+
+@pytest.mark.skipif(not _forced_cores_run_here(), reason="needs x86-64 and numpy on scipy-openblas")
+def test_outputs_do_not_depend_on_the_blas_core(tmp_path, child_env):
+    """One config gives the same curves.csv and summary.txt bytes whichever
+    kernel numpy's OpenBLAS runs: a run sums in its own order, never in BLAS.
+    Only cores that every x86-64 CPU runs are forced."""
+    outputs = set()
+    for core in (None, "Prescott", "Nehalem"):
+        env = {k: v for k, v in child_env.items() if k != "OPENBLAS_CORETYPE"}
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        cwd = tmp_path / (core or "unset")
+        cwd.mkdir()
+        subprocess.run(
+            [sys.executable, "-m", "equalab.cli", "run", "--seeds", "4", "--n-symbols", "600"],
+            cwd=cwd, env=env, capture_output=True, check=True,
+        )
+        outputs.add(((cwd / "curves.csv").read_bytes(), (cwd / "summary.txt").read_bytes()))
+    assert len(outputs) == 1
+
+
 def _reference_csv(record) -> bytes:
     """curves.csv built row by row, one format(v, ".17g") per value."""
     lines = ["iteration,algo,inst_sq_error,smoothed_mse"]
@@ -605,6 +634,20 @@ class TestEmission:
             emit_summary(rec, sp)
             paths.append((cp.read_bytes(), sp.read_bytes()))
         assert paths[0] == paths[1]
+
+
+    def test_noiseless_bytes_are_golden(self, tmp_path):
+        # `equalab run --snr-db none --seeds 4 --n-symbols 600`.  Only a
+        # noiseless run is pinned: Box-Muller's np.log, np.sin and np.cos
+        # take numpy's SIMD paths, which differ by host in the last bit.
+        rec = run_experiment(ExperimentConfig(snr_db=None, n_seeds=4, n_symbols=600))
+        emit_curves_csv(rec, tmp_path / "curves.csv")
+        emit_summary(rec, tmp_path / "summary.txt")
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("curves.csv", "summary.txt")]
+        assert digests == [
+            "aa00ad09f4d7e06be535fae1854d582ddc0023054b6f74123c7e67ec8abb383f",
+            "dc77db942a1ada4eddd7e799fe3ecc24d38ebf05d22dab7b7e41bfd848b8e4ca",
+        ]
 
 
 class TestEmissionC(TestEmission):

@@ -42,6 +42,12 @@ class TestSmooth:
         for w in (1, 3, 50, 300):
             np.testing.assert_allclose(smooth(x, w), brute_smooth(x, w), atol=1e-12, rtol=0)
 
+    def test_sums_in_index_order(self):
+        # 2^53 + 1.0 is a tie that rounds back to 2^53: summed from 0.0 in
+        # index order, every 1.0 is lost; a sum in blocks or lanes keeps some.
+        big = 2.0**53
+        assert smooth(np.array([big, 1.0, 1.0, -big] * 5), 20).tolist() == [0.0]
+
     def test_rejects_bad_window(self):
         with pytest.raises(InputError):
             smooth(np.ones(4), 5)

@@ -91,6 +91,12 @@ class TestApplyChannel:
         assert rx.shape == tx.shape
         np.testing.assert_allclose(rx[:3], [0.407, 1.222, 0.815], atol=1e-12, rtol=0)
 
+    def test_sums_in_tap_order(self):
+        # 2^53 + 1.0 is a tie that rounds back to 2^53: summed from 0.0 in
+        # tap order, every 1.0 is lost; a sum in blocks or lanes keeps some.
+        big = 2.0**53
+        assert apply_channel(np.ones(20), [big, 1.0, 1.0, -big] * 5).tolist() == [big, big, big, 0.0] * 5
+
     def test_rejects_empty_input(self):
         with pytest.raises(InputError):
             apply_channel(np.array([]), [1.0])
