@@ -1,11 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-Criteria 1 and 2 share a single run of the default experiment configuration.
-Criterion 1 adds two runs of its own: a step probe that replays the default
-`ilms` runs through the public `dfe_step` to read the step the rule settles
-to, and an `lms` run at that fixed step, which reaches the same steady-state
-error.  The speed claim is tested against that matched `lms` run.
+Criteria 1 and 2 share a single run of the default experiment configuration,
+and hold at its horizon of 5000 symbols.  Criterion 1 reads the step `ilms`
+settles to from the signed errors of the ensemble's own `ilms` runs, stepped
+again in the equalizer, and adds one `lms` run at that fixed step, which
+reaches the same steady-state error.  The speed claim is tested against that
+matched `lms` run.
 """
 
 import time
@@ -18,13 +19,11 @@ from equalab import (
     AdaptParams,
     DfeConfig,
     DfeState,
-    apply_channel,
     delay_line,
     dfe_step,
     dot,
     effective_step,
     generate_bpsk,
-    initial_state,
     lms_update,
     shift_in,
     smooth,
@@ -32,15 +31,15 @@ from equalab import (
     steady_state_mse,
     taps,
 )
-from equalab import experiment
+from equalab import _kernel, dfe, experiment
 from equalab.metrics import LearningCurve, ber, convergence_iteration
 from equalab.experiment import (
-    NOISE_SEED_OFFSET,
     ExperimentConfig,
     emit_curves_csv,
     emit_summary,
     run_experiment,
 )
+from spec_loop import effective_steps, experiment_input
 
 PAPER_SPEEDUP_CLAIM = 6.2  # reported as "up to 6.2 times faster"
 PAPER_MSE_RATIO = 5.6 / 2.3  # Table-style ratio, normalization unknown
@@ -55,31 +54,20 @@ def default_run():
     return record, elapsed
 
 
-def _ilms_step_probe(config):
-    """Step `ilms` through the public `dfe_step` over every seed of `config`.
-
-    tx and rx are built as `run_experiment` builds them.  Returns the mean
-    effective step over the final `tail_frac` of each run (the same tail the
-    steady-state floors average), averaged over the seeds, and the squared
-    errors averaged over the seeds in seed order, as `run_experiment` folds
-    them, so the caller can check that the probe replays the ensemble.
-    """
-    dfe_cfg = config.dfe_config("ilms")
-    settled = []
-    sq_runs = []
-    for seed in config.seeds:
-        tx = generate_bpsk(config.n_symbols, seed)
-        rx = apply_channel(tx, config.channel, config.noise_variance, seed + NOISE_SEED_OFFSET)
-        state = initial_state(dfe_cfg)
-        steps = np.empty(rx.size)
-        sq = np.empty(rx.size)
-        for i, r in enumerate(rx):
-            trace, state = dfe_step(state, r, None, dfe_cfg)
-            steps[i] = trace.effective_step
-            sq[i] = trace.error * trace.error
-        settled.append(steady_state_mse(steps, config.tail_frac))
-        sq_runs.append(sq)
-    return float(np.mean(settled)), np.mean(np.stack(sq_runs), axis=0)
+def _settled_ilms_step(record):
+    """The mean `ilms` step over the final `tail_frac` of each run of the
+    experiment `record`, averaged over the seeds: the runs are stepped again
+    and the steps read from their signed errors.  Their squared errors,
+    averaged in seed order, must be the ensemble's `ilms` curve byte for
+    byte: these are the runs it made."""
+    config = record.config
+    cfg = config.dfe_config("ilms")
+    rx, tx = experiment_input(config, config.seeds)
+    E = dfe._lockstep(_kernel.load().lockstep, rx, cfg, tx)[4]
+    assert np.mean(E * E, axis=0).tobytes() == record.curves["ilms"].sq_errors.tobytes(), (
+        "the step's runs are not the ensemble's ilms runs"
+    )
+    return float(np.mean([steady_state_mse(steps, config.tail_frac) for steps in effective_steps(E, cfg)]))
 
 
 def test_criterion_1_convergence_speed_ordering(default_run):
@@ -99,10 +87,7 @@ def test_criterion_1_convergence_speed_ordering(default_run):
     # At equal mu the ilms step settles far below mu, so equal-mu lms is a
     # faster rule with a higher floor.  The claim is tested against lms run
     # at the step ilms settles to, which reaches the same floor.
-    mu_matched, probe_sq = _ilms_step_probe(config)
-    assert probe_sq.tobytes() == record.curves["ilms"].sq_errors.tobytes(), (
-        "step probe does not replay the ensemble's ilms runs"
-    )
+    mu_matched = _settled_ilms_step(record)
     matched = run_experiment(replace(config, mu=mu_matched, algos=("lms",))).curves["lms"]
     floor_lms = matched.steady_state_mse
     floor_ilms = record.curves["ilms"].steady_state_mse

@@ -26,7 +26,9 @@ from equalab import (
     taps,
 )
 from equalab import _kernel, dfe
-from equalab.dfe import MODE_TRAINED, PAD_SYMBOL
+from equalab.dfe import MODE_TRAINED
+from equalab.experiment import ExperimentConfig
+from spec_loop import effective_steps, experiment_input, run_spec, step_through
 
 
 # Ids of the `lms` and `ilms` cases, kept as they were so that results stay
@@ -173,22 +175,14 @@ class TestDfeStep:
 
     def test_decision_enters_feedback_line(self):
         cfg = cfg_dd(n_ff=2, n_fb=3)
-        st = initial_state(cfg)
-        decisions = []
-        rng = np.random.default_rng(1)
-        for r in rng.normal(size=8):
-            trace, st = dfe_step(st, float(r), None, cfg)
-            decisions.append(trace.decision)
-        assert st.fb_line.tolist() == decisions[-1:-4:-1]
+        spec, st = run_spec(np.random.default_rng(1).normal(size=8), cfg)
+        assert st.fb_line.tolist() == spec["decision"][-1:-4:-1].tolist()
 
     def test_decisions_are_symbols(self):
         cfg = cfg_dd(n_ff=4, n_fb=2, algo="ilms")
-        st = initial_state(cfg)
-        rng = np.random.default_rng(2)
-        for r in rng.normal(size=100):
-            trace, st = dfe_step(st, float(r), None, cfg)
-            assert trace.decision in (-1.0, 1.0)
-            assert trace.effective_step >= 0.0
+        spec, _ = run_spec(np.random.default_rng(2).normal(size=100), cfg)
+        assert np.isin(spec["decision"], (-1.0, 1.0)).all()
+        assert (spec["effective_step"] >= 0.0).all()
 
     def test_perfect_decision_is_fixed_point(self):
         for algo in ("lms", "ilms"):
@@ -238,17 +232,6 @@ class TestRunEqualizer:
         with pytest.raises(InputError, match=what):
             equalize(np.ones((1, 10)), cfg, tx)
 
-    def test_matches_manual_stepping(self):
-        cfg = DfeConfig(n_ff=5, n_fb=3, mu=0.05, algo="ilms", center_spike=True)
-        rng = np.random.default_rng(4)
-        rx = rng.normal(size=50)
-        (sq_errors,), (decisions,) = equalize(rx[None], cfg)
-        st = initial_state(cfg)
-        for i, r in enumerate(rx):
-            trace, st = dfe_step(st, float(r), None, cfg)
-            assert sq_errors[i] == trace.error * trace.error
-            assert decisions[i] == trace.decision
-
     def test_trained_references_are_delayed_symbols(self):
         # delay 2: reference stream is [pad, pad, tx0, tx1, ...] during training
         cfg = DfeConfig(n_ff=5, n_fb=0, mu=1e-9, mode="trained", training_len=6)
@@ -258,43 +241,16 @@ class TestRunEqualizer:
         np.testing.assert_allclose(
             np.sqrt(sq_errors), [1, 1, 1, 1, 1, 1], atol=1e-8
         )
-        st = initial_state(cfg)
-        refs = []
-        for i, r in enumerate(np.zeros(6)):
-            ts = tx[i - 2] if i >= 2 else 1.0
-            trace, st = dfe_step(st, float(r), ts if i < 6 else None, cfg)
-            refs.append(trace.error)
-        assert refs[:2] == [1.0, 1.0] and refs[2:] == [-1.0] * 4
+        spec, _ = run_spec(np.zeros(6), cfg, tx)
+        assert spec["error"].tolist() == [1.0, 1.0] + [-1.0] * 4
 
     def test_degenerate_linear_mode_matches_fir(self):
         # No feedback and a vanishing step: outputs equal the fixed FF filter.
         rng = np.random.default_rng(5)
         rx = rng.normal(size=200)
         cfg = DfeConfig(n_ff=7, n_fb=0, mu=1e-300, center_spike=True)
-        st = initial_state(cfg)
-        w0 = st.ff_weights.copy()
-        outs = np.empty(rx.size)
-        for i, r in enumerate(rx):
-            trace, st = dfe_step(st, float(r), None, cfg)
-            outs[i] = trace.combiner_out
-        expected = np.convolve(rx, w0)[: rx.size]
-        np.testing.assert_allclose(outs, expected, atol=1e-12, rtol=0)
-
-
-def _step_loop(rx, tx, cfg):
-    """The executable spec: one row stepped through `dfe_step`."""
-    st = initial_state(cfg)
-    train = cfg.training_len if cfg.mode == MODE_TRAINED else 0
-    sq = np.empty(rx.size)
-    dec = np.empty(rx.size)
-    for i, r in enumerate(rx):
-        ts = None
-        if i < train:
-            ts = tx[i - cfg.delay] if i >= cfg.delay else PAD_SYMBOL
-        trace, st = dfe_step(st, float(r), ts, cfg)
-        sq[i] = trace.error * trace.error
-        dec[i] = trace.decision
-    return sq, dec, st
+        expected = np.convolve(rx, initial_state(cfg).ff_weights)[: rx.size]
+        np.testing.assert_allclose(run_spec(rx, cfg)[0]["combiner_out"], expected, atol=1e-12, rtol=0)
 
 
 def _batch(rows, n, seed=6):
@@ -305,6 +261,28 @@ def _batch(rows, n, seed=6):
 
 
 N_ORACLE = 240
+
+
+def _assert_matches_spec(cfg, rx, tx):
+    """`equalize` of the rows `rx` (and their symbols `tx`) gives, row by
+    row, bit for bit what stepping the row through `dfe_step` gives: the
+    outputs, the signed errors, the steps and the final state."""
+    sq, dec = equalize(rx, cfg, tx)
+    assert sq.shape == dec.shape == rx.shape
+    # The final state lives in the loop's buffers: the weights in W and B,
+    # and the newest-first lines at the front of R and D.
+    R, D, W, B, E = dfe._lockstep(_kernel.load().lockstep, rx, cfg, tx)
+    steps = effective_steps(E, cfg)
+    for s in range(rx.shape[0]):
+        want, final = run_spec(rx[s], cfg, None if tx is None else tx[s])
+        assert E[s].tobytes() == want["error"].tobytes()
+        assert steps[s].tobytes() == want["effective_step"].tobytes()
+        assert sq[s].tobytes() == (want["error"] * want["error"]).tobytes()
+        assert dec[s].tobytes() == want["decision"].tobytes()
+        assert W[s].tobytes() == final.ff_weights.tobytes()
+        assert B[s].tobytes() == final.fb_weights.tobytes()
+        assert R[s, : cfg.n_ff].tobytes() == final.ff_line.tobytes()
+        assert D[s, : cfg.n_fb].tobytes() == final.fb_line.tobytes()
 
 
 # A trained `ilms` setting whose rows diverge on `_batch(4, 200, seed=8)`.
@@ -320,17 +298,14 @@ def _assert_divergence_reported(cfg, seed, what="non-finite quantizer input"):
     raised, overflowed = [], []
     with np.errstate(invalid="ignore", over="ignore"):
         for s in range(4):
-            st = initial_state(cfg)
-            first_overflow = None
-            for i, r in enumerate(rx[s]):
-                ts = tx[s, i - cfg.delay] if i >= cfg.delay else PAD_SYMBOL
-                try:
-                    trace, st = dfe_step(st, float(r), ts, cfg)
-                except InputError:
-                    raised.append((s, i))
-                    break
-                if first_overflow is None and not math.isfinite(trace.error * trace.error):
-                    first_overflow = i
+            done, first_overflow = 0, None
+            try:
+                for trace, _ in step_through(rx[s], cfg, tx[s]):
+                    if first_overflow is None and not math.isfinite(trace.error * trace.error):
+                        first_overflow = done
+                    done += 1
+            except InputError:
+                raised.append((s, done))
             if first_overflow is not None:
                 overflowed.append((s, first_overflow))
     failures = raised or overflowed
@@ -371,21 +346,18 @@ class TestEqualizeOracle:
     def test_matches_step_loop(self, algo, training, spike, shape, rows):
         mode = {} if training is None else dict(mode=MODE_TRAINED, training_len=training)
         cfg = DfeConfig(n_ff=11, mu=0.03, algo=algo, center_spike=spike, **mode, **shape)
-        rx, tx = _batch(rows, N_ORACLE)
-        sq, dec = equalize(rx, cfg, tx)
-        assert sq.shape == dec.shape == (rows, N_ORACLE)
-        # The final state lives in the loop's buffers: the weights in W and B,
-        # the newest-first lines at the front of R and D, e(N-1) last in E.
-        R, D, W, B, E = dfe._lockstep(_kernel.load().lockstep, rx, cfg, tx)
-        for s in range(rows):
-            want_sq, want_dec, want = _step_loop(rx[s], tx[s], cfg)
-            assert sq[s].tobytes() == want_sq.tobytes()
-            assert dec[s].tobytes() == want_dec.tobytes()
-            assert W[s].tobytes() == want.ff_weights.tobytes()
-            assert B[s].tobytes() == want.fb_weights.tobytes()
-            assert R[s, : cfg.n_ff].tobytes() == want.ff_line.tobytes()
-            assert D[s, : cfg.n_fb].tobytes() == want.fb_line.tobytes()
-            assert (E[s, -1], E.shape[1]) == (want.prev_error, want.iteration)
+        _assert_matches_spec(cfg, *_batch(rows, N_ORACLE))
+
+    @pytest.mark.parametrize("case", ["white-noise", "default-lms", "default-ilms"])
+    def test_matches_step_loop_on(self, case):
+        # A row of white noise through a small dd `ilms`, and the default
+        # config at its full length on the input of seed 1 of the default run.
+        if case == "white-noise":
+            cfg = DfeConfig(n_ff=5, n_fb=3, mu=0.05, algo="ilms", center_spike=True)
+            _assert_matches_spec(cfg, np.random.default_rng(4).normal(size=(1, 50)), None)
+        else:
+            config = ExperimentConfig()
+            _assert_matches_spec(config.dfe_config(case.split("-")[1]), *experiment_input(config, [1]))
 
     @pytest.mark.parametrize("algo", ["lms", "ilms"], ids=_RULE_IDS)
     def test_rows_are_independent(self, algo):

@@ -19,10 +19,8 @@ from equalab import (
     LearningCurve,
     apply_channel,
     ber,
-    dfe_step,
     equalize,
     generate_bpsk,
-    initial_state,
     smooth,
     steady_state_mse,
 )
@@ -35,6 +33,7 @@ from equalab.experiment import (
     emit_summary,
     run_experiment,
 )
+from spec_loop import experiment_input, step_through
 
 
 def tiny_config(**kw):
@@ -47,21 +46,14 @@ def _first_step_failure(cfg):
     """(algorithm, seed, iteration) of the first run to fail when every seed and
     algorithm is stepped through `dfe_step` in the serial order; None if none does."""
     with np.errstate(all="ignore"):
-        for seed in cfg.seeds:
-            tx = generate_bpsk(cfg.n_symbols, seed)
-            rx = apply_channel(tx, cfg.channel, cfg.noise_variance, seed + NOISE_SEED_OFFSET)
+        for seed, rx, tx in zip(cfg.seeds, *experiment_input(cfg, cfg.seeds)):
             for algo in cfg.algos:
-                dfe_cfg = cfg.dfe_config(algo)
-                train = cfg.training_len if cfg.mode == "trained" else 0
-                st = initial_state(dfe_cfg)
-                for i, r in enumerate(rx):
-                    ts = None
-                    if i < train:
-                        ts = tx[i - dfe_cfg.delay] if i >= dfe_cfg.delay else 1.0
-                    try:
-                        _, st = dfe_step(st, float(r), ts, dfe_cfg)
-                    except InputError:
-                        return algo, seed, i
+                done = 0
+                try:
+                    for _ in step_through(rx, cfg.dfe_config(algo), tx):
+                        done += 1
+                except InputError:
+                    return algo, seed, done
     return None
 
 
