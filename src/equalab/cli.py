@@ -216,8 +216,9 @@ def _print_report(record: RunRecord) -> None:
 
 
 def _check_writable(path: str) -> None:
-    """Raise OSError unless `path`, once its symbolic links are resolved,
-    names a file in an existing, writable directory."""
+    """Raise OSError unless `open(path, "wb")` may write `path` once its
+    symbolic links are resolved: an existing file must be writable itself, a
+    new one needs an existing, writable directory."""
     if not path:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
@@ -228,8 +229,9 @@ def _check_writable(path: str) -> None:
     parent = os.path.dirname(real)
     if not os.path.isdir(parent):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
-    if not os.access(parent, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), parent)
+    target = real if os.path.exists(real) else parent
+    if not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
 
 
 def _same_file(a: str, b: str) -> bool:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +96,7 @@ class DfeConfig:
         return (self.n_ff - 1) // 2 if self.decision_delay is None else self.decision_delay
 
 
-@dataclass(frozen=True, slots=True)
-class DfeState:
+class DfeState(NamedTuple):
     """Full equalizer state between steps.
 
     `fb_line` holds the most recent hard decisions, newest first;
@@ -111,8 +111,7 @@ class DfeState:
     iteration: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class StepTrace:
+class StepTrace(NamedTuple):
     """What one step did: output y (FF minus FB), decision, error, step size applied."""
 
     iteration: int

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,8 +144,7 @@ class ExperimentConfig:
         )
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """Everything needed to reproduce and re-derive one experiment's outputs.
 
     `ber` is each rule's mean BER over the seeds; `speedup` is

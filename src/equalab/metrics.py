@@ -9,15 +9,14 @@ run.  Both parameters are echoed in every summary so results are comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 
 
-@dataclass(frozen=True, slots=True)
-class LearningCurve:
+class LearningCurve(NamedTuple):
     """Per-iteration squared errors plus derived statistics.
 
     `smoothed` has length len(sq_errors) - window + 1; `convergence_iter`

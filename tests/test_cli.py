@@ -193,6 +193,31 @@ class TestConfigErrors:
         assert err.startswith("error: cannot write output: ")
         assert list(out.iterdir()) == []
 
+    def test_existing_output_in_unwritable_dir_is_written(self, tmp_path, monkeypatch):
+        """`open(path, "wb")` needs only the file's own write permission."""
+        curves, summary = tmp_path / "c.csv", tmp_path / "s.txt"
+        curves.write_bytes(b"old")
+        summary.write_bytes(b"old")
+        # Every directory refuses writes and every file allows them: chmod would not stop root.
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: not os.path.isdir(path))
+        code = main(["run", *FAST, "--out-curves", str(curves), "--out-summary", str(summary)])
+        assert code == 0
+        assert curves.read_bytes().startswith(b"iteration,algo,")
+        assert summary.read_bytes().startswith(b"tool_version = ")
+
+    def test_read_only_output_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "equalize", _no_steps)
+        curves, summary = tmp_path / "c.csv", tmp_path / "s.txt"
+        summary.write_bytes(b"old")
+        # Only the existing summary refuses writes: chmod would not stop root.
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != os.path.realpath(summary))
+        code = main(["run", *FAST, "--out-curves", str(curves), "--out-summary", str(summary)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot write output: [Errno 13] ")
+        assert not curves.exists() and summary.read_bytes() == b"old"
+
     @pytest.mark.parametrize(
         "summary", ["out/c.txt", "out/../out/c.txt", "out/./c.txt"], ids=["same", "dotdot", "dot"]
     )

@@ -1,6 +1,7 @@
 """Harness tests: config validation, aggregation, CSV/summary emission contracts."""
 
 import ast
+import dataclasses
 import hashlib
 import math
 import os
@@ -14,17 +15,22 @@ import numpy as np
 import pytest
 
 from equalab import (
+    AdaptParams,
     ConfigurationError,
+    DfeConfig,
     InputError,
     LearningCurve,
+    StepTrace,
     apply_channel,
     ber,
     equalize,
     generate_bpsk,
+    initial_state,
+    learning_curve,
     smooth,
     steady_state_mse,
 )
-from equalab import cli, experiment
+from equalab import _kernel, cli, experiment
 from equalab.experiment import (
     NOISE_SEED_OFFSET,
     ExperimentConfig,
@@ -345,6 +351,49 @@ def test_only_kernel_knows_the_twins():
                 assert node.attr == "load", f"{path.name} reads _kernel.{node.attr}"
                 readers.add(path.stem)
     assert readers == {"dfe", "experiment", "txrx"}
+
+
+def test_only_self_checking_records_are_dataclasses():
+    """A record that checks its own fields in `__post_init__` is a frozen
+    dataclass; every other record is a NamedTuple."""
+    decorated, checking = set(), set()
+    for path in sorted(Path(experiment.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for d in node.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                if (d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)) == "dataclass":
+                    decorated.add(node.name)
+            if any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for f in node.body):
+                checking.add(node.name)
+    assert decorated == checking == {"AdaptParams", "DfeConfig", "ExperimentConfig"}
+
+
+_RECORDS = {
+    "AdaptParams": lambda: AdaptParams(0.01),
+    "DfeConfig": lambda: DfeConfig(n_ff=3, n_fb=1, mu=0.01),
+    "ExperimentConfig": ExperimentConfig,
+    "DfeState": lambda: initial_state(DfeConfig(n_ff=3, n_fb=1, mu=0.01)),
+    "StepTrace": lambda: StepTrace(0, 0.5, 1.0, 0.5, 0.01),
+    "LearningCurve": lambda: learning_curve(np.ones(10), 2, 1.5, 0.5),
+    "RunRecord": lambda: RunRecord(ExperimentConfig(), {}, {}, None),
+    "Setting": lambda: cli.SETTINGS[0],
+    "Kernel": _kernel.numpy,
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_records_are_immutable(name):
+    record = _RECORDS[name]()
+    assert type(record).__name__ == name
+    if isinstance(record, tuple):
+        names = record._fields
+    else:
+        names = [f.name for f in dataclasses.fields(record)]
+    for field in names:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_a_run_loads_the_kernel_once(child_env):
