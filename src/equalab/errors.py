@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the integer check of a config field."""
+"""Exception types shared across the package, and the integer checks of a config
+field and of a function argument."""
 
 import operator
 
@@ -34,3 +35,11 @@ def require_integer(value, field: str) -> None:
         operator.index(value)
     except TypeError:
         raise ConfigurationError(f"must be an integer, got {value!r}", field=field) from None
+
+
+def as_integer(value, name: str) -> int:
+    """`value` as a Python int (any integer type), else an InputError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None

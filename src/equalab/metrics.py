@@ -13,27 +13,35 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_integer
 
 
 class LearningCurve(NamedTuple):
     """Per-iteration squared errors plus derived statistics.
 
-    `smoothed` has length len(sq_errors) - window + 1; `convergence_iter`
-    indexes into it (equivalently: the first iteration of the qualifying
-    window) and is None when the run never settled.
+    `smoothed` has length len(sq_errors) - window + 1, which gives the
+    smoothing window; `convergence_iter` indexes into it (the first iteration
+    of the qualifying window) and is None when the run never settled.
     """
 
     sq_errors: np.ndarray
     smoothed: np.ndarray
-    window: int
     steady_state_mse: float
     convergence_iter: int | None
 
 
+def _vector(values, name: str) -> np.ndarray:
+    """`values` as a 1-D float64 array, else an InputError naming it."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1:
+        raise InputError(f"{name} must be 1-D, got shape {x.shape}")
+    return x
+
+
 def smooth(sq_errors, window: int) -> np.ndarray:
     """Forward moving average: out[i] = (0.0 + sq_errors[i] + ... + sq_errors[i+window-1]) / window."""
-    x = np.asarray(sq_errors, dtype=np.float64)
+    x = _vector(sq_errors, "learning curve")
+    window = as_integer(window, "smoothing window")
     if window < 1:
         raise InputError("smoothing window must be >= 1")
     if window > x.size:
@@ -46,7 +54,7 @@ def smooth(sq_errors, window: int) -> np.ndarray:
 
 def steady_state_mse(sq_errors, tail_fraction: float) -> float:
     """Mean of the final ceil(tail_fraction * len) squared errors."""
-    x = np.asarray(sq_errors, dtype=np.float64)
+    x = _vector(sq_errors, "learning curve")
     if x.size == 0:
         raise InputError("empty learning curve")
     if not 0 < tail_fraction <= 1:
@@ -55,13 +63,15 @@ def steady_state_mse(sq_errors, tail_fraction: float) -> float:
     return float(np.mean(x[x.size - k :]))
 
 
-def convergence_iteration(curve: LearningCurve, ratio: float) -> int | None:
+def convergence_iteration(smoothed, steady_state_mse: float, window: int, ratio: float) -> int | None:
     """First index whose next `window` smoothed points all sit at or below
     ratio * steady_state_mse; None if no such span exists."""
+    w = as_integer(window, "confirmation span")
+    if w < 1:
+        raise InputError("confirmation span must be >= 1")
     if not ratio > 0:
         raise InputError("convergence ratio must be > 0")
-    below = curve.smoothed <= ratio * curve.steady_state_mse
-    w = curve.window
+    below = _vector(smoothed, "smoothed curve") <= ratio * steady_state_mse
     if below.size < w:
         return None
     # Points at or below in each window of w: differences of a running count.
@@ -84,8 +94,9 @@ def speedup(conv_lms: int | None, conv_ilms: int | None) -> float | None:
 
 def ber(decisions, transmitted, delay: int, skip: int) -> float:
     """Fraction of indices n >= skip where decisions[n] != transmitted[n - delay]."""
-    d = np.asarray(decisions)
-    t = np.asarray(transmitted)
+    d = _vector(decisions, "decisions")
+    t = _vector(transmitted, "transmitted sequence")
+    delay, skip = as_integer(delay, "delay"), as_integer(skip, "skip")
     if delay < 0 or skip < 0:
         raise InputError("delay and skip must be >= 0")
     if skip < delay:
@@ -101,9 +112,7 @@ def ber(decisions, transmitted, delay: int, skip: int) -> float:
 
 def learning_curve(sq_errors, window: int, ratio: float, tail_fraction: float) -> LearningCurve:
     """Assemble a LearningCurve: smooth, measure steady state, find convergence."""
-    x = np.asarray(sq_errors, dtype=np.float64)
+    x = _vector(sq_errors, "learning curve")
     smoothed = smooth(x, window)
     steady = steady_state_mse(x, tail_fraction)
-    partial = LearningCurve(x, smoothed, window, steady, None)
-    conv = convergence_iteration(partial, ratio)
-    return LearningCurve(x, smoothed, window, steady, conv)
+    return LearningCurve(x, smoothed, steady, convergence_iteration(smoothed, steady, window, ratio))

@@ -10,17 +10,16 @@ recipe that other implementations can match statistically.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
 from .dsp import taps
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, as_integer
 
 
 def generate_bpsk(n: int, seed: int) -> np.ndarray:
     """n equiprobable +/-1 symbols from a PCG64 stream seeded with `seed`."""
-    n = _integer(n, "symbol count")
+    n = as_integer(n, "symbol count")
     if n < 1:
         raise InputError("symbol count must be >= 1")
     return np.where(_uniform(seed, n) < 0.5, 1.0, -1.0)
@@ -28,7 +27,7 @@ def generate_bpsk(n: int, seed: int) -> np.ndarray:
 
 def gaussian(n: int, variance: float, seed: int) -> np.ndarray:
     """n zero-mean Gaussian deviates with the given variance, Box-Muller over PCG64."""
-    n = _integer(n, "sample count")
+    n = as_integer(n, "sample count")
     if n < 0:
         raise InputError("sample count must be >= 0")
     if not 0 <= variance < math.inf:
@@ -51,9 +50,12 @@ def apply_channel(tx, impulse, noise_variance: float = 0.0, noise_seed: int = 0)
     Output sample n is 0.0 + impulse[0] * tx[n] + impulse[1] * tx[n-1] + ...,
     summed in tap order (zero before the start), plus Gaussian noise of
     `noise_variance` drawn from `noise_seed` (none at variance 0); output
-    length equals the input length.  `impulse` must be non-empty and finite.
+    length equals the input length.  `tx` must be 1-D and non-empty, and
+    `impulse` non-empty and finite.
     """
     x = np.asarray(tx, dtype=np.float64)
+    if x.ndim != 1:
+        raise InputError(f"transmitted sequence must be 1-D, got shape {x.shape}")
     if x.size == 0:
         raise InputError("transmitted sequence is empty")
     if not noise_variance >= 0:
@@ -68,17 +70,9 @@ def apply_channel(tx, impulse, noise_variance: float = 0.0, noise_seed: int = 0)
 
 def _uniform(seed, n: int) -> np.ndarray:
     """Generator(PCG64(seed)).random(n) for a seed >= 0 (any integer type)."""
-    seed = _integer(seed, "seed")
+    seed = as_integer(seed, "seed")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     from . import _kernel  # here: a process that only imports equalab never loads it
 
     return _kernel.load().uniform(seed, n)
-
-
-def _integer(value, name: str) -> int:
-    """`value` as a Python int (any integer type), else an InputError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None

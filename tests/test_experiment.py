@@ -570,7 +570,7 @@ class TestEmission:
         ]
         values = np.array([*edges, *(-x for x in edges), *_powers_of_ten(-41, 19)])
         # A reversed view: both writers take any float64 array of a curve.
-        curve = LearningCurve(values, values[::-1][:-3], 3, float(values[-1]), None)
+        curve = LearningCurve(values, values[::-1][:-3], float(values[-1]), None)
         rec = RunRecord(tiny_config(), {"lms": curve}, {"lms": 0.0}, None)
         path = tmp_path / "curves.csv"
         emit_curves_csv(rec, path)

@@ -7,7 +7,6 @@ import pytest
 
 from equalab import (
     InputError,
-    LearningCurve,
     ber,
     convergence_iteration,
     learning_curve,
@@ -83,48 +82,38 @@ class TestSteadyStateMse:
         assert steady_state_mse(short, 0.5) == steady_state_mse(longer, 0.25)
 
 
-def make_curve(smoothed, steady, window):
-    s = np.asarray(smoothed, dtype=np.float64)
-    return LearningCurve(s, s, window, steady, None)
-
-
 class TestConvergenceIteration:
     def test_monotone_curve_crosses_at_known_index(self):
         smoothed = np.array([8.0, 4.0, 2.0, 1.2, 1.1, 1.0, 1.0, 1.0])
-        curve = make_curve(smoothed, 1.0, 2)
-        assert convergence_iteration(curve, 1.3) == 3
+        assert convergence_iteration(smoothed, 1.0, 2, 1.3) == 3
 
     def test_diverging_curve_never_converges(self):
-        curve = make_curve([5.0, 6.0, 7.0, 8.0], 1.0, 2)
-        assert convergence_iteration(curve, 1.5) is None
+        assert convergence_iteration([5.0, 6.0, 7.0, 8.0], 1.0, 2, 1.5) is None
 
     def test_hand_scan(self):
-        curve = make_curve([9.0, 9.0, 1.0, 1.0, 1.0, 1.0], 1.0, 2)
-        assert convergence_iteration(curve, 1.1) == 2
+        assert convergence_iteration([9.0, 9.0, 1.0, 1.0, 1.0, 1.0], 1.0, 2, 1.1) == 2
 
     def test_confirmation_span_must_fit(self):
-        curve = make_curve([9.0, 9.0, 9.0, 1.0], 1.0, 2)
-        assert convergence_iteration(curve, 1.1) is None
+        assert convergence_iteration([9.0, 9.0, 9.0, 1.0], 1.0, 2, 1.1) is None
 
     def test_transient_dip_is_rejected(self):
-        curve = make_curve([9.0, 1.0, 9.0, 1.0, 1.0, 1.0], 1.0, 3)
-        assert convergence_iteration(curve, 1.1) == 3
+        assert convergence_iteration([9.0, 1.0, 9.0, 1.0, 1.0, 1.0], 1.0, 3, 1.1) == 3
 
     def test_monotone_in_ratio(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             vals = np.abs(rng.normal(size=40)).cumsum()[::-1].copy()
-            curve = make_curve(vals, float(vals[-8:].mean()), 4)
+            steady = float(vals[-8:].mean())
             last = None
             for rho in (1.1, 1.5, 2.0, 4.0):
-                idx = convergence_iteration(curve, rho)
+                idx = convergence_iteration(vals, steady, 4, rho)
                 if last is not None and idx is not None and last[1] is not None:
                     assert idx <= last[1]
                 last = (rho, idx)
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(InputError):
-            convergence_iteration(make_curve([1.0, 1.0], 1.0, 1), 0.0)
+            convergence_iteration([1.0, 1.0], 1.0, 1, 0.0)
 
     @staticmethod
     def convolved(below, w):
@@ -148,8 +137,7 @@ class TestConvergenceIteration:
     )
     def test_running_count_matches_convolution_at_the_edges(self, below, w):
         below = np.array(below)
-        curve = make_curve(np.where(below, 0.0, 2.0), 1.0, w)
-        assert convergence_iteration(curve, 1.0) == self.convolved(below, w)
+        assert convergence_iteration(np.where(below, 0.0, 2.0), 1.0, w, 1.0) == self.convolved(below, w)
 
     def test_running_count_matches_convolution_on_random_curves(self):
         rng = np.random.default_rng(18)
@@ -157,8 +145,7 @@ class TestConvergenceIteration:
             n = int(rng.integers(1, 400))
             w = int(rng.integers(1, n + 1))
             below = rng.random(n) < rng.choice([0.5, 0.9, 0.99, 1.0])
-            curve = make_curve(np.where(below, 0.0, 2.0), 1.0, w)
-            assert convergence_iteration(curve, 1.0) == self.convolved(below, w)
+            assert convergence_iteration(np.where(below, 0.0, 2.0), 1.0, w, 1.0) == self.convolved(below, w)
 
 
 class TestSpeedup:
@@ -210,9 +197,36 @@ class TestLearningCurve:
         rng = np.random.default_rng(4)
         sq = np.concatenate([np.linspace(9, 0.5, 200), 0.5 + 0.01 * rng.uniform(size=300)])
         curve = learning_curve(sq, window=20, ratio=1.5, tail_fraction=0.2)
-        assert curve.window == 20
-        assert curve.smoothed.size == sq.size - 19
+        assert curve._fields == ("sq_errors", "smoothed", "steady_state_mse", "convergence_iter")
+        assert curve.sq_errors.tobytes() == sq.tobytes()
+        assert curve.smoothed.tobytes() == smooth(sq, 20).tobytes()
         assert curve.steady_state_mse == steady_state_mse(sq, 0.2)
-        assert curve.convergence_iter == convergence_iteration(curve, 1.5)
+        assert curve.convergence_iter == convergence_iteration(curve.smoothed, curve.steady_state_mse, 20, 1.5)
         assert curve.convergence_iter is not None
         assert curve.convergence_iter < sq.size
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a curve that is not 1-D
+        pytest.param(lambda: smooth(np.ones((2, 5)), 2), id="smooth-2d"),
+        pytest.param(lambda: smooth(3.0, 1), id="smooth-scalar"),
+        pytest.param(lambda: steady_state_mse(np.ones((2, 5)), 0.5), id="steady-2d"),
+        pytest.param(lambda: convergence_iteration(np.ones((2, 5)), 1.0, 2, 1.5), id="convergence-2d"),
+        pytest.param(lambda: ber(np.ones((2, 5)), np.ones((2, 5)), 0, 1), id="ber-2d"),
+        pytest.param(lambda: ber(np.ones(10), np.ones((2, 5)), 0, 1), id="ber-2d-transmitted"),
+        pytest.param(lambda: learning_curve(np.ones((2, 5)), 2, 1.5, 0.2), id="learning-curve-2d"),
+        # a count that is no integer
+        pytest.param(lambda: smooth(np.ones(10), 2.0), id="smooth-float-window"),
+        pytest.param(lambda: learning_curve(np.ones(10), 2.0, 1.5, 0.2), id="learning-curve-float-window"),
+        pytest.param(lambda: ber(np.ones(10), np.ones(10), 1.0, 2), id="ber-float-delay"),
+        pytest.param(lambda: ber(np.ones(10), np.ones(10), 0, 2.0), id="ber-float-skip"),
+        # a confirmation span that is no positive integer
+        pytest.param(lambda: convergence_iteration(np.ones(4), 1.0, 0, 1.5), id="convergence-span-0"),
+        pytest.param(lambda: convergence_iteration(np.ones(4), 1.0, 2.0, 1.5), id="convergence-float-span"),
+    ],
+)
+def test_malformed_input_is_an_input_error(call):
+    with pytest.raises(InputError):
+        call()

@@ -101,6 +101,11 @@ class TestApplyChannel:
         with pytest.raises(InputError):
             apply_channel(np.array([]), [1.0])
 
+    @pytest.mark.parametrize("tx", [np.ones((2, 3)), 1.0])
+    def test_rejects_input_that_is_not_1d(self, tx):
+        with pytest.raises(InputError, match="1-D"):
+            apply_channel(tx, [1.0, 0.5])
+
     def test_noise_variance_estimate(self):
         sigma2 = 0.04
         rx = apply_channel(np.ones(100_000), [1.0], sigma2, 5)
