@@ -140,7 +140,7 @@ def _numpy_loop(R, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
     ff, fb = np.zeros((len(W), W.shape[1] + 1)), np.zeros((len(B), B.shape[1] + 1))
     e_prev = np.zeros(len(E))
     mu, floor, cap = (np.full(len(E), v) for v in (mu, floor, cap))  # converted once, not every step
-    # A diverging row turns to inf/nan and stays so; `equalize` reports it.
+    # A diverging row turns to inf/nan and stays so; `run_experiment` reports it.
     with np.errstate(all="ignore"):
         for x, f, d_out, e_out in steps:
             np.multiply(W, x, out=ff[:, 1:])

@@ -181,28 +181,24 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
 
     The steps run in the loop that `_kernel.load` chose; `KERNEL` names it.
 
-    Returns (sq_errors, decisions), both (S, N) float64: the squared errors
-    in C order and the decisions a view into the feedback buffer.  A
-    non-finite sample or output y, or else a squared error that
-    overflows, raises InputError naming the first failing row and its
-    iteration.
+    Returns the loop's buffers (errors, decisions, ff_weights, fb_weights):
+    the signed errors and decisions, (S, N), and each row's final taps.  A
+    diverging row comes back non-finite from the step where `dfe_step`
+    raises; InputError is for bad input only: the shape, an empty batch, a
+    non-finite sample (its first row and iteration) or a training reference.
     """
     rx = np.asarray(received, dtype=np.float64)
     if rx.ndim != 2:
         raise InputError("received batch must be 2-D: one row per run")
     if rx.size == 0:
         raise InputError("received sequence is empty")
-    _raise_first_non_finite(rx, "non-finite sample")
+    if not np.isfinite(rx).all():
+        row, i = (int(k) for k in np.argwhere(~np.isfinite(rx))[0])
+        raise InputError(f"non-finite sample at iteration {i}", row=row)
     from . import _kernel  # here: a process that only imports equalab never loads it
 
-    R, D, W, B, E = _lockstep(_kernel.load().lockstep, rx, cfg, transmitted)
-    # e(n) = reference - y(n) with a +/-1 reference: non-finite exactly when y(n) is.
-    _raise_first_non_finite(E, "non-finite quantizer input")
-    with np.errstate(over="ignore"):
-        sq = np.multiply(E, E, out=E)
-    _raise_first_non_finite(sq, "squared error overflows")
-    decisions = D[:, rx.shape[1] - 1 :: -1]  # a view: time runs backwards in D
-    return sq, decisions
+    _, D, W, B, E = _lockstep(_kernel.load().lockstep, rx, cfg, transmitted)
+    return E, D[:, rx.shape[1] - 1 :: -1], W, B  # a view: time runs backwards in D
 
 
 def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):
@@ -237,15 +233,6 @@ def __getattr__(name):
 
         return _kernel.load().name
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _raise_first_non_finite(a: np.ndarray, what: str) -> None:
-    """Raise InputError at the first non-finite entry of (rows, iterations) `a`,
-    in row-major order: lowest row first, then its earliest iteration."""
-    if np.isfinite(a).all():
-        return
-    row, i = (int(k) for k in np.argwhere(~np.isfinite(a))[0])
-    raise InputError(f"{what} at iteration {i}", row=row)
 
 
 def _training_references(transmitted, rows: int, train: int, delay: int) -> np.ndarray:

@@ -19,8 +19,8 @@ class ConfigurationError(ValueError):
 class InputError(ValueError):
     """Invalid runtime input: non-finite samples, empty sequences, bad indices.
 
-    A failure inside a batched equalizer run carries the batch `row` in
-    which it happened, so callers can name the run.
+    A bad sample or training reference of a batched equalizer run carries
+    the batch `row` in which it is, so callers can name the run.
     """
 
     def __init__(self, message: str, row: int | None = None):

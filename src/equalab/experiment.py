@@ -178,8 +178,10 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     and noise.  Each rule's rows are added to zeros one at a time in seed
     order, as np.mean(axis=0) adds them, so the sum over the seed count has
     the bytes of the mean of all rows at once, whatever the split, without
-    keeping them.  A run that fails raises the InputError the serial order
-    (seed, then algorithm) would meet first.  `config.jobs` changes nothing.
+    keeping them.  A run fails at its first non-finite sample, else at its
+    first non-finite error, else at its first squared error that overflows;
+    the InputError raised names the first failed run in the order seed, then
+    algorithm, whatever the split.  `config.jobs` changes nothing.
     """
     seeds, n, skip = config.seeds, config.n_symbols, config.ber_skip
     sums = {algo: np.zeros(n) for algo in config.algos}
@@ -192,23 +194,30 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         for k, s in enumerate(block):
             tx[k] = generate_bpsk(n, s)
             rx[k] = apply_channel(tx[k], config.channel, config.noise_variance, s + NOISE_SEED_OFFSET)
-        failures = []
-        for k, algo in enumerate(config.algos):
+        # A row fails at its first non-finite sample (under the first rule, as
+        # `equalize` raises; later rows never run), else at its first non-finite
+        # error, where the quantizer input y is (e = reference - y), else at
+        # its first overflowing square.
+        faults = _first_non_finite(rx, "non-finite sample")
+        failures = [(row, 0, config.algos[0], why) for row, why in faults.items()]
+        ok = min(faults, default=len(block))
+        for k, algo in enumerate(config.algos if ok else ()):
             cfg = config.dfe_config(algo)
-            try:
-                sq, decisions = equalize(rx, cfg, tx)
-            except InputError as exc:
-                failures.append((exc.row or 0, k, algo, exc))  # no row: the whole block
-                continue
-            for i in range(len(sq)):  # no view of sq outlives this loop
-                sums[algo] += sq[i]
-            seed_bers[algo] += [ber(d, t, cfg.delay, skip) for d, t in zip(decisions, tx)]
-            # decisions is a view of the feedback buffer: free both before the next rule runs
-            del sq, decisions
+            errors, decisions = equalize(rx[:ok], cfg, tx[:ok])[:2]
+            faults = _first_non_finite(errors, "non-finite quantizer input")
+            with np.errstate(over="ignore"):
+                sq = np.multiply(errors, errors, out=errors)
+            faults = {**_first_non_finite(sq, "squared error overflows"), **faults}
+            failures += [(row, k, algo, why) for row, why in faults.items()]
+            if not faults:
+                for i in range(len(sq)):  # no view of sq outlives this loop
+                    sums[algo] += sq[i]
+                seed_bers[algo] += [ber(d, t, cfg.delay, skip) for d, t in zip(decisions, tx)]
+            del errors, sq, decisions  # decisions views the feedback buffer: free both before the next rule
         del tx, rx  # free the block before the next one is drawn
         if failures:
-            row, _, algo, exc = min(failures, key=lambda f: f[:2])
-            raise InputError(f"algorithm {algo}, seed {block[row]}: {exc}") from None
+            row, _, algo, why = min(failures, key=lambda f: f[:2])
+            raise InputError(f"algorithm {algo}, seed {block[row]}: {why}")
 
     curves: dict[str, LearningCurve] = {}
     bers: dict[str, float] = {}
@@ -220,6 +229,12 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     if ALGO_LMS in curves and ALGO_ILMS in curves:
         ratio = speedup(curves[ALGO_LMS].convergence_iter, curves[ALGO_ILMS].convergence_iter)
     return RunRecord(config=config, curves=curves, ber=bers, speedup=ratio)
+
+
+def _first_non_finite(a: np.ndarray, what: str) -> dict[int, str]:
+    """{row: "`what` at iteration i"} for each row of `a` whose first non-finite entry is i."""
+    rows = () if np.isfinite(a).all() else ~np.isfinite(a)
+    return {row: f"{what} at iteration {int(bad.argmax())}" for row, bad in enumerate(rows) if bad.any()}
 
 
 def emit_curves_csv(record: RunRecord, path) -> None:

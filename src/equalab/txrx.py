@@ -32,6 +32,7 @@ def gaussian(n: int, variance: float, seed: int) -> np.ndarray:
         raise InputError("sample count must be >= 0")
     if not 0 <= variance < math.inf:
         raise InputError("variance must be finite and >= 0")
+    _seed(seed)  # also when no deviate is drawn
     if variance == 0:
         return np.zeros(n, dtype=np.float64)
     m = (n + 1) // 2
@@ -51,7 +52,8 @@ def apply_channel(tx, impulse, noise_variance: float = 0.0, noise_seed: int = 0)
     summed in tap order (zero before the start), plus Gaussian noise of
     `noise_variance` drawn from `noise_seed` (none at variance 0); output
     length equals the input length.  `tx` must be 1-D and non-empty, and
-    `impulse` non-empty and finite.
+    `impulse` non-empty and finite.  A sum that overflows gives an infinite
+    sample, without a warning: `equalize` refuses it by name.
     """
     x = np.asarray(tx, dtype=np.float64)
     if x.ndim != 1:
@@ -60,19 +62,26 @@ def apply_channel(tx, impulse, noise_variance: float = 0.0, noise_seed: int = 0)
         raise InputError("transmitted sequence is empty")
     if not noise_variance >= 0:
         raise ConfigurationError("must be >= 0", field="noise_variance")
+    _seed(noise_seed)  # also when no noise is drawn
     y = np.zeros(x.size)
-    for k, hk in enumerate(taps(impulse).tolist()[: x.size]):  # one add per tap; one past the end adds nothing
-        y[k:] += hk * x[: x.size - k]
-    if noise_variance > 0:
-        y = y + gaussian(x.size, noise_variance, noise_seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, hk in enumerate(taps(impulse).tolist()[: x.size]):  # one add per tap; one past the end adds nothing
+            y[k:] += hk * x[: x.size - k]
+        if noise_variance > 0:
+            y = y + gaussian(x.size, noise_variance, noise_seed)
     return y
+
+
+def _seed(seed) -> int:
+    """`seed` as a Python int, else an InputError: an integer >= 0 of any type."""
+    seed = as_integer(seed, "seed")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _uniform(seed, n: int) -> np.ndarray:
     """Generator(PCG64(seed)).random(n) for a seed >= 0 (any integer type)."""
-    seed = as_integer(seed, "seed")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
     from . import _kernel  # here: a process that only imports equalab never loads it
 
-    return _kernel.load().uniform(seed, n)
+    return _kernel.load().uniform(_seed(seed), n)

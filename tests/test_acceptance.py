@@ -23,6 +23,7 @@ from equalab import (
     dfe_step,
     dot,
     effective_step,
+    equalize,
     generate_bpsk,
     lms_update,
     shift_in,
@@ -31,7 +32,7 @@ from equalab import (
     steady_state_mse,
     taps,
 )
-from equalab import _kernel, dfe, experiment
+from equalab import experiment
 from equalab.metrics import ber, convergence_iteration
 from equalab.experiment import (
     ExperimentConfig,
@@ -56,14 +57,14 @@ def default_run():
 
 def _settled_ilms_step(record):
     """The mean `ilms` step over the final `tail_frac` of each run of the
-    experiment `record`, averaged over the seeds: the runs are stepped again
-    and the steps read from their signed errors.  Their squared errors,
-    averaged in seed order, must be the ensemble's `ilms` curve byte for
-    byte: these are the runs it made."""
+    experiment `record`, averaged over the seeds: the runs are equalized
+    again and the steps read from their signed errors.  Their squared
+    errors, averaged in seed order, must be the ensemble's `ilms` curve byte
+    for byte: these are the runs it made."""
     config = record.config
     cfg = config.dfe_config("ilms")
     rx, tx = experiment_input(config, config.seeds)
-    E = dfe._lockstep(_kernel.load().lockstep, rx, cfg, tx)[4]
+    E = equalize(rx, cfg, tx)[0]
     assert np.mean(E * E, axis=0).tobytes() == record.curves["ilms"].sq_errors.tobytes(), (
         "the step's runs are not the ensemble's ilms runs"
     )

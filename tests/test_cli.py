@@ -142,6 +142,16 @@ class TestConfigErrors:
         assert "ilms" in err and "seed 1:" in err and "overflows at iteration 172" in err
         assert not curves.exists() and not summary.exists()
 
+    def test_channel_overflow_exits_3_naming_the_sample(self, tmp_path, capsys):
+        # 1e308 + 1e308 overflows in the channel sum: a non-finite sample,
+        # named on one line without numpy's overflow warning.
+        code, curves, summary = run_cli(tmp_path, "--channel", "1e308,1e308")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Warning" not in err
+        assert err == "error: run failed: algorithm lms, seed 1: non-finite sample at iteration 1\n"
+        assert not curves.exists() and not summary.exists()
+
     def test_negative_seed_exits_2_naming_field(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(experiment, "equalize", _no_steps)
         cfg = tmp_path / "neg.cfg"

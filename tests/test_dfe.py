@@ -236,11 +236,9 @@ class TestRunEqualizer:
         # delay 2: reference stream is [pad, pad, tx0, tx1, ...] during training
         cfg = DfeConfig(n_ff=5, n_fb=0, mu=1e-9, mode="trained", training_len=6)
         tx = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, -1.0])
-        (sq_errors,), _ = equalize(np.zeros((1, 6)), cfg, tx[None])
+        (errors,), *_ = equalize(np.zeros((1, 6)), cfg, tx[None])
         # y stays ~0, so e = reference: +1 padding for 2 steps then -1
-        np.testing.assert_allclose(
-            np.sqrt(sq_errors), [1, 1, 1, 1, 1, 1], atol=1e-8
-        )
+        np.testing.assert_allclose(errors, [1, 1, -1, -1, -1, -1], atol=1e-8)
         spec, _ = run_spec(np.zeros(6), cfg, tx)
         assert spec["error"].tolist() == [1.0, 1.0] + [-1.0] * 4
 
@@ -266,55 +264,53 @@ N_ORACLE = 240
 def _assert_matches_spec(cfg, rx, tx):
     """`equalize` of the rows `rx` (and their symbols `tx`) gives, row by
     row, bit for bit what stepping the row through `dfe_step` gives: the
-    outputs, the signed errors, the steps and the final state."""
-    sq, dec = equalize(rx, cfg, tx)
-    assert sq.shape == dec.shape == rx.shape
-    # The final state lives in the loop's buffers: the weights in W and B,
-    # and the newest-first lines at the front of R and D.
-    R, D, W, B, E = dfe._lockstep(_kernel.load().lockstep, rx, cfg, tx)
-    steps = effective_steps(E, cfg)
+    signed errors, the steps, the decisions and the final state."""
+    errors, dec, W, B = equalize(rx, cfg, tx)
+    assert errors.shape == dec.shape == rx.shape
+    assert W.shape == (len(rx), cfg.n_ff) and B.shape == (len(rx), cfg.n_fb)
+    steps = effective_steps(errors, cfg)
     for s in range(rx.shape[0]):
         want, final = run_spec(rx[s], cfg, None if tx is None else tx[s])
-        assert E[s].tobytes() == want["error"].tobytes()
+        assert errors[s].tobytes() == want["error"].tobytes()
         assert steps[s].tobytes() == want["effective_step"].tobytes()
-        assert sq[s].tobytes() == (want["error"] * want["error"]).tobytes()
         assert dec[s].tobytes() == want["decision"].tobytes()
         assert W[s].tobytes() == final.ff_weights.tobytes()
         assert B[s].tobytes() == final.fb_weights.tobytes()
-        assert R[s, : cfg.n_ff].tobytes() == final.ff_line.tobytes()
-        assert D[s, : cfg.n_fb].tobytes() == final.fb_line.tobytes()
+        # The final lines hold the newest samples and decisions, newest first.
+        assert final.ff_line.tobytes() == rx[s, : -cfg.n_ff - 1 : -1].tobytes()
+        assert final.fb_line.tobytes() == dec[s, : -cfg.n_fb - 1 : -1].tobytes()
 
 
 # A trained `ilms` setting whose rows diverge on `_batch(4, 200, seed=8)`.
 _DIVERGING = dict(n_ff=11, n_fb=5, mu=0.2, algo="ilms", mode=MODE_TRAINED, training_len=500)
 
 
-def _assert_divergence_reported(cfg, seed, what="non-finite quantizer input"):
-    """Several rows of a batch diverge: `equalize` names the first row to
-    fail, its iteration and `what` failed, as stepping each row through
-    `dfe_step` finds.  A non-finite combiner output in any row comes before
-    a squared error that overflows."""
+def _assert_divergence_returned(cfg, seed, raises=True):
+    """Several rows of a batch fail, at different steps: `equalize` returns,
+    and each row's errors are, bit for bit, those of stepping it through
+    `dfe_step` before the step where that raises, and non-finite from it
+    on.  With `raises` false no row raises: every error is finite, but the
+    squares of some overflow."""
     rx, tx = _batch(4, 200, seed=seed)
-    raised, overflowed = [], []
+    errors = equalize(rx, cfg, tx)[0]
+    raised, failed = [], []
     with np.errstate(invalid="ignore", over="ignore"):
         for s in range(4):
-            done, first_overflow = 0, None
+            spec = []
             try:
                 for trace, _ in step_through(rx[s], cfg, tx[s]):
-                    if first_overflow is None and not math.isfinite(trace.error * trace.error):
-                        first_overflow = done
-                    done += 1
+                    spec.append(trace.error)
             except InputError:
-                raised.append((s, done))
-            if first_overflow is not None:
-                overflowed.append((s, first_overflow))
-    failures = raised or overflowed
-    # The first row to fail is not the one that fails earliest.
-    assert len(failures) > 1 and failures[0][1] > min(i for _, i in failures)
-    with pytest.raises(InputError) as exc:
-        equalize(rx, cfg, tx)
-    assert exc.value.row == failures[0][0]
-    assert str(exc.value).endswith(f"{what} at iteration {failures[0][1]}")
+                raised.append(s)
+            done = len(spec)
+            assert errors[s, :done].tobytes() == np.array(spec).tobytes()
+            assert not np.isfinite(errors[s, done:]).any()
+            bad = ~np.isfinite(errors[s] * errors[s])
+            if bad.any():
+                failed.append(int(bad.argmax()))
+    assert len(raised) == (len(failed) if raises else 0)  # every failing row raises, or none
+    # The rows fail at different steps: each row's run is its own.
+    assert len(set(failed)) > 1
 
 
 class TestEqualizeOracle:
@@ -363,26 +359,27 @@ class TestEqualizeOracle:
     def test_rows_are_independent(self, algo):
         cfg = DfeConfig(n_ff=7, n_fb=3, mu=0.03, algo=algo, mode=MODE_TRAINED, training_len=40)
         rx, tx = _batch(5, 300, seed=7)
-        sq, dec = equalize(rx, cfg, tx)
+        batch = equalize(rx, cfg, tx)
         for s in range(5):
-            alone_sq, alone_dec = equalize(rx[s : s + 1], cfg, tx[s : s + 1])
-            assert sq[s].tobytes() == alone_sq[0].tobytes()
-            assert dec[s].tobytes() == alone_dec[0].tobytes()
+            alone = equalize(rx[s : s + 1], cfg, tx[s : s + 1])
+            assert [a[s].tobytes() for a in batch] == [a[0].tobytes() for a in alone]
 
+    # A diverging row is returned, not raised: its errors show each row's
+    # failing iteration, from which `run_experiment` names the failed run.
     def test_divergence_names_first_row_and_iteration(self):
-        _assert_divergence_reported(DfeConfig(**_DIVERGING), seed=8)
+        _assert_divergence_returned(DfeConfig(**_DIVERGING), seed=8)
 
     def test_floor_cap_divergence_names_first_row_and_iteration(self):
-        # Diverging with both the floor and the cap set: each kernel names the
-        # row and iteration that the `dfe_step` loop names.
+        # Diverging with both the floor and the cap set: each kernel turns
+        # non-finite at the step where the `dfe_step` loop raises.
         cfg = DfeConfig(**_DIVERGING, step_floor=0.01, step_cap=50.0)
-        _assert_divergence_reported(cfg, seed=8)
+        _assert_divergence_returned(cfg, seed=8)
 
     def test_squared_error_overflow_names_first_row_and_iteration(self):
         # A tighter cap keeps every error finite for 200 steps, but the errors
         # still grow past sqrt(max float), so their squares overflow.
         cfg = DfeConfig(**_DIVERGING, step_floor=0.01, step_cap=5.0)
-        _assert_divergence_reported(cfg, seed=0, what="squared error overflows")
+        _assert_divergence_returned(cfg, seed=0, raises=False)
 
     def test_rejects_non_finite_sample(self):
         rx = np.zeros((3, 20))
@@ -420,9 +417,7 @@ class TestKernelChoice:
         """What a run computes: the equalizer's outputs and final weights, and
         the symbols and noise it equalizes."""
         rx, _ = _batch(3, N_ORACLE, seed=9)
-        sq, dec = equalize(rx, self.CFG)
-        W = dfe._lockstep(_kernel.load().lockstep, rx, self.CFG, None)[2]
-        out = [sq, dec, *W]
+        out = list(equalize(rx, self.CFG))
         for seed in (0, 2**32, 2**200 + 7):
             for n in (1, 3, 301):
                 out += [generate_bpsk(n, seed), gaussian(n, 0.3, seed)]

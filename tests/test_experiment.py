@@ -49,17 +49,23 @@ def tiny_config(**kw):
 
 
 def _first_step_failure(cfg):
-    """(algorithm, seed, iteration) of the first run to fail when every seed and
-    algorithm is stepped through `dfe_step` in the serial order; None if none does."""
+    """The error line of the first run to fail when every seed and algorithm
+    is stepped through `dfe_step` in the serial order; None if none does.  A
+    run fails at the step where `dfe_step` raises, else at its first
+    `trace.error * trace.error` that overflows."""
     with np.errstate(all="ignore"):
         for seed, rx, tx in zip(cfg.seeds, *experiment_input(cfg, cfg.seeds)):
             for algo in cfg.algos:
-                done = 0
+                done, overflow = 0, None
                 try:
-                    for _ in step_through(rx, cfg.dfe_config(algo), tx):
+                    for trace, _ in step_through(rx, cfg.dfe_config(algo), tx):
+                        if overflow is None and not math.isfinite(trace.error * trace.error):
+                            overflow = done
                         done += 1
                 except InputError:
-                    return algo, seed, done
+                    return f"algorithm {algo}, seed {seed}: non-finite quantizer input at iteration {done}"
+                if overflow is not None:
+                    return f"algorithm {algo}, seed {seed}: squared error overflows at iteration {overflow}"
     return None
 
 
@@ -186,8 +192,8 @@ class TestRunExperiment:
         folded = run_experiment(cfg)
         for algo in cfg.algos:
             dfe_cfg = cfg.dfe_config(algo)
-            sq, decisions = equalize(rx, dfe_cfg, tx)
-            want = np.mean(sq, axis=0).tobytes()
+            errors, decisions, _, _ = equalize(rx, dfe_cfg, tx)
+            want = np.mean(errors * errors, axis=0).tobytes()
             assert single.curves[algo].sq_errors.tobytes() == want
             assert folded.curves[algo].sq_errors.tobytes() == want
             bers = [ber(d, t, dfe_cfg.delay, cfg.ber_skip) for d, t in zip(decisions, tx)]
@@ -241,8 +247,57 @@ class TestRunExperiment:
             n_symbols=300, n_seeds=6, mu=6.0, mode="trained", training_len=500,
             algos=algos, jobs=jobs,
         )
-        algo, seed, i = _first_step_failure(cfg)
-        expected = f"algorithm {algo}, seed {seed}: non-finite quantizer input at iteration {i}"
+        expected = _first_step_failure(cfg)
+        assert "non-finite quantizer input" in expected
+        with pytest.raises(InputError) as exc:
+            run_experiment(cfg)
+        assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "cap,n_symbols,n_seeds,expected",
+        [
+            (5.0, 200, 4, "algorithm ilms, seed 1: squared error overflows at iteration 172"),
+            # Seed 7 turns non-finite at 267, but seed 1's square overflows at 148 first.
+            (8.0, 270, 8, "algorithm ilms, seed 1: squared error overflows at iteration 148"),
+        ],
+        ids=["cap5", "cap8"],
+    )
+    def test_overflow_names_first_run_in_serial_order(
+        self, monkeypatch, block_rows, cap, n_symbols, n_seeds, expected
+    ):
+        # One rule per row, whatever the block: a row fails at its first
+        # non-finite error, else at its first overflowing square, and the
+        # first failing row in seed order is named.
+        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", block_rows * n_symbols)
+        cfg = tiny_config(
+            n_symbols=n_symbols, n_seeds=n_seeds, mu=0.2, mode="trained", training_len=500,
+            algos=("ilms",), step_floor=0.01, step_cap=cap, window=10,
+        )
+        assert _first_step_failure(cfg) == expected
+        with pytest.raises(InputError) as exc:
+            run_experiment(cfg)
+        assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    @pytest.mark.parametrize(
+        "base_seed,expected",
+        [
+            # Seed 10's samples are finite, seed 11's turn infinite at iteration 1.
+            (10, "algorithm lms, seed 10: squared error overflows at iteration 1"),
+            (11, "algorithm lms, seed 11: non-finite sample at iteration 1"),
+        ],
+        ids=["seed10", "seed11"],
+    )
+    def test_seeds_before_a_bad_sample_fail_first(self, monkeypatch, block_rows, base_seed, expected):
+        # The channel sum overflows on some seeds only.  A seed with a
+        # non-finite sample fails under the first rule, after every seed
+        # before it has run, whatever the block.
+        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", block_rows * 3)
+        cfg = ExperimentConfig(
+            n_symbols=3, n_seeds=3, base_seed=base_seed, window=1, channel=(1e308, 1e308),
+            n_ff=1, n_fb=1, center_spike=False,
+        )
         with pytest.raises(InputError) as exc:
             run_experiment(cfg)
         assert str(exc.value) == expected
@@ -262,7 +317,8 @@ class TestRunExperiment:
 
         def fake_equalize(rx, cfg, tx):  # records the batch; steps nothing
             calls.append((cfg.algo, rx.shape))
-            return np.zeros(rx.shape), np.ones(rx.shape)
+            weights = np.zeros((len(rx), cfg.n_ff)), np.zeros((len(rx), cfg.n_fb))
+            return np.zeros(rx.shape), np.ones(rx.shape), *weights
 
         monkeypatch.setattr(experiment, "equalize", fake_equalize)
         run_experiment(ExperimentConfig(n_seeds=n_seeds, n_symbols=n_symbols, jobs=jobs))

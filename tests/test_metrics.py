@@ -7,8 +7,10 @@ import pytest
 
 from equalab import (
     InputError,
+    apply_channel,
     ber,
     convergence_iteration,
+    gaussian,
     learning_curve,
     smooth,
     speedup,
@@ -225,6 +227,10 @@ class TestLearningCurve:
         # a confirmation span that is no positive integer
         pytest.param(lambda: convergence_iteration(np.ones(4), 1.0, 0, 1.5), id="convergence-span-0"),
         pytest.param(lambda: convergence_iteration(np.ones(4), 1.0, 2.0, 1.5), id="convergence-float-span"),
+        # a bad seed where no deviate is drawn
+        pytest.param(lambda: gaussian(4, 0.0, -1), id="gaussian-variance-0-negative-seed"),
+        pytest.param(lambda: gaussian(4, 0.0, "x"), id="gaussian-variance-0-text-seed"),
+        pytest.param(lambda: apply_channel(np.ones(3), [1.0], 0.0, 2.5), id="channel-variance-0-float-seed"),
     ],
 )
 def test_malformed_input_is_an_input_error(call):

@@ -101,6 +101,13 @@ class TestApplyChannel:
         with pytest.raises(InputError):
             apply_channel(np.array([]), [1.0])
 
+    def test_overflow_is_a_non_finite_sample_without_a_warning(self):
+        # The suite turns every warning into an error.
+        rx = apply_channel(np.ones(3), [1e308, 1e308], 1.0, 0)
+        assert rx[0] > 1e307 and rx[1:].tolist() == [math.inf, math.inf]
+        # 10 * 1e308 overflows, and adding -inf to inf gives nan.
+        assert np.isnan(apply_channel(np.full(2, 1e308), [10.0, -10.0])[1])
+
     @pytest.mark.parametrize("tx", [np.ones((2, 3)), 1.0])
     def test_rejects_input_that_is_not_1d(self, tx):
         with pytest.raises(InputError, match="1-D"):
