@@ -38,6 +38,7 @@ from .errors import ConfigurationError, InputError
 from .experiment import (
     ExperimentConfig,
     RunRecord,
+    SeedTable,
     emit_curves_csv,
     emit_summary,
     run_experiment,

@@ -85,6 +85,8 @@ class DfeConfig:
             if self.decision_delay < 0:
                 raise ConfigurationError("must be >= 0", field="decision_delay")
         object.__setattr__(self, "params", AdaptParams(self.mu, self.step_floor, self.step_cap))
+        if not isinstance(self.center_spike, (bool, np.bool_)):  # "false" would be truthy
+            raise ConfigurationError(f"must be a bool, got {self.center_spike!r}", field="center_spike")
         if self.center_spike and not self.delay < self.n_ff:
             raise ConfigurationError(
                 "center-spike initialization needs decision_delay < n_ff", field="decision_delay"

@@ -2,8 +2,9 @@
 
 One experiment runs every selected algorithm over every seed, averages the
 squared-error curves pointwise across seeds (fold in ascending seed order),
-and derives convergence / steady-state / BER statistics from the ensemble
-curve.  Outputs are a learning-curve CSV and a flat key=value summary, both
+and derives convergence / steady-state statistics from the ensemble curve.
+Each seed's BER and final taps are kept per rule; the ensemble BER is their
+mean.  Outputs are a learning-curve CSV and a flat key=value summary, both
 byte-deterministic for a given config and whatever the block split.
 """
 
@@ -73,7 +74,7 @@ class ExperimentConfig:
             require_integer(value, name)  # the equalizer's counts are DfeConfig's to check
         if self.n_symbols < 1:
             raise ConfigurationError("must be >= 1", field="n_symbols")
-        if not self.algos:
+        if len(self.algos) == 0:
             raise ConfigurationError("select at least one algorithm", field="algo")
         if len(set(self.algos)) != len(self.algos):
             raise ConfigurationError("duplicate algorithm", field="algo")
@@ -109,6 +110,11 @@ class ExperimentConfig:
                 f"must be > ber_skip {skip} so that BER scores at least one symbol",
                 field="n_symbols",
             )
+        # Plain values, so that configs built from a list or an array compare
+        # and hash, and the summary writes numpy's True as "true".
+        object.__setattr__(self, "channel", tuple(float(c) for c in self.channel))
+        object.__setattr__(self, "algos", tuple(map(str, self.algos)))
+        object.__setattr__(self, "center_spike", bool(self.center_spike))
 
     @property
     def noise_variance(self) -> float:
@@ -144,18 +150,33 @@ class ExperimentConfig:
         )
 
 
+class SeedTable(NamedTuple):
+    """One rule's outcome per seed, a row per seed in seed order: its BER,
+    (S,), and its final feed-forward and feedback taps, (S, n_ff) and
+    (S, n_fb)."""
+
+    ber: np.ndarray
+    ff_weights: np.ndarray
+    fb_weights: np.ndarray
+
+
 class RunRecord(NamedTuple):
     """Everything needed to reproduce and re-derive one experiment's outputs.
 
-    `ber` is each rule's mean BER over the seeds; `speedup` is
+    `seeds` holds each rule's `SeedTable`; `speedup` is
     convergence_iter(lms) / convergence_iter(ilms), None unless both rules
     ran and converged.
     """
 
     config: ExperimentConfig
     curves: dict[str, LearningCurve]
-    ber: dict[str, float]
+    seeds: dict[str, SeedTable]
     speedup: float | None
+
+    @property
+    def ber(self) -> dict[str, float]:
+        """Each rule's mean BER over its seeds."""
+        return {algo: float(np.mean(table.ber)) for algo, table in self.seeds.items()}
 
 
 # Most rows x symbols one `equalize` call steps at once; a run steps its
@@ -178,14 +199,16 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     and noise.  Each rule's rows are added to zeros one at a time in seed
     order, as np.mean(axis=0) adds them, so the sum over the seed count has
     the bytes of the mean of all rows at once, whatever the split, without
-    keeping them.  A run fails at its first non-finite sample, else at its
+    keeping them; each seed's BER and final taps fill its row of the rule's
+    `SeedTable`.  A run fails at its first non-finite sample, else at its
     first non-finite error, else at its first squared error that overflows;
     the InputError raised names the first failed run in the order seed, then
     algorithm, whatever the split.  `config.jobs` changes nothing.
     """
     seeds, n, skip = config.seeds, config.n_symbols, config.ber_skip
     sums = {algo: np.zeros(n) for algo in config.algos}
-    seed_bers: dict[str, list[float]] = {algo: [] for algo in config.algos}
+    shapes = (len(seeds),), (len(seeds), config.n_ff), (len(seeds), config.n_fb)
+    tables = {algo: SeedTable(*map(np.empty, shapes)) for algo in config.algos}
     rows = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(0, len(seeds), rows):
         block = seeds[lo : lo + rows]
@@ -203,7 +226,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         ok = min(faults, default=len(block))
         for k, algo in enumerate(config.algos if ok else ()):
             cfg = config.dfe_config(algo)
-            errors, decisions = equalize(rx[:ok], cfg, tx[:ok])[:2]
+            errors, decisions, ff, fb = equalize(rx[:ok], cfg, tx[:ok])
             faults = _first_non_finite(errors, "non-finite quantizer input")
             with np.errstate(over="ignore"):
                 sq = np.multiply(errors, errors, out=errors)
@@ -212,23 +235,23 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             if not faults:
                 for i in range(len(sq)):  # no view of sq outlives this loop
                     sums[algo] += sq[i]
-                seed_bers[algo] += [ber(d, t, cfg.delay, skip) for d, t in zip(decisions, tx)]
+                table = tables[algo]
+                table.ber[lo : lo + ok] = [ber(d, t, cfg.delay, skip) for d, t in zip(decisions, tx)]
+                table.ff_weights[lo : lo + ok], table.fb_weights[lo : lo + ok] = ff, fb
             del errors, sq, decisions  # decisions views the feedback buffer: free both before the next rule
         del tx, rx  # free the block before the next one is drawn
         if failures:
             row, _, algo, why = min(failures, key=lambda f: f[:2])
             raise InputError(f"algorithm {algo}, seed {block[row]}: {why}")
 
-    curves: dict[str, LearningCurve] = {}
-    bers: dict[str, float] = {}
-    for algo in config.algos:
-        ensemble = sums[algo] / len(seeds)
-        curves[algo] = learning_curve(ensemble, config.window, config.conv_ratio, config.tail_frac)
-        bers[algo] = float(np.mean(seed_bers[algo]))
+    curves = {
+        algo: learning_curve(sums[algo] / len(seeds), config.window, config.conv_ratio, config.tail_frac)
+        for algo in config.algos
+    }
     ratio = None
     if ALGO_LMS in curves and ALGO_ILMS in curves:
         ratio = speedup(curves[ALGO_LMS].convergence_iter, curves[ALGO_ILMS].convergence_iter)
-    return RunRecord(config=config, curves=curves, ber=bers, speedup=ratio)
+    return RunRecord(config=config, curves=curves, seeds=tables, speedup=ratio)
 
 
 def _first_non_finite(a: np.ndarray, what: str) -> dict[int, str]:

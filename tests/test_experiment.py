@@ -35,11 +35,12 @@ from equalab.experiment import (
     NOISE_SEED_OFFSET,
     ExperimentConfig,
     RunRecord,
+    SeedTable,
     emit_curves_csv,
     emit_summary,
     run_experiment,
 )
-from spec_loop import experiment_input, step_through
+from spec_loop import experiment_input, run_spec, step_through
 
 
 def tiny_config(**kw):
@@ -126,6 +127,30 @@ class TestExperimentConfig:
     def test_accepts_integer_types(self):
         kw = dict(n_symbols=np.int64(400), n_seeds=np.uint8(2), window=np.int32(10), n_ff=np.int16(7))
         assert ExperimentConfig(**kw) == ExperimentConfig(n_symbols=400, n_seeds=2, window=10, n_ff=7)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0.5, None])
+    def test_center_spike_must_be_a_bool(self, value):
+        # Accepted, "false" would run with the spike, as a truthy value.
+        for make in (ExperimentConfig, lambda **kw: DfeConfig(n_ff=3, n_fb=1, mu=0.01, **kw)):
+            with pytest.raises(ConfigurationError, match="must be a bool") as exc:
+                make(center_spike=value)
+            assert exc.value.field == "center_spike"
+
+    def test_numpy_bool_is_stored_as_bool(self):
+        cfg = ExperimentConfig(center_spike=np.False_)
+        assert cfg.center_spike is False and cfg == ExperimentConfig(center_spike=False)
+
+    def test_channel_and_algos_are_stored_as_tuples(self):
+        configs = [
+            ExperimentConfig(channel=channel, algos=algos)
+            for channel, algos in (
+                ([0.84, 0.543], ["lms", "ilms"]),
+                ((0.84, 0.543), ("lms", "ilms")),
+                (np.array([0.84, 0.543]), np.array(["lms", "ilms"])),
+            )
+        ]
+        assert all(c == configs[0] and hash(c) == hash(configs[0]) for c in configs)
+        assert [type(a) for a in configs[2].algos] == [str, str] and configs[2].channel == (0.84, 0.543)
 
     def test_noise_variance_from_snr(self):
         assert ExperimentConfig(snr_db=20.0).noise_variance == pytest.approx(0.01)
@@ -325,6 +350,39 @@ class TestRunExperiment:
         assert calls == [(a, (r, n_symbols)) for r in rows for a in ("lms", "ilms")]
 
 
+@pytest.mark.parametrize("kernel", ["c", "numpy"])
+class TestSeedTable:
+    """Each rule's table holds a row per seed, in seed order, on either loop:
+    that seed's BER and final taps, as if it ran alone."""
+
+    @pytest.fixture(autouse=True)
+    def loop(self, use_kernel, kernel):
+        use_kernel(kernel)
+
+    @pytest.mark.parametrize("mode", [{}, {"mode": "trained", "training_len": 150}], ids=["dd", "trained"])
+    def test_rows_are_the_seeds_run_alone(self, mode):
+        cfg = tiny_config(n_symbols=300, n_seeds=3, **mode)
+        record = run_experiment(cfg)
+        for algo in cfg.algos:
+            dfe_cfg, table = cfg.dfe_config(algo), record.seeds[algo]
+            assert [a.shape for a in table] == [(3,), (3, cfg.n_ff), (3, cfg.n_fb)]
+            for k, seed in enumerate(cfg.seeds):
+                (rx,), (tx,) = experiment_input(cfg, [seed])
+                spec, final = run_spec(rx, dfe_cfg, tx)
+                assert table.ber[k] == ber(spec["decision"], tx, dfe_cfg.delay, cfg.ber_skip)
+                assert table.ff_weights[k].tobytes() == final.ff_weights.tobytes()
+                assert table.fb_weights[k].tobytes() == final.fb_weights.tobytes()
+            assert record.ber[algo] == float(np.mean(table.ber))
+
+    def test_table_is_the_same_whatever_the_block(self, monkeypatch):
+        cfg = tiny_config(n_seeds=7)
+        tables = []
+        for block_rows in (1, 3, 7):  # 3 rows: blocks of 3, 3 and 1
+            monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", block_rows * cfg.n_symbols)
+            tables.append({algo: [a.tobytes() for a in t] for algo, t in run_experiment(cfg).seeds.items()})
+        assert tables[0] == tables[1] == tables[2]
+
+
 def test_serial_run_does_not_import_the_pool(child_env):
     """A run never loads multiprocessing, whatever jobs says: every run is
     one process, even with more than one block (2 seeds at jobs=2)."""
@@ -426,6 +484,11 @@ def test_only_self_checking_records_are_dataclasses():
     assert decorated == checking == {"AdaptParams", "DfeConfig", "ExperimentConfig"}
 
 
+def _seed_table(n_seeds, config) -> SeedTable:
+    """A table of `n_seeds` zero rows, shaped for `config`'s taps."""
+    return SeedTable(np.zeros(n_seeds), np.zeros((n_seeds, config.n_ff)), np.zeros((n_seeds, config.n_fb)))
+
+
 _RECORDS = {
     "AdaptParams": lambda: AdaptParams(0.01),
     "DfeConfig": lambda: DfeConfig(n_ff=3, n_fb=1, mu=0.01),
@@ -433,7 +496,8 @@ _RECORDS = {
     "DfeState": lambda: initial_state(DfeConfig(n_ff=3, n_fb=1, mu=0.01)),
     "StepTrace": lambda: StepTrace(0, 0.5, 1.0, 0.5, 0.01),
     "LearningCurve": lambda: learning_curve(np.ones(10), 2, 1.5, 0.5),
-    "RunRecord": lambda: RunRecord(ExperimentConfig(), {}, {}, None),
+    "SeedTable": lambda: _seed_table(2, ExperimentConfig()),
+    "RunRecord": lambda: RunRecord(ExperimentConfig(), {}, {"lms": _seed_table(2, ExperimentConfig())}, None),
     "Setting": lambda: cli.SETTINGS[0],
     "Kernel": _kernel.numpy,
 }
@@ -627,7 +691,7 @@ class TestEmission:
         values = np.array([*edges, *(-x for x in edges), *_powers_of_ten(-41, 19)])
         # A reversed view: both writers take any float64 array of a curve.
         curve = LearningCurve(values, values[::-1][:-3], float(values[-1]), None)
-        rec = RunRecord(tiny_config(), {"lms": curve}, {"lms": 0.0}, None)
+        rec = RunRecord(tiny_config(), {"lms": curve}, {"lms": _seed_table(4, tiny_config())}, None)
         path = tmp_path / "curves.csv"
         emit_curves_csv(rec, path)
         raw = path.read_bytes()
