@@ -19,21 +19,15 @@ import os
 # process that imported numpy first.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .adapt import AdaptParams, effective_step, lms_update
 from .dfe import (
     ALGO_ILMS,
     ALGO_LMS,
     MODE_DECISION_DIRECTED,
     MODE_TRAINED,
     DfeConfig,
-    DfeState,
-    StepTrace,
-    dfe_step,
     equalize,
-    initial_state,
-    quantize,
 )
-from .dsp import delay_line, dot, shift_in, taps
+from .dsp import taps
 from .errors import ConfigurationError, InputError
 from .experiment import (
     ExperimentConfig,

@@ -49,8 +49,8 @@ def lms_update(weights: TapWeights, regressor: DelayLine, e: float, step: float)
     return weights + (step * e) * regressor
 
 
-def effective_step(params: AdaptParams, e_curr: float, e_prev: float) -> float:
-    """Variable step size: mu * |e_curr - e_prev|, with optional floor and cap."""
+def effective_step(params, e_curr: float, e_prev: float) -> float:
+    """Variable step size mu * |e_curr - e_prev|, floored and capped; reads only mu, step_floor, step_cap."""
     s = params.mu * max(abs(e_curr - e_prev), params.step_floor)
     if params.step_cap is not None and s > params.step_cap:
         s = params.step_cap

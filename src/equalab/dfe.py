@@ -19,7 +19,7 @@ of independent runs in lockstep and reproduces `dfe_step` bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,8 +46,7 @@ class DfeConfig:
 
     `decision_delay` is the lag of the reference symbol relative to the
     current received sample; None selects the FF half-length (see `delay`).
-    `training_len` must be 0 in decision-directed mode.  `params` is the
-    validated step-size setting, built once here.
+    `training_len` must be 0 in decision-directed mode.
     """
 
     n_ff: int
@@ -60,11 +59,10 @@ class DfeConfig:
     step_floor: float = 0.0
     step_cap: float | None = None
     center_spike: bool = False
-    params: AdaptParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n_ff", "n_fb", "training_len"):
-            require_integer(getattr(self, name), name)
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.n_ff < 1:
             raise ConfigurationError("must be >= 1", field="n_ff")
         if self.n_fb < 0:
@@ -81,10 +79,10 @@ class DfeConfig:
         if self.mode == MODE_DECISION_DIRECTED and self.training_len != 0:
             raise ConfigurationError("must be 0 in decision-directed mode", field="training_len")
         if self.decision_delay is not None:
-            require_integer(self.decision_delay, "decision_delay")
+            object.__setattr__(self, "decision_delay", require_integer(self.decision_delay, "decision_delay"))
             if self.decision_delay < 0:
                 raise ConfigurationError("must be >= 0", field="decision_delay")
-        object.__setattr__(self, "params", AdaptParams(self.mu, self.step_floor, self.step_cap))
+        AdaptParams(self.mu, self.step_floor, self.step_cap)  # checks the step settings
         if not isinstance(self.center_spike, (bool, np.bool_)):  # "false" would be truthy
             raise ConfigurationError(f"must be a bool, got {self.center_spike!r}", field="center_spike")
         if self.center_spike and not self.delay < self.n_ff:
@@ -162,7 +160,7 @@ def dfe_step(
     else:
         reference = d
     e = reference - y
-    step = effective_step(cfg.params, e, state.prev_error) if cfg.algo == ALGO_ILMS else cfg.params.mu
+    step = effective_step(cfg, e, state.prev_error) if cfg.algo == ALGO_ILMS else cfg.mu
     ff_w = lms_update(state.ff_weights, ff_line, e, step)
     fb_w = lms_update(state.fb_weights, -state.fb_line, e, step)  # y subtracts the FB output
     nxt = DfeState(ff_w, fb_w, ff_line, shift_in(state.fb_line, d), e, state.iteration + 1)

@@ -28,11 +28,12 @@ class InputError(ValueError):
         self.row = row
 
 
-def require_integer(value, field: str) -> None:
-    """Raise ConfigurationError naming `field` unless `value` is an integer
-    (any integer type): a float count would otherwise fail deep in numpy."""
+def require_integer(value, field: str) -> int:
+    """`value` as a Python int (any integer type), else a ConfigurationError
+    naming `field`: a float count would fail deep in numpy, and a numpy count
+    would wrap or overflow there."""
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ConfigurationError(f"must be an integer, got {value!r}", field=field) from None
 

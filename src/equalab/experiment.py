@@ -67,13 +67,16 @@ class ExperimentConfig:
     out_summary: str = "summary.txt"
 
     def __post_init__(self):
-        for name, value in (
-            ("n_symbols", self.n_symbols), ("seeds", self.n_seeds), ("base_seed", self.base_seed),
-            ("window", self.window), ("jobs", self.jobs),
+        # Counts are stored as Python ints: a numpy count wraps or overflows in the run.
+        for name, field in (
+            ("n_symbols", "n_symbols"), ("n_seeds", "seeds"), ("base_seed", "base_seed"),
+            ("window", "window"), ("jobs", "jobs"),
         ):
-            require_integer(value, name)  # the equalizer's counts are DfeConfig's to check
+            object.__setattr__(self, name, require_integer(getattr(self, name), field))
         if self.n_symbols < 1:
             raise ConfigurationError("must be >= 1", field="n_symbols")
+        if isinstance(self.algos, str):  # else "lms" would be read as the rules 'l', 'm' and 's'
+            raise ConfigurationError(f"takes a sequence of rule names, got {self.algos!r}", field="algo")
         if len(self.algos) == 0:
             raise ConfigurationError("select at least one algorithm", field="algo")
         if len(set(self.algos)) != len(self.algos):
@@ -103,7 +106,9 @@ class ExperimentConfig:
         except ConfigurationError as exc:
             raise ConfigurationError(str(exc), field="channel") from None
         for a in self.algos:  # the rule and equalizer fields are DfeConfig's to check
-            self.dfe_config(a)
+            checked = self.dfe_config(a)
+        for name in ("n_ff", "n_fb", "training_len", "decision_delay"):  # the ints DfeConfig stored
+            object.__setattr__(self, name, getattr(checked, name))
         skip = self.ber_skip
         if skip >= self.n_symbols:
             raise ConfigurationError(

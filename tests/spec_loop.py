@@ -4,8 +4,8 @@ read from its errors; and the input of a run's seeds."""
 
 import numpy as np
 
-from equalab import apply_channel, dfe_step, generate_bpsk, initial_state
-from equalab.dfe import ALGO_LMS, MODE_TRAINED, PAD_SYMBOL
+from equalab import apply_channel, generate_bpsk
+from equalab.dfe import ALGO_LMS, MODE_TRAINED, PAD_SYMBOL, dfe_step, initial_state
 from equalab.experiment import NOISE_SEED_OFFSET
 
 

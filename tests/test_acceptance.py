@@ -15,24 +15,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from equalab import (
-    AdaptParams,
-    DfeConfig,
-    DfeState,
-    delay_line,
-    dfe_step,
-    dot,
-    effective_step,
-    equalize,
-    generate_bpsk,
-    lms_update,
-    shift_in,
-    smooth,
-    speedup,
-    steady_state_mse,
-    taps,
-)
-from equalab import experiment
+from equalab import DfeConfig, equalize, experiment, generate_bpsk, smooth, speedup, steady_state_mse, taps
+from equalab.adapt import AdaptParams, effective_step, lms_update
+from equalab.dfe import DfeState, dfe_step
+from equalab.dsp import delay_line, dot, shift_in
 from equalab.metrics import ber, convergence_iteration
 from equalab.experiment import (
     ExperimentConfig,

@@ -8,17 +8,10 @@ past decisions.
 import numpy as np
 import pytest
 
-from equalab import (
-    AdaptParams,
-    ConfigurationError,
-    DfeConfig,
-    DfeState,
-    dfe_step,
-    dot,
-    effective_step,
-    lms_update,
-    quantize,
-)
+from equalab import ConfigurationError, DfeConfig
+from equalab.adapt import AdaptParams, effective_step, lms_update
+from equalab.dfe import DfeState, dfe_step, quantize
+from equalab.dsp import dot
 
 
 class TestAdaptParams:

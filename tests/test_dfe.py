@@ -11,22 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equalab import (
-    ConfigurationError,
-    DfeConfig,
-    DfeState,
-    InputError,
-    delay_line,
-    dfe_step,
-    equalize,
-    gaussian,
-    generate_bpsk,
-    initial_state,
-    quantize,
-    taps,
-)
+from equalab import ConfigurationError, DfeConfig, InputError, equalize, gaussian, generate_bpsk, taps
 from equalab import _kernel, dfe
-from equalab.dfe import MODE_TRAINED
+from equalab.dfe import MODE_TRAINED, DfeState, dfe_step, initial_state, quantize
+from equalab.dsp import delay_line
 from equalab.experiment import ExperimentConfig
 from spec_loop import effective_steps, experiment_input, run_spec, step_through
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from equalab import ConfigurationError, InputError, delay_line, dot, shift_in, taps
+from equalab import ConfigurationError, InputError, taps
+from equalab.dsp import delay_line, dot, shift_in
 
 
 class TestTaps:

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import hashlib
+import importlib
 import math
 import os
 import platform
@@ -14,23 +15,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import equalab
 from equalab import (
-    AdaptParams,
     ConfigurationError,
     DfeConfig,
     InputError,
     LearningCurve,
-    StepTrace,
     apply_channel,
     ber,
     equalize,
     generate_bpsk,
-    initial_state,
     learning_curve,
     smooth,
     steady_state_mse,
 )
 from equalab import _kernel, cli, experiment
+from equalab.adapt import AdaptParams
+from equalab.dfe import StepTrace, initial_state
 from equalab.experiment import (
     NOISE_SEED_OFFSET,
     ExperimentConfig,
@@ -127,6 +128,41 @@ class TestExperimentConfig:
     def test_accepts_integer_types(self):
         kw = dict(n_symbols=np.int64(400), n_seeds=np.uint8(2), window=np.int32(10), n_ff=np.int16(7))
         assert ExperimentConfig(**kw) == ExperimentConfig(n_symbols=400, n_seeds=2, window=10, n_ff=7)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(n_seeds=np.int8(10), base_seed=np.int8(120)),  # int8 seeds 120.. wrapped: no seed ran
+            dict(n_ff=np.int8(11)),
+            dict(n_fb=np.int8(5)),
+            dict(n_symbols=np.int16(300)),
+            dict(mode="trained", training_len=np.uint8(100), decision_delay=np.int8(3)),
+            dict(window=np.int8(10), jobs=np.uint8(1)),
+        ],
+        ids=["seeds", "n_ff", "n_fb", "n_symbols", "trained-delay", "window-jobs"],
+    )
+    def test_numpy_counts_run_as_their_int_twins(self, kw):
+        # Stored as given, each of these wrapped or overflowed inside the run.
+        base = dict(n_symbols=300, window=10, n_seeds=2)
+        cfg = ExperimentConfig(**{**base, **kw})
+        twin = ExperimentConfig(**{**base, **{k: int(v) if isinstance(v, np.integer) else v for k, v in kw.items()}})
+        equalizer = ("n_ff", "n_fb", "training_len", *(() if cfg.decision_delay is None else ["decision_delay"]))
+        counts = ("n_symbols", "n_seeds", "base_seed", "window", "jobs", *equalizer)
+        assert all(type(getattr(cfg, name)) is int for name in counts)
+        assert all(type(getattr(cfg.dfe_config("lms"), name)) is int for name in equalizer)
+        assert cfg == twin
+        got, want = run_experiment(cfg), run_experiment(twin)
+        assert got.config.seeds == want.config.seeds and got.ber == want.ber
+        for algo in want.curves:
+            assert got.curves[algo].sq_errors.tobytes() == want.curves[algo].sq_errors.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.seeds[algo], want.seeds[algo]))
+
+    @pytest.mark.parametrize("algos", ["lms", "ilms", "lmsilms"])
+    def test_refuses_a_bare_string_of_rules(self, algos):
+        # Iterated by character, "lms" was refused as the unknown rule 'l'.
+        with pytest.raises(ConfigurationError, match=f"takes a sequence of rule names, got '{algos}'") as exc:
+            ExperimentConfig(algos=algos)
+        assert exc.value.field == "algo"
 
     @pytest.mark.parametrize("value", ["false", "true", 0.5, None])
     def test_center_spike_must_be_a_bool(self, value):
@@ -533,6 +569,34 @@ def test_a_run_loads_the_kernel_once(child_env):
 
 # The scalar spec: `dfe_step` and the primitives it is built from.
 _SPEC = ("dfe_step", "initial_state", "quantize", "shift_in", "dot", "delay_line", "lms_update", "effective_step")
+
+
+# Where the scalar spec is defined, module by module.
+_SPEC_HOMES = {
+    "dfe": ("dfe_step", "DfeState", "StepTrace", "initial_state", "quantize"),
+    "dsp": ("delay_line", "shift_in", "dot"),
+    "adapt": ("lms_update", "effective_step", "AdaptParams"),
+}
+
+
+def test_the_spec_is_no_part_of_the_package_api():
+    """`import equalab` gives the run's API and none of the spec's 11 names;
+    each imports from the module that defines it, as `perfbench/layers.py`
+    reads it, and `DfeConfig` keeps no copy of its step settings."""
+    spec = {name for names in _SPEC_HOMES.values() for name in names}
+    assert len(spec) == 11 and spec >= set(_SPEC)
+    assert not spec & set(vars(equalab))
+    for home, names in _SPEC_HOMES.items():
+        module = importlib.import_module(f"equalab.{home}")
+        assert all(getattr(module, name).__module__ == module.__name__ for name in names)
+    layers = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "layers.py").read_text())
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(layers)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.attr in spec
+    }
+    assert len(read) == 7 and all(name in _SPEC_HOMES[home] for home, name in read)
+    assert "params" not in {f.name for f in dataclasses.fields(DfeConfig)}
 
 
 @pytest.mark.parametrize("loop", ["chosen", "numpy"])
