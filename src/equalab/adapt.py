@@ -9,35 +9,20 @@ error settles.  `dfe.dfe_step` applies the update to both equalizer filters.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dsp import DelayLine, TapWeights
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True, slots=True)
-class AdaptParams:
-    """Step-size parameters.
-
-    `step_floor` bounds the |e(n) - e(n-1)| scale from below and `step_cap`
-    bounds the effective step from above.  Both default to off, which leaves
-    the variable-step rule exact: consecutive equal errors genuinely stall it.
-    """
+class AdaptParams(NamedTuple):
+    """The step settings of `effective_step`, unchecked (`DfeConfig` checks
+    them): `step_floor` floors the |e(n) - e(n-1)| scale and `step_cap` caps the
+    step.  Both are off by default: consecutive equal errors then stall the rule."""
 
     mu: float
     step_floor: float = 0.0
     step_cap: float | None = None
-
-    def __post_init__(self):
-        if not 0 < self.mu < math.inf:
-            raise ConfigurationError("must be finite and > 0", field="mu")
-        if not 0 <= self.step_floor < math.inf:
-            raise ConfigurationError("must be finite and >= 0", field="step_floor")
-        if self.step_cap is not None and (
-            not 0 < self.step_cap < math.inf or self.step_cap < self.mu * self.step_floor
-        ):
-            raise ConfigurationError("must be finite, > 0 and >= mu * step_floor", field="step_cap")
 
 
 def lms_update(weights: TapWeights, regressor: DelayLine, e: float, step: float) -> TapWeights:

@@ -24,9 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adapt import AdaptParams, effective_step, lms_update
+from .adapt import effective_step, lms_update
 from .dsp import DelayLine, TapWeights, delay_line, dot, shift_in
-from .errors import ConfigurationError, InputError, require_integer
+from .errors import ConfigurationError, InputError, require_integer, require_real
 
 # The two adaptation rules: fixed-step LMS and error-difference-scaled LMS.
 ALGO_LMS = "lms"
@@ -42,11 +42,12 @@ PAD_SYMBOL = 1.0
 
 @dataclass(frozen=True, slots=True)
 class DfeConfig:
-    """Static equalizer configuration.
+    """Static equalizer configuration, stored as plain Python values.
 
     `decision_delay` is the lag of the reference symbol relative to the
     current received sample; None selects the FF half-length (see `delay`).
-    `training_len` must be 0 in decision-directed mode.
+    `training_len` must be 0 in decision-directed mode.  `step_floor` and
+    `step_cap` (0 and None: off) bound the `ilms` step; see `effective_step`.
     """
 
     n_ff: int
@@ -63,6 +64,8 @@ class DfeConfig:
     def __post_init__(self):
         for name in ("n_ff", "n_fb", "training_len"):
             object.__setattr__(self, name, require_integer(getattr(self, name), name))
+        for name in ("mu", "step_floor", *(() if self.step_cap is None else ["step_cap"])):
+            object.__setattr__(self, name, require_real(getattr(self, name), name))
         if self.n_ff < 1:
             raise ConfigurationError("must be >= 1", field="n_ff")
         if self.n_fb < 0:
@@ -82,13 +85,22 @@ class DfeConfig:
             object.__setattr__(self, "decision_delay", require_integer(self.decision_delay, "decision_delay"))
             if self.decision_delay < 0:
                 raise ConfigurationError("must be >= 0", field="decision_delay")
-        AdaptParams(self.mu, self.step_floor, self.step_cap)  # checks the step settings
+        if not 0 < self.mu < math.inf:
+            raise ConfigurationError("must be finite and > 0", field="mu")
+        if not 0 <= self.step_floor < math.inf:
+            raise ConfigurationError("must be finite and >= 0", field="step_floor")
+        if self.step_cap is not None and (
+            not 0 < self.step_cap < math.inf or self.step_cap < self.mu * self.step_floor
+        ):
+            raise ConfigurationError("must be finite, > 0 and >= mu * step_floor", field="step_cap")
         if not isinstance(self.center_spike, (bool, np.bool_)):  # "false" would be truthy
             raise ConfigurationError(f"must be a bool, got {self.center_spike!r}", field="center_spike")
         if self.center_spike and not self.delay < self.n_ff:
             raise ConfigurationError(
                 "center-spike initialization needs decision_delay < n_ff", field="decision_delay"
             )
+        for name, plain in (("algo", str), ("mode", str), ("center_spike", bool)):  # numpy's str_ and bool_
+            object.__setattr__(self, name, plain(getattr(self, name)))
 
     @property
     def delay(self) -> int:

@@ -20,8 +20,15 @@ DelayLine = np.ndarray
 
 
 def taps(coeffs) -> TapWeights:
-    """Validate a coefficient vector: 1-D, non-empty, all finite. Returns a copy."""
-    w = np.array(coeffs, dtype=np.float64)
+    """Validate a coefficient vector: 1-D, non-empty, real numbers, all finite.
+    Returns a float64 copy."""
+    try:
+        w = np.array(coeffs)
+    except ValueError:  # a ragged nesting
+        w = np.array(None)
+    if w.dtype.kind not in "biuf":  # else numpy parses "0.5" and refuses 1j with a bare TypeError
+        raise ConfigurationError(f"tap weights must be real numbers, got {coeffs!r}")
+    w = w.astype(np.float64, copy=False)
     if w.ndim != 1 or w.size < 1:
         raise ConfigurationError("tap weights must be a non-empty 1-D vector")
     if not np.all(np.isfinite(w)):

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer checks of a config
-field and of a function argument."""
+"""Exception types shared across the package, the integer and real checks of a
+config field, and the integer check of a function argument."""
 
+import numbers
 import operator
 
 
@@ -36,6 +37,17 @@ def require_integer(value, field: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigurationError(f"must be an integer, got {value!r}", field=field) from None
+
+
+def require_real(value, field: str) -> float:
+    """`value` as a Python float (any real type), else a ConfigurationError
+    naming `field`: a float32 setting would run other numbers than it echoes."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"must be a real number, got {value!r}", field=field)
+    try:
+        return float(value)
+    except OverflowError:  # an int such as 10**400
+        raise ConfigurationError("must be within the float range", field=field) from None
 
 
 def as_integer(value, name: str) -> int:

@@ -10,8 +10,8 @@ byte-deterministic for a given config and whatever the block split.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dfe import ALGO_ILMS, ALGO_LMS, MODE_DECISION_DIRECTED, DfeConfig, equalize
 from .dsp import taps
-from .errors import ConfigurationError, InputError, require_integer
+from .errors import ConfigurationError, InputError, require_integer, require_real
 from .metrics import LearningCurve, ber, learning_curve, speedup
 from .txrx import apply_channel, generate_bpsk
 
@@ -34,14 +34,17 @@ NOISE_SEED_OFFSET = 10**9
 # channel with a center-spike start.
 DEFAULT_CHANNEL = (0.84, 0.543)
 
+# The equalizer settings: the fields of each rule's DfeConfig, under the same names.
+_EQUALIZER = tuple(f.name for f in dataclasses.fields(DfeConfig) if f.name != "algo")
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Every knob of one experiment; defaults are the standard desk-scale setup.
 
-    `snr_db` None means a zero-noise channel.  The seeds are `n_seeds`
-    consecutive integers from `base_seed`.  `jobs` is checked (>= 1) and
-    otherwise unused: every run is one process.
+    Settings are stored as plain Python values.  `snr_db` None means a
+    zero-noise channel.  The seeds are `n_seeds` consecutive integers from
+    `base_seed`.  `jobs` is checked (>= 1) and otherwise unused.
     """
 
     n_symbols: int = 5000
@@ -67,12 +70,14 @@ class ExperimentConfig:
     out_summary: str = "summary.txt"
 
     def __post_init__(self):
-        # Counts are stored as Python ints: a numpy count wraps or overflows in the run.
+        # A numpy count wraps or overflows in the run; float32 changes the tail and the noise.
         for name, field in (
             ("n_symbols", "n_symbols"), ("n_seeds", "seeds"), ("base_seed", "base_seed"),
             ("window", "window"), ("jobs", "jobs"),
         ):
             object.__setattr__(self, name, require_integer(getattr(self, name), field))
+        for name in ("conv_ratio", "tail_frac", *(() if self.snr_db is None else ["snr_db"])):
+            object.__setattr__(self, name, require_real(getattr(self, name), name))
         if self.n_symbols < 1:
             raise ConfigurationError("must be >= 1", field="n_symbols")
         if isinstance(self.algos, str):  # else "lms" would be read as the rules 'l', 'm' and 's'
@@ -102,24 +107,20 @@ class ExperimentConfig:
         if self.jobs < 1:
             raise ConfigurationError("must be >= 1", field="jobs")
         try:
-            taps(self.channel)
+            object.__setattr__(self, "channel", tuple(taps(self.channel).tolist()))
         except ConfigurationError as exc:
             raise ConfigurationError(str(exc), field="channel") from None
         for a in self.algos:  # the rule and equalizer fields are DfeConfig's to check
             checked = self.dfe_config(a)
-        for name in ("n_ff", "n_fb", "training_len", "decision_delay"):  # the ints DfeConfig stored
+        for name in _EQUALIZER:  # as DfeConfig stored them
             object.__setattr__(self, name, getattr(checked, name))
+        object.__setattr__(self, "algos", tuple(map(str, self.algos)))
         skip = self.ber_skip
         if skip >= self.n_symbols:
             raise ConfigurationError(
                 f"must be > ber_skip {skip} so that BER scores at least one symbol",
                 field="n_symbols",
             )
-        # Plain values, so that configs built from a list or an array compare
-        # and hash, and the summary writes numpy's True as "true".
-        object.__setattr__(self, "channel", tuple(float(c) for c in self.channel))
-        object.__setattr__(self, "algos", tuple(map(str, self.algos)))
-        object.__setattr__(self, "center_spike", bool(self.center_spike))
 
     @property
     def noise_variance(self) -> float:
@@ -141,18 +142,7 @@ class ExperimentConfig:
         return max(delay, self.n_symbols - math.floor(0.8 * self.n_symbols))
 
     def dfe_config(self, algo: str) -> DfeConfig:
-        return DfeConfig(
-            n_ff=self.n_ff,
-            n_fb=self.n_fb,
-            mu=self.mu,
-            algo=algo,
-            mode=self.mode,
-            training_len=self.training_len,
-            decision_delay=self.decision_delay,
-            step_floor=self.step_floor,
-            step_cap=self.step_cap,
-            center_spike=self.center_spike,
-        )
+        return DfeConfig(algo=algo, **{name: getattr(self, name) for name in _EQUALIZER})
 
 
 class SeedTable(NamedTuple):
@@ -306,22 +296,22 @@ def emit_summary(record: RunRecord, path) -> None:
     lines = [
         ("tool_version", __version__),
         ("n_symbols", cfg.n_symbols),
-        ("channel", ",".join(repr(float(c)) for c in cfg.channel)),
-        ("snr_db", None if cfg.snr_db is None else float(cfg.snr_db)),
-        ("noise_variance", float(cfg.noise_variance)),
+        ("channel", ",".join(map(repr, cfg.channel))),
+        ("snr_db", cfg.snr_db),
+        ("noise_variance", cfg.noise_variance),
         ("n_ff", cfg.n_ff),
         ("n_fb", cfg.n_fb),
-        ("mu", float(cfg.mu)),
+        ("mu", cfg.mu),
         ("algo", ",".join(cfg.algos)),
         ("mode", cfg.mode),
         ("training_len", cfg.training_len),
         ("decision_delay", cfg.dfe_config(cfg.algos[0]).delay),
         ("center_spike", cfg.center_spike),
-        ("step_floor", float(cfg.step_floor)),
-        ("step_cap", None if cfg.step_cap is None else float(cfg.step_cap)),
+        ("step_floor", cfg.step_floor),
+        ("step_cap", cfg.step_cap),
         ("window", cfg.window),
-        ("conv_ratio", float(cfg.conv_ratio)),
-        ("tail_frac", float(cfg.tail_frac)),
+        ("conv_ratio", cfg.conv_ratio),
+        ("tail_frac", cfg.tail_frac),
         ("ber_skip", cfg.ber_skip),
         ("noise_seed_offset", NOISE_SEED_OFFSET),
         ("symbol_seeds", ",".join(str(s) for s in cfg.seeds)),

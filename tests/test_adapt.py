@@ -14,32 +14,6 @@ from equalab.dfe import DfeState, dfe_step, quantize
 from equalab.dsp import dot
 
 
-class TestAdaptParams:
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(ConfigurationError):
-            AdaptParams(mu=0.0)
-        with pytest.raises(ConfigurationError):
-            AdaptParams(mu=-0.1)
-        with pytest.raises(ConfigurationError):
-            AdaptParams(mu=0.1, step_floor=-1.0)
-        with pytest.raises(ConfigurationError):
-            AdaptParams(mu=0.1, step_floor=2.0, step_cap=0.1)  # cap < mu*floor
-
-    def test_error_names_field(self):
-        inf, nan = float("inf"), float("nan")
-        for kw, field in (
-            (dict(mu=0.0), "mu"),
-            (dict(mu=inf), "mu"),
-            (dict(mu=0.1, step_floor=nan), "step_floor"),
-            (dict(mu=0.1, step_floor=inf), "step_floor"),
-            (dict(mu=0.1, step_cap=inf), "step_cap"),
-            (dict(mu=0.1, step_cap=nan), "step_cap"),
-        ):
-            with pytest.raises(ConfigurationError) as exc:
-                AdaptParams(**kw)
-            assert exc.value.field == field, kw
-
-
 class TestLmsUpdate:
     def test_zero_error_is_fixed_point(self):
         w = np.array([0.3, -0.7])

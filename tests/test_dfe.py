@@ -51,6 +51,30 @@ class TestDfeConfig:
             DfeConfig(**base)
         assert exc.value.field == field
 
+    def test_rejects_bad_step_ranges(self):
+        for kw, message in (
+            (dict(mu=0.0), "must be finite and > 0"),
+            (dict(mu=-0.1), "must be finite and > 0"),
+            (dict(mu=0.1, step_floor=-1.0), "must be finite and >= 0"),
+            (dict(mu=0.1, step_floor=2.0, step_cap=0.1), "must be finite, > 0 and >= mu \\* step_floor"),
+        ):
+            with pytest.raises(ConfigurationError, match=message):
+                DfeConfig(n_ff=3, n_fb=1, **kw)
+
+    def test_step_error_names_field(self):
+        inf, nan = float("inf"), float("nan")
+        for kw, field in (
+            (dict(mu=0.0), "mu"),
+            (dict(mu=inf), "mu"),
+            (dict(mu=0.1, step_floor=nan), "step_floor"),
+            (dict(mu=0.1, step_floor=inf), "step_floor"),
+            (dict(mu=0.1, step_cap=inf), "step_cap"),
+            (dict(mu=0.1, step_cap=nan), "step_cap"),
+        ):
+            with pytest.raises(ConfigurationError) as exc:
+                DfeConfig(n_ff=3, n_fb=1, **kw)
+            assert exc.value.field == field, kw
+
     def test_training_len_requires_trained_mode(self):
         DfeConfig(n_ff=4, n_fb=2, mu=0.1, mode="trained", training_len=5)
 
@@ -332,13 +356,18 @@ class TestEqualizeOracle:
         cfg = DfeConfig(n_ff=11, mu=0.03, algo=algo, center_spike=spike, **mode, **shape)
         _assert_matches_spec(cfg, *_batch(rows, N_ORACLE))
 
-    @pytest.mark.parametrize("case", ["white-noise", "default-lms", "default-ilms"])
+    @pytest.mark.parametrize("case", ["white-noise", "default-lms", "default-ilms", "numpy-scalars"])
     def test_matches_step_loop_on(self, case):
-        # A row of white noise through a small dd `ilms`, and the default
-        # config at its full length on the input of seed 1 of the default run.
+        # A row of white noise through a small dd `ilms`; the default config
+        # at its full length on the input of seed 1 of the default run; and
+        # an `ilms` built from numpy scalars, which runs as its Python twin.
         if case == "white-noise":
             cfg = DfeConfig(n_ff=5, n_fb=3, mu=0.05, algo="ilms", center_spike=True)
             _assert_matches_spec(cfg, np.random.default_rng(4).normal(size=(1, 50)), None)
+        elif case == "numpy-scalars":
+            f32 = np.float32
+            steps = dict(mu=f32(0.03), step_floor=f32(0.01), step_cap=f32(0.05))
+            _assert_matches_spec(DfeConfig(n_ff=11, n_fb=np.int8(3), algo="ilms", **steps), *_batch(3, N_ORACLE))
         else:
             config = ExperimentConfig()
             _assert_matches_spec(config.dfe_config(case.split("-")[1]), *experiment_input(config, [1]))

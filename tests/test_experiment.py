@@ -44,6 +44,10 @@ from equalab.experiment import (
 from spec_loop import experiment_input, run_spec, step_through
 
 
+# The float settings of ExperimentConfig: DfeConfig's three step settings, then its own.
+_FLOAT_SETTINGS = ("mu", "step_floor", "step_cap", "snr_db", "conv_ratio", "tail_frac")
+
+
 def tiny_config(**kw):
     base = dict(n_symbols=400, n_seeds=4, window=20, mu=0.02)
     base.update(kw)
@@ -103,6 +107,11 @@ class TestExperimentConfig:
             # 10 ** 400.0 overflows a float.
             (dict(snr_db=-4000.0), "snr_db"),
             (dict(channel=(1.0, float("nan"))), "channel"),
+            (dict(channel="0.5,0.3"), "channel"),
+            (dict(channel=(1j,)), "channel"),
+            # float(10**400) overflows.
+            (dict(mu=10**400), "mu"),
+            (dict(tail_frac=10**400), "tail_frac"),
         ],
     )
     def test_rejects_and_names_field(self, kw, field):
@@ -111,17 +120,28 @@ class TestExperimentConfig:
         assert exc.value.field == field
 
     @pytest.mark.parametrize(
-        "name,field",
+        "name,field,value",
         [
-            ("n_symbols", "n_symbols"), ("n_seeds", "seeds"), ("base_seed", "base_seed"),
-            ("window", "window"), ("jobs", "jobs"), ("n_ff", "n_ff"), ("n_fb", "n_fb"),
-            ("training_len", "training_len"), ("decision_delay", "decision_delay"),
+            pytest.param(name, field, value, id=f"{vid}-{name}-{field}")
+            for vid, value in (("2.0", 2.0), ("1.5", 1.5), ("str", "3"))
+            for name, field in (
+                ("n_symbols", "n_symbols"), ("n_seeds", "seeds"), ("base_seed", "base_seed"),
+                ("window", "window"), ("jobs", "jobs"), ("n_ff", "n_ff"), ("n_fb", "n_fb"),
+                ("training_len", "training_len"), ("decision_delay", "decision_delay"),
+            )
+        ]
+        + [
+            pytest.param(name, name, value, id=f"{vid}-{name}-{name}")
+            for vid, value in (("str", "0.02"), ("complex", 1j), ("none", None))
+            for name in _FLOAT_SETTINGS
+            if value is not None or name == "step_floor"  # snr_db and step_cap take None
         ],
     )
-    @pytest.mark.parametrize("value", [2.0, 1.5, "3"], ids=["2.0", "1.5", "str"])
     def test_rejects_a_count_that_is_no_integer(self, name, field, value):
-        # Accepted, a float count would fail deep in numpy with a TypeError.
-        with pytest.raises(ConfigurationError, match="must be an integer") as exc:
+        # Accepted, a float count would fail deep in numpy with a TypeError,
+        # and a float setting of "0.02" in a comparison with a TypeError.
+        kind = "a real number" if name in _FLOAT_SETTINGS else "an integer"
+        with pytest.raises(ConfigurationError, match=f"must be {kind}") as exc:
             ExperimentConfig(**{name: value})
         assert exc.value.field == field
 
@@ -138,24 +158,33 @@ class TestExperimentConfig:
             dict(n_symbols=np.int16(300)),
             dict(mode="trained", training_len=np.uint8(100), decision_delay=np.int8(3)),
             dict(window=np.int8(10), jobs=np.uint8(1)),
+            {name: np.float32(v) for name, v in zip(_FLOAT_SETTINGS, (0.02, 0.01, 0.05, 20, 1.5, 0.2))},
         ],
-        ids=["seeds", "n_ff", "n_fb", "n_symbols", "trained-delay", "window-jobs"],
+        ids=["seeds", "n_ff", "n_fb", "n_symbols", "trained-delay", "window-jobs", "floats"],
     )
-    def test_numpy_counts_run_as_their_int_twins(self, kw):
-        # Stored as given, each of these wrapped or overflowed inside the run.
+    def test_numpy_counts_run_as_their_int_twins(self, kw, tmp_path):
+        # Stored as given, each count wrapped or overflowed inside the run, and
+        # each float32 setting ran float32 arithmetic that its summary hid.
         base = dict(n_symbols=300, window=10, n_seeds=2)
         cfg = ExperimentConfig(**{**base, **kw})
-        twin = ExperimentConfig(**{**base, **{k: int(v) if isinstance(v, np.integer) else v for k, v in kw.items()}})
+        twin = ExperimentConfig(**{**base, **{k: v.item() if isinstance(v, np.generic) else v for k, v in kw.items()}})
         equalizer = ("n_ff", "n_fb", "training_len", *(() if cfg.decision_delay is None else ["decision_delay"]))
         counts = ("n_symbols", "n_seeds", "base_seed", "window", "jobs", *equalizer)
         assert all(type(getattr(cfg, name)) is int for name in counts)
         assert all(type(getattr(cfg.dfe_config("lms"), name)) is int for name in equalizer)
-        assert cfg == twin
+        floats = [name for name in _FLOAT_SETTINGS if name in kw]
+        assert all(type(getattr(cfg, name)) is float for name in floats)
+        steps = [name for name in floats if name in _FLOAT_SETTINGS[:3]]
+        assert all(type(getattr(cfg.dfe_config("ilms"), name)) is float for name in steps)
+        assert cfg == twin and hash(cfg) == hash(twin)
         got, want = run_experiment(cfg), run_experiment(twin)
         assert got.config.seeds == want.config.seeds and got.ber == want.ber
         for algo in want.curves:
             assert got.curves[algo].sq_errors.tobytes() == want.curves[algo].sq_errors.tobytes()
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got.seeds[algo], want.seeds[algo]))
+        for record, name in ((got, "got.txt"), (want, "want.txt")):
+            emit_summary(record, tmp_path / name)
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
 
     @pytest.mark.parametrize("algos", ["lms", "ilms", "lmsilms"])
     def test_refuses_a_bare_string_of_rules(self, algos):
@@ -517,7 +546,7 @@ def test_only_self_checking_records_are_dataclasses():
                     decorated.add(node.name)
             if any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for f in node.body):
                 checking.add(node.name)
-    assert decorated == checking == {"AdaptParams", "DfeConfig", "ExperimentConfig"}
+    assert decorated == checking == {"DfeConfig", "ExperimentConfig"}
 
 
 def _seed_table(n_seeds, config) -> SeedTable:
@@ -567,8 +596,11 @@ def test_a_run_loads_the_kernel_once(child_env):
     assert out.stdout.strip() == "1"
 
 
-# The scalar spec: `dfe_step` and the primitives it is built from.
-_SPEC = ("dfe_step", "initial_state", "quantize", "shift_in", "dot", "delay_line", "lms_update", "effective_step")
+# The scalar spec: `dfe_step`, the primitives it is built from and the record of its step settings.
+_SPEC = (
+    "dfe_step", "initial_state", "quantize", "shift_in", "dot", "delay_line", "lms_update", "effective_step",
+    "AdaptParams",
+)
 
 
 # Where the scalar spec is defined, module by module.

@@ -64,7 +64,7 @@ class TestChannelModel:
     """The channel arguments of `apply_channel`: impulse, noise variance and seed."""
 
     def test_rejects_empty_impulse(self):
-        for impulse in ([], [1.0, np.nan], [[1.0]]):  # also non-finite and not 1-D
+        for impulse in ([], [1.0, np.nan], [[1.0]], "0.5,0.3", (1j,)):  # also non-finite, not 1-D, no numbers
             with pytest.raises(ConfigurationError):
                 apply_channel(np.ones(4), impulse)
 
