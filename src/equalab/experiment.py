@@ -147,12 +147,14 @@ class ExperimentConfig:
 
 class SeedTable(NamedTuple):
     """One rule's outcome per seed, a row per seed in seed order: its BER,
-    (S,), and its final feed-forward and feedback taps, (S, n_ff) and
-    (S, n_fb)."""
+    (S,), its final feed-forward and feedback taps, (S, n_ff) and
+    (S, n_fb), and the step it settled to, (S,): its mean step over the
+    final `tail_frac` of the run, which is mu for `lms`."""
 
     ber: np.ndarray
     ff_weights: np.ndarray
     fb_weights: np.ndarray
+    settled_step: np.ndarray
 
 
 class RunRecord(NamedTuple):
@@ -174,6 +176,40 @@ class RunRecord(NamedTuple):
         return {algo: float(np.mean(table.ber)) for algo, table in self.seeds.items()}
 
 
+def draw(config: ExperimentConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The input of `seeds` in a run of `config`: (tx, rx), the symbols and
+    the received samples, each (len(seeds), n_symbols).  Seed s draws its
+    symbols from s and its noise from s + NOISE_SEED_OFFSET."""
+    tx = np.empty((len(seeds), config.n_symbols))
+    rx = np.empty_like(tx)
+    for k, s in enumerate(seeds):
+        tx[k] = generate_bpsk(config.n_symbols, s)
+        rx[k] = apply_channel(tx[k], config.channel, config.noise_variance, s + NOISE_SEED_OFFSET)
+    return tx, rx
+
+
+def effective_steps(errors: np.ndarray, cfg: DfeConfig) -> np.ndarray:
+    """The step each iteration of `cfg`'s rule took, from the signed errors
+    (rows, N) that `equalize` returns: mu for `lms`; for `ilms`
+    mu * max(|e(n) - e(n-1)|, step_floor) with e(-1) = 0, capped at
+    step_cap, as `adapt.effective_step` computes it."""
+    if cfg.algo == ALGO_LMS:
+        return np.full(errors.shape, cfg.mu)
+    steps = cfg.mu * np.maximum(np.abs(np.diff(errors, axis=-1, prepend=0.0)), cfg.step_floor)
+    return steps if cfg.step_cap is None else np.minimum(steps, cfg.step_cap)
+
+
+def _settled_steps(errors: np.ndarray, cfg: DfeConfig, tail_frac: float):
+    """Each row's mean step over its final ceil(tail_frac * N) iterations,
+    the tail that `steady_state_mse` reads; mu for `lms`.  Only the tail and
+    the error before it are read."""
+    if cfg.algo == ALGO_LMS:
+        return cfg.mu
+    n = errors.shape[1]
+    k = math.ceil(tail_frac * n)
+    return effective_steps(errors[:, max(n - k - 1, 0) :], cfg)[:, -k:].mean(axis=1)
+
+
 # Most rows x symbols one `equalize` call steps at once; a run steps its
 # blocks one after another in this process.  The bound is on memory: a block
 # holds at most five float64 arrays of that shape at once (tx, rx and the
@@ -190,28 +226,25 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Run all seeds and algorithms and aggregate into curves and statistics.
 
     The seeds run in this process in contiguous blocks of at most
-    `_BLOCK_ELEMENTS` samples (rows x symbols), each drawing its own symbols
-    and noise.  Each rule's rows are added to zeros one at a time in seed
+    `_BLOCK_ELEMENTS` samples (rows x symbols), each with its own `draw`.
+    Each rule's rows are added to zeros one at a time in seed
     order, as np.mean(axis=0) adds them, so the sum over the seed count has
     the bytes of the mean of all rows at once, whatever the split, without
-    keeping them; each seed's BER and final taps fill its row of the rule's
-    `SeedTable`.  A run fails at its first non-finite sample, else at its
-    first non-finite error, else at its first squared error that overflows;
-    the InputError raised names the first failed run in the order seed, then
-    algorithm, whatever the split.  `config.jobs` changes nothing.
+    keeping them; each seed's BER, final taps and settled step (read from
+    its signed errors) fill its row of the rule's `SeedTable`.  A run fails
+    at its first non-finite sample, else at its first non-finite error, else
+    at its first squared error that overflows; the InputError raised names
+    the first failed run in the order seed, then algorithm, whatever the
+    split.  `config.jobs` changes nothing.
     """
     seeds, n, skip = config.seeds, config.n_symbols, config.ber_skip
     sums = {algo: np.zeros(n) for algo in config.algos}
-    shapes = (len(seeds),), (len(seeds), config.n_ff), (len(seeds), config.n_fb)
+    shapes = (len(seeds),), (len(seeds), config.n_ff), (len(seeds), config.n_fb), (len(seeds),)
     tables = {algo: SeedTable(*map(np.empty, shapes)) for algo in config.algos}
     rows = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(0, len(seeds), rows):
         block = seeds[lo : lo + rows]
-        tx = np.empty((len(block), n))
-        rx = np.empty_like(tx)
-        for k, s in enumerate(block):
-            tx[k] = generate_bpsk(n, s)
-            rx[k] = apply_channel(tx[k], config.channel, config.noise_variance, s + NOISE_SEED_OFFSET)
+        tx, rx = draw(config, block)
         # A row fails at its first non-finite sample (under the first rule, as
         # `equalize` raises; later rows never run), else at its first non-finite
         # error, where the quantizer input y is (e = reference - y), else at
@@ -223,7 +256,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             cfg = config.dfe_config(algo)
             errors, decisions, ff, fb = equalize(rx[:ok], cfg, tx[:ok])
             faults = _first_non_finite(errors, "non-finite quantizer input")
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # a failed run's steps are not kept
+                settled = _settled_steps(errors, cfg, config.tail_frac)
                 sq = np.multiply(errors, errors, out=errors)
             faults = {**_first_non_finite(sq, "squared error overflows"), **faults}
             failures += [(row, k, algo, why) for row, why in faults.items()]
@@ -233,6 +267,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                 table = tables[algo]
                 table.ber[lo : lo + ok] = [ber(d, t, cfg.delay, skip) for d, t in zip(decisions, tx)]
                 table.ff_weights[lo : lo + ok], table.fb_weights[lo : lo + ok] = ff, fb
+                table.settled_step[lo : lo + ok] = settled
             del errors, sq, decisions  # decisions views the feedback buffer: free both before the next rule
         del tx, rx  # free the block before the next one is drawn
         if failures:

@@ -3,10 +3,10 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Criteria 1 and 2 share a single run of the default experiment configuration,
 and hold at its horizon of 5000 symbols.  Criterion 1 reads the step `ilms`
-settles to from the signed errors of the ensemble's own `ilms` runs, stepped
-again in the equalizer, and adds one `lms` run at that fixed step, which
-reaches the same steady-state error.  The speed claim is tested against that
-matched `lms` run.
+settles to from that run's `settled_step` column, the mean over seeds of each
+seed's mean step over the final `tail_frac` of its run, and adds one `lms`
+run at that fixed step, which reaches the same steady-state error.  The speed
+claim is tested against that matched `lms` run.
 """
 
 import time
@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from equalab import DfeConfig, equalize, experiment, generate_bpsk, smooth, speedup, steady_state_mse, taps
+from equalab import DfeConfig, experiment, generate_bpsk, smooth, speedup, steady_state_mse, taps
 from equalab.adapt import AdaptParams, effective_step, lms_update
 from equalab.dfe import DfeState, dfe_step
 from equalab.dsp import delay_line, dot, shift_in
@@ -26,7 +26,6 @@ from equalab.experiment import (
     emit_summary,
     run_experiment,
 )
-from spec_loop import effective_steps, experiment_input
 
 PAPER_SPEEDUP_CLAIM = 6.2  # reported as "up to 6.2 times faster"
 PAPER_MSE_RATIO = 5.6 / 2.3  # Table-style ratio, normalization unknown
@@ -39,22 +38,6 @@ def default_run():
     record = run_experiment(config)
     elapsed = time.perf_counter() - t0
     return record, elapsed
-
-
-def _settled_ilms_step(record):
-    """The mean `ilms` step over the final `tail_frac` of each run of the
-    experiment `record`, averaged over the seeds: the runs are equalized
-    again and the steps read from their signed errors.  Their squared
-    errors, averaged in seed order, must be the ensemble's `ilms` curve byte
-    for byte: these are the runs it made."""
-    config = record.config
-    cfg = config.dfe_config("ilms")
-    rx, tx = experiment_input(config, config.seeds)
-    E = equalize(rx, cfg, tx)[0]
-    assert np.mean(E * E, axis=0).tobytes() == record.curves["ilms"].sq_errors.tobytes(), (
-        "the step's runs are not the ensemble's ilms runs"
-    )
-    return float(np.mean([steady_state_mse(steps, config.tail_frac) for steps in effective_steps(E, cfg)]))
 
 
 def test_criterion_1_convergence_speed_ordering(default_run):
@@ -74,7 +57,7 @@ def test_criterion_1_convergence_speed_ordering(default_run):
     # At equal mu the ilms step settles far below mu, so equal-mu lms is a
     # faster rule with a higher floor.  The claim is tested against lms run
     # at the step ilms settles to, which reaches the same floor.
-    mu_matched = _settled_ilms_step(record)
+    mu_matched = float(np.mean(record.seeds["ilms"].settled_step))
     matched = run_experiment(replace(config, mu=mu_matched, algos=("lms",))).curves["lms"]
     floor_lms = matched.steady_state_mse
     floor_ilms = record.curves["ilms"].steady_state_mse

@@ -15,8 +15,8 @@ from equalab import ConfigurationError, DfeConfig, InputError, equalize, gaussia
 from equalab import _kernel, dfe
 from equalab.dfe import MODE_TRAINED, DfeState, dfe_step, initial_state, quantize
 from equalab.dsp import delay_line
-from equalab.experiment import ExperimentConfig
-from spec_loop import effective_steps, experiment_input, run_spec, step_through
+from equalab.experiment import ExperimentConfig, draw, effective_steps
+from spec_loop import run_spec, step_through
 
 
 # Ids of the `lms` and `ilms` cases, kept as they were so that results stay
@@ -370,7 +370,8 @@ class TestEqualizeOracle:
             _assert_matches_spec(DfeConfig(n_ff=11, n_fb=np.int8(3), algo="ilms", **steps), *_batch(3, N_ORACLE))
         else:
             config = ExperimentConfig()
-            _assert_matches_spec(config.dfe_config(case.split("-")[1]), *experiment_input(config, [1]))
+            tx, rx = draw(config, [1])
+            _assert_matches_spec(config.dfe_config(case.split("-")[1]), rx, tx)
 
     @pytest.mark.parametrize("algo", ["lms", "ilms"], ids=_RULE_IDS)
     def test_rows_are_independent(self, algo):

@@ -37,11 +37,12 @@ from equalab.experiment import (
     ExperimentConfig,
     RunRecord,
     SeedTable,
+    draw,
     emit_curves_csv,
     emit_summary,
     run_experiment,
 )
-from spec_loop import experiment_input, run_spec, step_through
+from spec_loop import run_spec, step_through
 
 
 # The float settings of ExperimentConfig: DfeConfig's three step settings, then its own.
@@ -60,7 +61,8 @@ def _first_step_failure(cfg):
     run fails at the step where `dfe_step` raises, else at its first
     `trace.error * trace.error` that overflows."""
     with np.errstate(all="ignore"):
-        for seed, rx, tx in zip(cfg.seeds, *experiment_input(cfg, cfg.seeds)):
+        symbols, received = draw(cfg, cfg.seeds)
+        for seed, rx, tx in zip(cfg.seeds, received, symbols):
             for algo in cfg.algos:
                 done, overflow = 0, None
                 try:
@@ -276,8 +278,7 @@ class TestRunExperiment:
         cfg = tiny_config(n_seeds=13)
         single = run_experiment(cfg)
         # Every seed in one (13, N) batch, averaged at once.
-        tx = np.array([generate_bpsk(cfg.n_symbols, s) for s in cfg.seeds])
-        rx = np.array([apply_channel(t, cfg.channel, cfg.noise_variance, s) for t, s in zip(tx, cfg.noise_seeds)])
+        tx, rx = draw(cfg, cfg.seeds)
         monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", 3 * cfg.n_symbols)  # 3, 3, 3, 3, 1 rows
         folded = run_experiment(cfg)
         for algo in cfg.algos:
@@ -418,26 +419,40 @@ class TestRunExperiment:
 @pytest.mark.parametrize("kernel", ["c", "numpy"])
 class TestSeedTable:
     """Each rule's table holds a row per seed, in seed order, on either loop:
-    that seed's BER and final taps, as if it ran alone."""
+    that seed's BER, final taps and settled step, as if it ran alone."""
 
     @pytest.fixture(autouse=True)
     def loop(self, use_kernel, kernel):
         use_kernel(kernel)
 
-    @pytest.mark.parametrize("mode", [{}, {"mode": "trained", "training_len": 150}], ids=["dd", "trained"])
+    @pytest.mark.parametrize(
+        "mode",
+        [{}, {"mode": "trained", "training_len": 150}, {"step_floor": 0.1, "step_cap": 0.005}],
+        ids=["dd", "trained", "floor-cap"],
+    )
     def test_rows_are_the_seeds_run_alone(self, mode):
         cfg = tiny_config(n_symbols=300, n_seeds=3, **mode)
         record = run_experiment(cfg)
+        tails = []  # the ilms steps over each tail
         for algo in cfg.algos:
             dfe_cfg, table = cfg.dfe_config(algo), record.seeds[algo]
-            assert [a.shape for a in table] == [(3,), (3, cfg.n_ff), (3, cfg.n_fb)]
+            assert [a.shape for a in table] == [(3,), (3, cfg.n_ff), (3, cfg.n_fb), (3,)]
             for k, seed in enumerate(cfg.seeds):
-                (rx,), (tx,) = experiment_input(cfg, [seed])
+                (tx,), (rx,) = draw(cfg, [seed])
                 spec, final = run_spec(rx, dfe_cfg, tx)
                 assert table.ber[k] == ber(spec["decision"], tx, dfe_cfg.delay, cfg.ber_skip)
                 assert table.ff_weights[k].tobytes() == final.ff_weights.tobytes()
                 assert table.fb_weights[k].tobytes() == final.fb_weights.tobytes()
+                steps = spec["effective_step"]
+                if algo == "lms":  # a fixed step: the column holds mu itself, not a mean of copies
+                    assert (steps == dfe_cfg.mu).all() and table.settled_step[k] == dfe_cfg.mu
+                else:
+                    assert table.settled_step[k] == steady_state_mse(steps, cfg.tail_frac)
+                    tails.append(steps[-math.ceil(cfg.tail_frac * len(steps)) :])
             assert record.ber[algo] == float(np.mean(table.ber))
+        if "step_cap" in mode:  # some tail steps sit at the floor and some at the cap
+            floor = cfg.mu * cfg.step_floor
+            assert (np.concatenate(tails) == floor).any() and (np.concatenate(tails) == cfg.step_cap).any()
 
     def test_table_is_the_same_whatever_the_block(self, monkeypatch):
         cfg = tiny_config(n_seeds=7)
@@ -445,7 +460,39 @@ class TestSeedTable:
         for block_rows in (1, 3, 7):  # 3 rows: blocks of 3, 3 and 1
             monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", block_rows * cfg.n_symbols)
             tables.append({algo: [a.tobytes() for a in t] for algo, t in run_experiment(cfg).seeds.items()})
+        assert len(tables[0]["ilms"]) == len(SeedTable._fields) == 4
         assert tables[0] == tables[1] == tables[2]
+
+
+@pytest.mark.parametrize("kernel", ["c", "numpy"])
+@pytest.mark.parametrize("snr_db", [20.0, None], ids=["noisy", "noiseless"])
+def test_draw_is_each_seed_drawn_alone(monkeypatch, use_kernel, kernel, snr_db):
+    """`draw`, and the blocks that a run draws, hold byte for byte each
+    seed's own `generate_bpsk` and `apply_channel` calls."""
+    use_kernel(kernel)
+    cfg = tiny_config(n_symbols=300, n_seeds=5, base_seed=3, snr_db=snr_db)
+    want_tx = np.array([generate_bpsk(cfg.n_symbols, s) for s in cfg.seeds])
+    want_rx = np.array(
+        [apply_channel(t, cfg.channel, cfg.noise_variance, s + NOISE_SEED_OFFSET) for t, s in zip(want_tx, cfg.seeds)]
+    )
+    tx, rx = draw(cfg, cfg.seeds)
+    assert tx.shape == rx.shape == (5, cfg.n_symbols)
+    assert tx.tobytes() == want_tx.tobytes() and rx.tobytes() == want_rx.tobytes()
+
+    blocks = []
+    real = experiment.equalize
+
+    def recording(received, dfe_cfg, transmitted):
+        if dfe_cfg.algo == cfg.algos[0]:
+            blocks.append((np.array(transmitted), np.array(received)))
+        return real(received, dfe_cfg, transmitted)
+
+    monkeypatch.setattr(experiment, "equalize", recording)
+    monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", 3 * cfg.n_symbols)  # blocks of 3 and 2 rows
+    run_experiment(cfg)
+    assert [len(t) for t, _ in blocks] == [3, 2]
+    assert np.concatenate([t for t, _ in blocks]).tobytes() == want_tx.tobytes()
+    assert np.concatenate([r for _, r in blocks]).tobytes() == want_rx.tobytes()
 
 
 def test_serial_run_does_not_import_the_pool(child_env):
@@ -551,7 +598,8 @@ def test_only_self_checking_records_are_dataclasses():
 
 def _seed_table(n_seeds, config) -> SeedTable:
     """A table of `n_seeds` zero rows, shaped for `config`'s taps."""
-    return SeedTable(np.zeros(n_seeds), np.zeros((n_seeds, config.n_ff)), np.zeros((n_seeds, config.n_fb)))
+    shapes = (n_seeds,), (n_seeds, config.n_ff), (n_seeds, config.n_fb), (n_seeds,)
+    return SeedTable(*map(np.zeros, shapes))
 
 
 _RECORDS = {
