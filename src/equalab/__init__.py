@@ -14,9 +14,10 @@ import os
 # Start numpy's OpenBLAS with one thread.  No run calls BLAS, but a second
 # worker, started when numpy loads, still cost CPU on a 2-core host: a median
 # 0.28 s per `equalab run --seeds 4` against 0.22 s (12 alternated runs).  A
-# value the user set wins; OpenBLAS reads it once, when numpy loads, so this
-# must come before the first submodule imports numpy and has no effect in a
-# process that imported numpy first.
+# value the user set wins.  OpenBLAS reads it once, when numpy loads.
+# Importing equalab loads no numpy: numpy first loads in `cli.entry` or with
+# the first array a function makes or reads, both after this line.  This has
+# no effect in a process that imported numpy first.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .dfe import (

@@ -9,10 +9,12 @@ error settles.  `dfe.dfe_step` applies the update to both equalizer filters.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .dsp import DelayLine, TapWeights
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AdaptParams(NamedTuple):
@@ -25,7 +27,7 @@ class AdaptParams(NamedTuple):
     step_cap: float | None = None
 
 
-def lms_update(weights: TapWeights, regressor: DelayLine, e: float, step: float) -> TapWeights:
+def lms_update(weights: np.ndarray, regressor: np.ndarray, e: float, step: float) -> np.ndarray:
     """One gradient update: new weights w[k] + step * e * x[k]; inputs untouched."""
     if weights.size != regressor.size:
         raise ConfigurationError(

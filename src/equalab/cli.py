@@ -285,17 +285,21 @@ def main(argv=None) -> int:
 
 def entry() -> int:
     """The process entry of `equalab` and `python -m equalab.cli`: `main` on
-    `sys.argv`, after `gc.freeze()`.
+    `sys.argv`, after importing numpy and `gc.freeze()`.
 
     The freeze moves every object alive now (numpy's and equalab's modules,
     functions and tables, which live until exit) out of the collector's
     reach, so neither the run's collections nor the full ones at interpreter
-    exit walk them again.  Only the entry freezes: `main` also runs in long
-    processes, where frozen cyclic garbage would never be freed.
+    exit walk them again.  Importing equalab does not load numpy, so the
+    entry does, to freeze numpy's objects too.  Only the entry freezes:
+    `main` also runs in long processes, where frozen cyclic garbage would
+    never be freed.
 
     A stdout that cannot take the help text or the report gives exit 1 and
     one error line, as an output file that cannot be written does.
     """
+    import numpy  # noqa: F401
+
     gc.freeze()
     code = None
     try:

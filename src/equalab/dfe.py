@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .adapt import effective_step, lms_update
-from .dsp import DelayLine, TapWeights, delay_line, dot, shift_in
+from .dsp import delay_line, dot, shift_in
 from .errors import ConfigurationError, InputError, require_integer, require_real
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The two adaptation rules: fixed-step LMS and error-difference-scaled LMS.
 ALGO_LMS = "lms"
@@ -93,8 +94,11 @@ class DfeConfig:
             not 0 < self.step_cap < math.inf or self.step_cap < self.mu * self.step_floor
         ):
             raise ConfigurationError("must be finite, > 0 and >= mu * step_floor", field="step_cap")
-        if not isinstance(self.center_spike, (bool, np.bool_)):  # "false" would be truthy
-            raise ConfigurationError(f"must be a bool, got {self.center_spike!r}", field="center_spike")
+        if not isinstance(self.center_spike, bool):  # "false" would be truthy
+            import numpy as np
+
+            if not isinstance(self.center_spike, np.bool_):
+                raise ConfigurationError(f"must be a bool, got {self.center_spike!r}", field="center_spike")
         if self.center_spike and not self.delay < self.n_ff:
             raise ConfigurationError(
                 "center-spike initialization needs decision_delay < n_ff", field="decision_delay"
@@ -115,10 +119,10 @@ class DfeState(NamedTuple):
     `prev_error` is e(n-1) for the variable-step rule, 0 before the first step.
     """
 
-    ff_weights: TapWeights
-    fb_weights: TapWeights
-    ff_line: DelayLine
-    fb_line: DelayLine
+    ff_weights: np.ndarray
+    fb_weights: np.ndarray
+    ff_line: np.ndarray
+    fb_line: np.ndarray
     prev_error: float = 0.0
     iteration: int = 0
 
@@ -135,6 +139,8 @@ class StepTrace(NamedTuple):
 
 def initial_state(cfg: DfeConfig) -> DfeState:
     """Fresh state: zero weights and lines, optional unit spike at the delay tap."""
+    import numpy as np
+
     ff = np.zeros(cfg.n_ff, dtype=np.float64)
     if cfg.center_spike:
         ff[cfg.delay] = 1.0
@@ -199,6 +205,8 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     raises; InputError is for bad input only: the shape, an empty batch, a
     non-finite sample (its first row and iteration) or a training reference.
     """
+    import numpy as np
+
     rx = np.asarray(received, dtype=np.float64)
     if rx.ndim != 2:
         raise InputError("received batch must be 2-D: one row per run")
@@ -216,6 +224,8 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
 def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):
     """Set up the buffers of `equalize` for (S, N) `rx`, run `loop` over them
     and return them: R, D, W, B and E (the errors, not yet squared)."""
+    import numpy as np
+
     rows, n = rx.shape
     delay = cfg.delay
     train = min(cfg.training_len, n)  # 0 in decision-directed mode
@@ -249,6 +259,8 @@ def __getattr__(name):
 
 def _training_references(transmitted, rows: int, train: int, delay: int) -> np.ndarray:
     """The reference symbols of the first `train` iterations, (train, rows)."""
+    import numpy as np
+
     if transmitted is None:
         raise InputError("trained mode requires the transmitted symbols")
     tx = np.asarray(transmitted, dtype=np.float64)

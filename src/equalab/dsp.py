@@ -8,20 +8,19 @@ the tap vector it feeds.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, InputError
 
-# Documented aliases: a tap vector is a fixed-length float64 coefficient
-# array; a delay line is a float64 array of matching length, newest first.
-TapWeights = np.ndarray
-DelayLine = np.ndarray
+if TYPE_CHECKING:
+    import numpy as np
 
 
-def taps(coeffs) -> TapWeights:
+def taps(coeffs) -> np.ndarray:
     """Validate a coefficient vector: 1-D, non-empty, real numbers, all finite.
     Returns a float64 copy."""
+    import numpy as np
+
     try:
         w = np.array(coeffs)
     except ValueError:  # a ragged nesting
@@ -36,15 +35,19 @@ def taps(coeffs) -> TapWeights:
     return w
 
 
-def delay_line(capacity: int) -> DelayLine:
+def delay_line(capacity: int) -> np.ndarray:
     """Zero-filled delay line for a filter with `capacity` taps."""
+    import numpy as np
+
     if capacity < 0:
         raise ConfigurationError("delay line capacity must be >= 0")
     return np.zeros(capacity, dtype=np.float64)
 
 
-def shift_in(line: DelayLine, sample: float) -> DelayLine:
+def shift_in(line: np.ndarray, sample: float) -> np.ndarray:
     """Return a new line with `sample` in the newest slot; the oldest is dropped."""
+    import numpy as np
+
     if not math.isfinite(sample):
         raise InputError(f"non-finite sample: {sample!r}")
     if line.size == 0:
@@ -55,7 +58,7 @@ def shift_in(line: DelayLine, sample: float) -> DelayLine:
     return out
 
 
-def dot(weights: TapWeights, line: DelayLine) -> float:
+def dot(weights: np.ndarray, line: np.ndarray) -> float:
     """Inner product of the tap vector with the delay line: 0.0, then each product in tap order."""
     if weights.size != line.size:
         raise ConfigurationError(

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .dfe import ALGO_ILMS, ALGO_LMS, MODE_DECISION_DIRECTED, DfeConfig, equalize
@@ -22,6 +20,9 @@ from .dsp import taps
 from .errors import ConfigurationError, InputError, require_integer, require_real
 from .metrics import LearningCurve, ber, learning_curve, speedup
 from .txrx import apply_channel, generate_bpsk
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Noise streams are decoupled from symbol streams by a fixed seed offset so
 # either can be held fixed independently.  Echoed in every summary.
@@ -106,10 +107,14 @@ class ExperimentConfig:
             raise ConfigurationError("must be >= 0", field="base_seed")
         if self.jobs < 1:
             raise ConfigurationError("must be >= 1", field="jobs")
-        try:
-            object.__setattr__(self, "channel", tuple(taps(self.channel).tolist()))
-        except ConfigurationError as exc:
-            raise ConfigurationError(str(exc), field="channel") from None
+        # A non-empty tuple of finite Python floats, as the CLI and the default
+        # give, is already what `taps` stores: it need not load numpy.
+        channel = self.channel
+        if not (type(channel) is tuple and channel and all(type(c) is float and math.isfinite(c) for c in channel)):
+            try:
+                object.__setattr__(self, "channel", tuple(taps(channel).tolist()))
+            except ConfigurationError as exc:
+                raise ConfigurationError(str(exc), field="channel") from None
         for a in self.algos:  # the rule and equalizer fields are DfeConfig's to check
             checked = self.dfe_config(a)
         for name in _EQUALIZER:  # as DfeConfig stored them
@@ -173,6 +178,8 @@ class RunRecord(NamedTuple):
     @property
     def ber(self) -> dict[str, float]:
         """Each rule's mean BER over its seeds."""
+        import numpy as np
+
         return {algo: float(np.mean(table.ber)) for algo, table in self.seeds.items()}
 
 
@@ -180,6 +187,8 @@ def draw(config: ExperimentConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
     """The input of `seeds` in a run of `config`: (tx, rx), the symbols and
     the received samples, each (len(seeds), n_symbols).  Seed s draws its
     symbols from s and its noise from s + NOISE_SEED_OFFSET."""
+    import numpy as np
+
     tx = np.empty((len(seeds), config.n_symbols))
     rx = np.empty_like(tx)
     for k, s in enumerate(seeds):
@@ -193,6 +202,8 @@ def effective_steps(errors: np.ndarray, cfg: DfeConfig) -> np.ndarray:
     (rows, N) that `equalize` returns: mu for `lms`; for `ilms`
     mu * max(|e(n) - e(n-1)|, step_floor) with e(-1) = 0, capped at
     step_cap, as `adapt.effective_step` computes it."""
+    import numpy as np
+
     if cfg.algo == ALGO_LMS:
         return np.full(errors.shape, cfg.mu)
     steps = cfg.mu * np.maximum(np.abs(np.diff(errors, axis=-1, prepend=0.0)), cfg.step_floor)
@@ -237,6 +248,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     the first failed run in the order seed, then algorithm, whatever the
     split.  `config.jobs` changes nothing.
     """
+    import numpy as np
+
     seeds, n, skip = config.seeds, config.n_symbols, config.ber_skip
     sums = {algo: np.zeros(n) for algo in config.algos}
     shapes = (len(seeds),), (len(seeds), config.n_ff), (len(seeds), config.n_fb), (len(seeds),)
@@ -286,6 +299,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
 def _first_non_finite(a: np.ndarray, what: str) -> dict[int, str]:
     """{row: "`what` at iteration i"} for each row of `a` whose first non-finite entry is i."""
+    import numpy as np
+
     rows = () if np.isfinite(a).all() else ~np.isfinite(a)
     return {row: f"{what} at iteration {int(bad.argmax())}" for row, bad in enumerate(rows) if bad.any()}
 
@@ -299,6 +314,8 @@ def emit_curves_csv(record: RunRecord, path) -> None:
     format(x, ".17g"), which round-trip float64 exactly, written by the
     writer that `_kernel.load` chose.
     """
+    import numpy as np
+
     from . import _kernel  # here: a process that only imports equalab never loads it
 
     rows = _kernel.load().rows

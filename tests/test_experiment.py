@@ -218,6 +218,16 @@ class TestExperimentConfig:
         ]
         assert all(c == configs[0] and hash(c) == hash(configs[0]) for c in configs)
         assert [type(a) for a in configs[2].algos] == [str, str] and configs[2].channel == (0.84, 0.543)
+        # A tuple of finite Python floats is stored as given; its twins go
+        # through `taps`.  The summary writes each tap's repr, sign of zero too.
+        for twins in (
+            ((0.84, -0.0), [0.84, -0.0], np.array([0.84, -0.0]), tuple(np.array([0.84, -0.0]))),
+            ((1, 0), (1.0, 0.0)),
+        ):
+            channels = [ExperimentConfig(channel=channel).channel for channel in twins]
+            assert all(c == channels[0] and hash(c) == hash(channels[0]) for c in channels)
+            assert len({repr(c) for c in channels}) == 1
+            assert all(type(c) is tuple and all(type(x) is float for x in c) for c in channels)
 
     def test_noise_variance_from_snr(self):
         assert ExperimentConfig(snr_db=20.0).noise_variance == pytest.approx(0.01)
@@ -531,20 +541,27 @@ def test_serial_run_loads_neither_numpy_random_nor_openssl(tmp_path, compiled, c
     assert out.stdout.splitlines()[-1] == "0 []"
 
 
-def test_set_up_loads_neither_the_kernel_nor_the_draws(child_env):
+def test_set_up_loads_neither_the_kernel_nor_the_draws(tmp_path, child_env):
     """Importing `equalab.cli` and building a config (what the benchmark's
-    `setup_s` times) does not load `_kernel`, which holds the draws' seed
-    expansion: only a run does."""
+    `setup_s` times), from flags or from a config file, loads neither numpy
+    nor `_kernel`, which holds the draws' seed expansion: only a run does.
+    A bare `import equalab` does not load numpy either."""
+    config = tmp_path / "run.cfg"
+    config.write_text("seeds = 4\nmode = trained\nchannel = 1, 0.5, -0.2\n", encoding="utf-8")
     code = (
         "import sys\n"
+        "import equalab\n"
+        "numpy = ['numpy' in sys.modules]\n"
         "from equalab.cli import build_parser, config_from_args\n"
-        "config_from_args(build_parser().parse_args(['run', '--seeds', '4', '--mode', 'trained']))\n"
-        "print('equalab._kernel' in sys.modules)\n"
+        "for argv in (['run', '--seeds', '4', '--mode', 'trained'], ['run', '--config', sys.argv[1]]):\n"
+        "    config_from_args(build_parser().parse_args(argv))\n"
+        "    numpy.append('numpy' in sys.modules)\n"
+        "print(numpy, 'equalab._kernel' in sys.modules)\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
+        [sys.executable, "-c", code, str(config)], capture_output=True, text=True, env=child_env, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False, False] False"
 
 
 def test_only_kernel_knows_the_twins():
