@@ -2,7 +2,8 @@
 twin with the same bytes, and the one choice of the process between them.
 
 - `lockstep`, the loop of `dfe.equalize` over the buffers of
-  `dfe._lockstep`, summing as `dsp.dot` does; twin `_numpy_loop`.
+  `dfe._lockstep`, summing as `dsp.dot` does: C reads the received samples
+  in place; twin `_numpy_loop`, which reads a reversed, zero-padded copy.
 - `uniform(seed, n)`, numpy's `Generator(PCG64(seed)).random(n)`: C
   expands the seed's 32-bit words as SeedSequence does and steps PCG64;
   twin `_numpy_uniform`, whose numpy.random loads OpenSSL (`secrets`,
@@ -74,13 +75,13 @@ def load() -> Kernel:
     kernel.argtypes = [_I64, _I64, _I64, _I64, *[_PTR] * 6, _I64, _F64, ctypes.c_int, _F64, _F64]
     kernel.restype = None
 
-    def lockstep(R, D, W, B, E, refs, mu, ilms, floor, cap):
-        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (R, D, W, B, E, refs)):
+    def lockstep(rx, D, W, B, E, refs, mu, ilms, floor, cap):
+        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (rx, D, W, B, E, refs)):
             raise ValueError("the compiled loop needs C-contiguous float64 buffers")
         rows, n = E.shape
         kernel(
             rows, n, W.shape[1], B.shape[1],
-            R.ctypes.data, D.ctypes.data, W.ctypes.data, B.ctypes.data, E.ctypes.data,
+            rx.ctypes.data, D.ctypes.data, W.ctypes.data, B.ctypes.data, E.ctypes.data,
             refs.ctypes.data, len(refs), mu, ilms, floor, cap,
         )
 
@@ -122,13 +123,18 @@ def numpy() -> Kernel:
 # The numpy twins.
 
 
-def _numpy_loop(R, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
+def _numpy_loop(rx, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
     """Step every row of the buffers of `dfe._lockstep` through all N
     iterations, one iteration of all rows at a time.  `refs` is (train, S);
     `cap` is inf when the step has no cap."""
-    n = E.shape[1]
-    # Per step: the FF and FB line windows of `dfe._lockstep`, the decision
-    # column and the error column.  Iterating these views beats slicing.
+    rows, n = rx.shape
+    # Newest-first FF lines are contiguous windows of R, each row reversed and
+    # zero-padded: the line at step i is R[:, n-1-i : n-1-i+n_ff], as the FB
+    # line at step i is D[:, n-i : n-i+n_fb].
+    R = np.zeros((rows, n + W.shape[1] - 1))
+    R[:, :n] = rx[:, ::-1]
+    # Per step: the FF and FB line windows, the decision column and the
+    # error column.  Iterating these views beats slicing.
     steps = zip(
         sliding_window_view(R, W.shape[1], axis=1)[:, n - 1 :: -1].swapaxes(0, 1),
         sliding_window_view(D, B.shape[1], axis=1)[:, n:0:-1].swapaxes(0, 1),

@@ -243,6 +243,13 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def main(argv=None) -> int:
+    prepared = _prepare(argv)
+    return prepared if isinstance(prepared, int) else _run(prepared)
+
+
+def _prepare(argv) -> ExperimentConfig | int:
+    """The config of `argv` once its outputs are checked, or the exit code
+    and error line of its refusal: 2 for a setting, 1 for an output."""
     args = build_parser().parse_args(argv)
     try:
         _refuse_repeated_flags(args)
@@ -267,6 +274,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
+    return config
+
+
+def _run(config: ExperimentConfig) -> int:
+    """Run the checked `config`, write its outputs and report: its exit code."""
     try:
         record = run_experiment(config)
     except InputError as exc:
@@ -285,31 +297,37 @@ def main(argv=None) -> int:
 
 def entry() -> int:
     """The process entry of `equalab` and `python -m equalab.cli`: `main` on
-    `sys.argv`, after importing numpy and `gc.freeze()`.
+    `sys.argv`, with numpy imported and `gc.freeze()` called once the config
+    and the outputs pass their checks, just before the run.
 
-    The freeze moves every object alive now (numpy's and equalab's modules,
+    The freeze moves every object alive then (numpy's and equalab's modules,
     functions and tables, which live until exit) out of the collector's
     reach, so neither the run's collections nor the full ones at interpreter
     exit walk them again.  Importing equalab does not load numpy, so the
-    entry does, to freeze numpy's objects too.  Only the entry freezes:
-    `main` also runs in long processes, where frozen cyclic garbage would
-    never be freed.
+    entry does, to freeze numpy's objects too; `--help`, a refused setting
+    or an unwritable output exits without loading it.  Only the entry
+    freezes: `main` also runs in long processes, where frozen cyclic garbage
+    would never be freed.
 
     A stdout that cannot take the help text or the report gives exit 1 and
     one error line, as an output file that cannot be written does.
     """
-    import numpy  # noqa: F401
-
-    gc.freeze()
     code = None
     try:
         try:
-            code = main()
+            config = _prepare(None)
+            if isinstance(config, int):
+                code = config
+            else:
+                import numpy  # noqa: F401
+
+                gc.freeze()
+                code = _run(config)
         except SystemExit as exc:  # argparse's, after --help or a usage error
             code = exc.code
         sys.stdout.flush()
     except OSError as exc:
-        if code != 1:  # else `main` has reported that its report failed
+        if code != 1:  # else `_run` has reported that its report failed
             print(f"error: cannot write output: {exc}", file=sys.stderr)
         code = 1
         # Drop what stdout still holds, or the interpreter's own flush at

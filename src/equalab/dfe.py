@@ -207,7 +207,7 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     """
     import numpy as np
 
-    rx = np.asarray(received, dtype=np.float64)
+    rx = np.asarray(received, dtype=np.float64, order="C")  # a copy only if not C-ordered yet
     if rx.ndim != 2:
         raise InputError("received batch must be 2-D: one row per run")
     if rx.size == 0:
@@ -217,13 +217,14 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
         raise InputError(f"non-finite sample at iteration {i}", row=row)
     from . import _kernel  # here: a process that only imports equalab never loads it
 
-    _, D, W, B, E = _lockstep(_kernel.load().lockstep, rx, cfg, transmitted)
+    D, W, B, E = _lockstep(_kernel.load().lockstep, rx, cfg, transmitted)
     return E, D[:, rx.shape[1] - 1 :: -1], W, B  # a view: time runs backwards in D
 
 
 def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):
-    """Set up the buffers of `equalize` for (S, N) `rx`, run `loop` over them
-    and return them: R, D, W, B and E (the errors, not yet squared)."""
+    """Run `loop` over (S, N) `rx`, which it only reads, and the buffers of
+    `equalize`, set up here; return those: D, W, B and E (the errors, not
+    yet squared)."""
     import numpy as np
 
     rows, n = rx.shape
@@ -232,20 +233,18 @@ def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):
     refs = _training_references(transmitted, rows, train, delay) if train else np.empty((0, rows))
     cap = math.inf if cfg.step_cap is None else cfg.step_cap
 
-    # Newest-first delay lines are contiguous windows, so nothing is ever
-    # shifted: R holds each row reversed and zero-padded, and the FF line at
-    # step i is R[:, n-1-i : n-1-i+n_ff]; decision i is written to
-    # D[:, n-1-i], so the FB line at step i is D[:, n-i : n-i+n_fb].
-    R = np.zeros((rows, n + cfg.n_ff - 1))
-    R[:, :n] = rx[:, ::-1]
+    # The FF line at step i is rx[:, i], rx[:, i-1], ..., 0.0 before the
+    # first sample; each loop reads it from `rx` its own way.  Decision i is
+    # written to D[:, n-1-i], so the newest-first FB line at step i is the
+    # window D[:, n-i : n-i+n_fb] and nothing is ever shifted.
     D = np.zeros((rows, n + cfg.n_fb))
     W = np.zeros((rows, cfg.n_ff))
     if cfg.center_spike:
         W[:, delay] = 1.0
     B = np.zeros((rows, cfg.n_fb))
     E = np.empty((rows, n))
-    loop(R, D, W, B, E, refs, cfg.mu, cfg.algo == ALGO_ILMS, cfg.step_floor, cap)
-    return R, D, W, B, E
+    loop(rx, D, W, B, E, refs, cfg.mu, cfg.algo == ALGO_ILMS, cfg.step_floor, cap)
+    return D, W, B, E
 
 
 def __getattr__(name):

@@ -222,14 +222,17 @@ def _settled_steps(errors: np.ndarray, cfg: DfeConfig, tail_frac: float):
 
 
 # Most rows x symbols one `equalize` call steps at once; a run steps its
-# blocks one after another in this process.  The bound is on memory: a block
-# holds at most five float64 arrays of that shape at once (tx, rx and the
-# equalizer's R, D and E), since each rule's rows are summed and freed before
-# the next rule runs: tracemalloc's peak for one 2^20-element block (64 seeds
-# x 16384 symbols, either kernel) is 41.3 MB.  The compiled kernel costs the
-# same per row and step whatever the block; the numpy fallback pays its
-# per-step overhead once per block, so larger blocks make it faster.  Runs
-# longer than this step one seed at a time.
+# blocks one after another in this process.  The bound is on memory: on the
+# compiled kernel a block holds four float64 arrays of that shape at once
+# (tx, rx and the equalizer's decisions and errors; the kernel reads rx in
+# place), since each rule's rows are summed and freed before the next rule
+# runs, plus the temporaries of `ilms`'s settled step over the tail; the
+# numpy fallback also pads a reversed copy of rx, a fifth.  tracemalloc's
+# peak for one 2^20-element block (64 seeds x 16384 symbols, both rules) is
+# 35.5 MiB on the compiled kernel and 40.3 MiB on the numpy one.  The
+# compiled kernel costs the same per row and step whatever the block; the
+# numpy fallback pays its per-step overhead once per block, so larger blocks
+# make it faster.  Runs longer than this step one seed at a time.
 _BLOCK_ELEMENTS = 2**20
 
 

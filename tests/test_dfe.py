@@ -288,9 +288,15 @@ def _assert_matches_spec(cfg, rx, tx):
         assert dec[s].tobytes() == want["decision"].tobytes()
         assert W[s].tobytes() == final.ff_weights.tobytes()
         assert B[s].tobytes() == final.fb_weights.tobytes()
-        # The final lines hold the newest samples and decisions, newest first.
-        assert final.ff_line.tobytes() == rx[s, : -cfg.n_ff - 1 : -1].tobytes()
-        assert final.fb_line.tobytes() == dec[s, : -cfg.n_fb - 1 : -1].tobytes()
+        # The final lines hold the newest samples and decisions, newest first,
+        # and zeros where a line is longer than the row.
+        assert final.ff_line.tobytes() == _newest_first(rx[s], cfg.n_ff).tobytes()
+        assert final.fb_line.tobytes() == _newest_first(dec[s], cfg.n_fb).tobytes()
+
+
+def _newest_first(row, k):
+    """The last `k` values of `row`, newest first, padded with zeros to `k`."""
+    return np.concatenate([row[::-1], np.zeros(k)])[:k]
 
 
 # A trained `ilms` setting whose rows diverge on `_batch(4, 200, seed=8)`.
@@ -372,6 +378,34 @@ class TestEqualizeOracle:
             config = ExperimentConfig()
             tx, rx = draw(config, [1])
             _assert_matches_spec(config.dfe_config(case.split("-")[1]), rx, tx)
+
+    @pytest.mark.parametrize("n", [1, 6, 10, 11])
+    @pytest.mark.parametrize("algo", ["lms", "ilms"], ids=_RULE_IDS)
+    def test_rows_shorter_than_the_ff_filter_match_step_loop(self, algo, n):
+        # Every step of a row shorter than the FF filter reads taps from
+        # before its first sample, which hold 0.0.
+        cfg = DfeConfig(n_ff=11, n_fb=5, mu=0.03, algo=algo, mode=MODE_TRAINED, training_len=4, center_spike=True)
+        _assert_matches_spec(cfg, *_batch(3, n))
+
+    def test_leaves_received_unchanged(self):
+        rx, tx = _batch(3, N_ORACLE)
+        before = rx.tobytes()
+        equalize(rx, DfeConfig(n_ff=11, n_fb=5, mu=0.03, algo="ilms", mode=MODE_TRAINED, training_len=50), tx)
+        assert rx.tobytes() == before
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "reversed-rows"])
+    def test_any_layout_gives_the_bytes_of_its_contiguous_copy(self, layout):
+        rx, tx = _batch(3, N_ORACLE)
+        given = {
+            "fortran": np.asfortranarray(rx),
+            "strided": np.repeat(rx, 2, axis=1)[:, ::2],
+            "reversed-rows": rx[::-1],
+        }[layout]
+        assert not given.flags.c_contiguous
+        cfg = DfeConfig(n_ff=11, n_fb=5, mu=0.03, algo="ilms", center_spike=True)
+        got = equalize(given, cfg)
+        want = equalize(np.ascontiguousarray(given), cfg)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     @pytest.mark.parametrize("algo", ["lms", "ilms"], ids=_RULE_IDS)
     def test_rows_are_independent(self, algo):
@@ -506,9 +540,9 @@ class TestKernelChoice:
     @pytest.mark.parametrize("bad", ["float32", "non-contiguous"])
     def test_compiled_loop_rejects_other_buffers(self, compiled, bad):
         # The kernel reads raw C-ordered float64 memory: any other buffer of
-        # R, D, W, B, E or refs is refused before the C code runs.
+        # rx, D, W, B, E or refs is refused before the C code runs.
         rows, n, n_ff, n_fb, train = 2, 20, 5, 3, 4
-        shapes = [(rows, n + n_ff - 1), (rows, n + n_fb), (rows, n_ff), (rows, n_fb), (rows, n), (train, rows)]
+        shapes = [(rows, n), (rows, n + n_fb), (rows, n_ff), (rows, n_fb), (rows, n), (train, rows)]
         for k, (r, c) in enumerate(shapes):
             bufs = [np.ones(shape) for shape in shapes]
             bufs[k] = np.ones((r, c), np.float32) if bad == "float32" else np.ones((r, 2 * c))[:, ::2]
@@ -542,8 +576,23 @@ class TestKernelChoice:
         with np.errstate(all="ignore"):
             got = dfe._lockstep(compiled.lockstep, rx, cfg, tx)
             want = dfe._lockstep(_kernel._numpy_loop, rx, cfg, tx)
-        assert not np.isfinite(want[4]).all()
+        assert not np.isfinite(want[3]).all()
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    def test_loops_agree_on_rows_that_diverge_before_the_ff_line_fills(self, compiled):
+        # The weights turn infinite at the second step, while most FF taps
+        # still read the 0.0 before the first sample: both loops form
+        # inf * 0.0, a NaN, on those taps.  The signs of the NaNs in W differ
+        # between the loops here, so W is compared by value.
+        cfg = DfeConfig(n_ff=37, n_fb=5, mu=0.5, algo="ilms")
+        rx = np.full((2, 20), 1e300)
+        rx[1] *= -1.0
+        with np.errstate(all="ignore"):
+            got = dfe._lockstep(compiled.lockstep, rx, cfg, None)
+            want = dfe._lockstep(_kernel._numpy_loop, rx, cfg, None)
+        assert np.isnan(want[1]).any() and not np.isfinite(want[3]).all()
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+        assert [got[k].tobytes() for k in (0, 2, 3)] == [want[k].tobytes() for k in (0, 2, 3)]
 
     def test_concurrent_builds_leave_one_library(self, monkeypatch, tmp_path):
         # Processes may build at once: each writes its own temporary file

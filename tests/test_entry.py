@@ -46,6 +46,28 @@ def test_entry_freezes_and_writes_what_main_writes(tmp_path, capsys, child_env):
     assert [(tmp_path / name).read_bytes() for name in ("c.csv", "s.txt")] == written
 
 
+@pytest.mark.parametrize(
+    "argv, rc",
+    [(["run", "--mu", "-1"], 2), (["run", "--help"], 0), (["run", "--out-curves", "missing/c.csv"], 1)],
+    ids=["bad-value", "help", "unwritable"],
+)
+def test_entry_loads_no_numpy_before_the_checks_pass(tmp_path, child_env, argv, rc):
+    # Help, a refused setting and an unwritable output exit before the run:
+    # neither numpy's import nor the freeze is paid for them.
+    code = (
+        "import gc, sys\n"
+        "from equalab.cli import entry\n"
+        "rc = entry()\n"
+        "print(rc, 'numpy' in sys.modules, gc.get_freeze_count(), file=sys.stderr)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=tmp_path, capture_output=True, text=True, env=child_env
+    )
+    assert child.returncode == 0
+    assert child.stderr.splitlines()[-1] == f"{rc} False 0"
+    assert (child.stdout != "") == (argv[-1] == "--help")
+
+
 def test_main_does_not_freeze(tmp_path, capsys):
     before = gc.get_freeze_count()
     assert cli.main([*FAST, *outputs(tmp_path)]) == 0

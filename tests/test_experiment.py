@@ -329,6 +329,23 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak < 5.5 * rows * n * 8
 
+    def test_compiled_block_holds_four_arrays(self, monkeypatch, compiled):
+        # tx, rx, D and E: the compiled loop reads rx in place, so one block
+        # of the default rules peaks at about 4.5 block-sized arrays here
+        # (the rest is the ilms tail's steps), against 5.06 while the
+        # equalizer also held a reversed, zero-padded copy of rx.
+        rows, n = 64, 4096
+        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", rows * n)
+        cfg = tiny_config(n_symbols=n, n_seeds=rows)
+        run_experiment(tiny_config())
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.75 * rows * n * 8
+
     @pytest.mark.parametrize(
         "algos,jobs,block_rows",
         [
