@@ -3,12 +3,11 @@
  * _kernel.py builds and loads it and holds the numpy twin of each.
  *
  * The loop runs the same operations as `_numpy_loop` and writes the same
- * buffers, but reads each row's received samples in place, where the twin
- * reads a reversed, zero-padded copy, and walks each row to the end before
- * starting the next; rows are independent.  Each dot product is 0.0 plus
- * every product added in tap order, as `_numpy_loop` and `dsp.dot` sum it.
- * Built with -ffp-contract=off, so that every product is rounded before it
- * is added, as numpy and Python round it. */
+ * buffers, reading the FF line as it does, but walks each row to the end
+ * before starting the next; rows are independent.  Each dot product is 0.0
+ * plus every product added in tap order, as `_numpy_loop` and `dsp.dot` sum
+ * it.  Built with -ffp-contract=off, so that every product is rounded before
+ * it is added, as numpy and Python round it. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -17,29 +16,23 @@
 typedef unsigned __int128 u128;
 
 void equalab_lockstep(int64_t rows, int64_t n, int64_t n_ff, int64_t n_fb,
-                      const double *RX, double *D, double *W, double *B, double *E,
+                      const double *RX, const double *H, double *D, double *W, double *B, double *E,
                       const double *refs, int64_t train,
                       double mu, int ilms, double step_floor, double step_cap)
 {
     for (int64_t s = 0; s < rows; s++) {
-        const double *r = RX + s * n;
+        const double *r = RX + s * n, *h = H + s * (2 * n_ff - 1) + n_ff - 1;
         double *dl = D + s * (n + n_fb), *w = W + s * n_ff, *b = B + s * n_fb, *e_row = E + s * n;
         double e_prev = 0.0;
         for (int64_t i = 0; i < n; i++) {
             int64_t a = n - 1 - i;
-            /* FF tap j reads x[-j], the sample of step i - j, and 0.0 before
-             * the first sample, whose product is still formed: w[j] * 0.0 is
-             * NaN for an infinite weight.  Only the first n_ff - 1 steps reach
-             * before it, so only they test each tap. */
-            const double *x = r + i, *f = dl + a + 1;
-            int full = i >= n_ff - 1;
+            /* FF tap j reads x[-j], the sample of step i - j: in the row's
+             * head, after its n_ff - 1 zeros, while the line reaches before
+             * the first sample, then in the row itself. */
+            const double *x = (i < n_ff - 1 ? h : r) + i, *f = dl + a + 1;
             double ff = 0.0, fb = 0.0;
-            if (full)
-                for (int64_t j = 0; j < n_ff; j++)
-                    ff = ff + w[j] * x[-j];
-            else
-                for (int64_t j = 0; j < n_ff; j++)
-                    ff = ff + w[j] * (j <= i ? x[-j] : 0.0);
+            for (int64_t j = 0; j < n_ff; j++)
+                ff = ff + w[j] * x[-j];
             for (int64_t j = 0; j < n_fb; j++)
                 fb = fb + b[j] * f[j];
             double y = ff - fb;
@@ -57,16 +50,10 @@ void equalab_lockstep(int64_t rows, int64_t n, int64_t n_ff, int64_t n_fb,
                 e_prev = e;
             }
             double g = step * e;
-            if (full)
-                for (int64_t j = 0; j < n_ff; j++) {
-                    double t = g * x[-j];
-                    w[j] = w[j] + t;
-                }
-            else
-                for (int64_t j = 0; j < n_ff; j++) {
-                    double t = g * (j <= i ? x[-j] : 0.0);
-                    w[j] = w[j] + t;
-                }
+            for (int64_t j = 0; j < n_ff; j++) {
+                double t = g * x[-j];
+                w[j] = w[j] + t;
+            }
             for (int64_t j = 0; j < n_fb; j++) {
                 double t = g * f[j];
                 b[j] = b[j] - t;

@@ -2,8 +2,8 @@
 twin with the same bytes, and the one choice of the process between them.
 
 - `lockstep`, the loop of `dfe.equalize` over the buffers of
-  `dfe._lockstep`, summing as `dsp.dot` does: C reads the received samples
-  in place; twin `_numpy_loop`, which reads a reversed, zero-padded copy.
+  `dfe._lockstep`, which lays out the FF line for both, summing as `dsp.dot`
+  does: C walks each row to its end; twin `_numpy_loop` steps all at once.
 - `uniform(seed, n)`, numpy's `Generator(PCG64(seed)).random(n)`: C
   expands the seed's 32-bit words as SeedSequence does and steps PCG64;
   twin `_numpy_uniform`, whose numpy.random loads OpenSSL (`secrets`,
@@ -72,16 +72,16 @@ def load() -> Kernel:
         kernel, draw, write = lib.equalab_lockstep, lib.equalab_uniform, lib.equalab_rows
     except (ImportError, AttributeError, OSError):
         return numpy()
-    kernel.argtypes = [_I64, _I64, _I64, _I64, *[_PTR] * 6, _I64, _F64, ctypes.c_int, _F64, _F64]
+    kernel.argtypes = [_I64, _I64, _I64, _I64, *[_PTR] * 7, _I64, _F64, ctypes.c_int, _F64, _F64]
     kernel.restype = None
 
-    def lockstep(rx, D, W, B, E, refs, mu, ilms, floor, cap):
-        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (rx, D, W, B, E, refs)):
+    def lockstep(rx, H, D, W, B, E, refs, mu, ilms, floor, cap):
+        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (rx, H, D, W, B, E, refs)):
             raise ValueError("the compiled loop needs C-contiguous float64 buffers")
         rows, n = E.shape
         kernel(
             rows, n, W.shape[1], B.shape[1],
-            rx.ctypes.data, D.ctypes.data, W.ctypes.data, B.ctypes.data, E.ctypes.data,
+            rx.ctypes.data, H.ctypes.data, D.ctypes.data, W.ctypes.data, B.ctypes.data, E.ctypes.data,
             refs.ctypes.data, len(refs), mu, ilms, floor, cap,
         )
 
@@ -123,20 +123,20 @@ def numpy() -> Kernel:
 # The numpy twins.
 
 
-def _numpy_loop(rx, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
+def _numpy_loop(rx, H, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
     """Step every row of the buffers of `dfe._lockstep` through all N
     iterations, one iteration of all rows at a time.  `refs` is (train, S);
     `cap` is inf when the step has no cap."""
-    rows, n = rx.shape
-    # Newest-first FF lines are contiguous windows of R, each row reversed and
-    # zero-padded: the line at step i is R[:, n-1-i : n-1-i+n_ff], as the FB
-    # line at step i is D[:, n-i : n-i+n_fb].
-    R = np.zeros((rows, n + W.shape[1] - 1))
-    R[:, :n] = rx[:, ::-1]
-    # Per step: the FF and FB line windows, the decision column and the
-    # error column.  Iterating these views beats slicing.
+    n, n_ff = rx.shape[1], W.shape[1]
+    # Per step i: the newest-first FF line, the n_ff samples up to sample i
+    # reversed (a window of H for the first n_ff - 1 steps, then of rx), the
+    # FB line D[:, n-i : n-i+n_fb], the decision column and the error column.
+    # Iterating these views beats slicing.
     steps = zip(
-        sliding_window_view(R, W.shape[1], axis=1)[:, n - 1 :: -1].swapaxes(0, 1),
+        itertools.chain(
+            sliding_window_view(H, n_ff, axis=1)[:, : n_ff - 1, ::-1].swapaxes(0, 1),
+            sliding_window_view(rx, n_ff, axis=1)[:, :, ::-1].swapaxes(0, 1) if n >= n_ff else (),
+        ),
         sliding_window_view(D, B.shape[1], axis=1)[:, n:0:-1].swapaxes(0, 1),
         D.T[n - 1 :: -1],
         E.T,
@@ -206,7 +206,8 @@ RECORDED = {
 
 def _probe_loop(lockstep) -> bool:
     """Whether the compiled `lockstep` leaves the buffers of `_numpy_loop`,
-    byte for byte, on the probe configs."""
+    byte for byte, on the probe configs, which never diverge: where weights
+    turn infinite, W can hold NaNs of opposite signs (D, B and E match)."""
     k = np.arange(2 * 64.0).reshape(2, 64)
     tx = np.where(np.sin(0.37 * k * k) > 0.0, 1.0, -1.0)
     rx = 0.8 * tx + 0.3 * np.cos(1.7 * k)

@@ -233,17 +233,21 @@ def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):
     refs = _training_references(transmitted, rows, train, delay) if train else np.empty((0, rows))
     cap = math.inf if cfg.step_cap is None else cfg.step_cap
 
-    # The FF line at step i is rx[:, i], rx[:, i-1], ..., 0.0 before the
-    # first sample; each loop reads it from `rx` its own way.  Decision i is
+    # The FF line at step i is rx[:, i], rx[:, i-1], ..., then 0.0 before
+    # the first sample, whose products are still formed: both loops read it
+    # in the head H (n_ff - 1 zeros, then each row's first n_ff samples)
+    # while it reaches before the first sample, then in `rx`.  Decision i is
     # written to D[:, n-1-i], so the newest-first FB line at step i is the
     # window D[:, n-i : n-i+n_fb] and nothing is ever shifted.
+    H = np.zeros((rows, 2 * cfg.n_ff - 1))
+    H[:, cfg.n_ff - 1 :][:, :n] = rx[:, : cfg.n_ff]
     D = np.zeros((rows, n + cfg.n_fb))
     W = np.zeros((rows, cfg.n_ff))
     if cfg.center_spike:
         W[:, delay] = 1.0
     B = np.zeros((rows, cfg.n_fb))
     E = np.empty((rows, n))
-    loop(rx, D, W, B, E, refs, cfg.mu, cfg.algo == ALGO_ILMS, cfg.step_floor, cap)
+    loop(rx, H, D, W, B, E, refs, cfg.mu, cfg.algo == ALGO_ILMS, cfg.step_floor, cap)
     return D, W, B, E
 
 

@@ -206,8 +206,11 @@ def effective_steps(errors: np.ndarray, cfg: DfeConfig) -> np.ndarray:
 
     if cfg.algo == ALGO_LMS:
         return np.full(errors.shape, cfg.mu)
-    steps = cfg.mu * np.maximum(np.abs(np.diff(errors, axis=-1, prepend=0.0)), cfg.step_floor)
-    return steps if cfg.step_cap is None else np.minimum(steps, cfg.step_cap)
+    steps = np.empty(errors.shape)  # e(n) - e(n-1) in one array; every later ufunc works in place
+    steps[..., 0] = errors[..., 0]
+    np.subtract(errors[..., 1:], errors[..., :-1], out=steps[..., 1:])
+    np.multiply(np.maximum(np.abs(steps, out=steps), cfg.step_floor, out=steps), cfg.mu, out=steps)
+    return steps if cfg.step_cap is None else np.minimum(steps, cfg.step_cap, out=steps)
 
 
 def _settled_steps(errors: np.ndarray, cfg: DfeConfig, tail_frac: float):
@@ -222,14 +225,13 @@ def _settled_steps(errors: np.ndarray, cfg: DfeConfig, tail_frac: float):
 
 
 # Most rows x symbols one `equalize` call steps at once; a run steps its
-# blocks one after another in this process.  The bound is on memory: on the
-# compiled kernel a block holds four float64 arrays of that shape at once
-# (tx, rx and the equalizer's decisions and errors; the kernel reads rx in
-# place), since each rule's rows are summed and freed before the next rule
-# runs, plus the temporaries of `ilms`'s settled step over the tail; the
-# numpy fallback also pads a reversed copy of rx, a fifth.  tracemalloc's
-# peak for one 2^20-element block (64 seeds x 16384 symbols, both rules) is
-# 35.5 MiB on the compiled kernel and 40.3 MiB on the numpy one.  The
+# blocks one after another in this process.  The bound is on memory: on
+# either kernel a block holds four float64 arrays of that shape at once (tx,
+# rx and the equalizer's decisions and errors; both loops read rx in place),
+# since each rule's rows are summed and freed before the next rule runs,
+# plus `ilms`'s steps over the tail, one array at most (`--tail-frac 1`).
+# tracemalloc's peak for one 2^20-element block (64 seeds x 16384 symbols,
+# both rules) is 33.9 MiB on both kernels, 40.3 MiB at `--tail-frac 1`.  The
 # compiled kernel costs the same per row and step whatever the block; the
 # numpy fallback pays its per-step overhead once per block, so larger blocks
 # make it faster.  Runs longer than this step one seed at a time.

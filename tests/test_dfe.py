@@ -540,9 +540,9 @@ class TestKernelChoice:
     @pytest.mark.parametrize("bad", ["float32", "non-contiguous"])
     def test_compiled_loop_rejects_other_buffers(self, compiled, bad):
         # The kernel reads raw C-ordered float64 memory: any other buffer of
-        # rx, D, W, B, E or refs is refused before the C code runs.
+        # rx, H, D, W, B, E or refs is refused before the C code runs.
         rows, n, n_ff, n_fb, train = 2, 20, 5, 3, 4
-        shapes = [(rows, n), (rows, n + n_fb), (rows, n_ff), (rows, n_fb), (rows, n), (train, rows)]
+        shapes = [(rows, n), (rows, 2 * n_ff - 1), (rows, n + n_fb), (rows, n_ff), (rows, n_fb), (rows, n), (train, rows)]
         for k, (r, c) in enumerate(shapes):
             bufs = [np.ones(shape) for shape in shapes]
             bufs[k] = np.ones((r, c), np.float32) if bad == "float32" else np.ones((r, 2 * c))[:, ::2]

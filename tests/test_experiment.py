@@ -313,13 +313,13 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak < 60 * 400 * 8
 
-    def test_block_holds_five_arrays_at_most(self, monkeypatch):
-        # tx, rx and the equalizer's R, D and E: each rule's rows are summed
-        # and freed before the next rule runs, and the block before the next
-        # block is drawn.  Holding one rule's rows on would peak at six.
+    @staticmethod
+    def _block_peak(monkeypatch, **kw):
+        """tracemalloc's peak over a run of two 32 x 4096 blocks of the
+        default rules, in block-sized float64 arrays."""
         rows, n = 32, 4096
         monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", rows * n)
-        cfg = tiny_config(n_symbols=n, n_seeds=2 * rows)
+        cfg = tiny_config(n_symbols=n, n_seeds=2 * rows, **kw)
         run_experiment(tiny_config())  # the kernel is loaded before tracing
         tracemalloc.start()
         try:
@@ -327,24 +327,23 @@ class TestRunExperiment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * rows * n * 8
+        return peak / (rows * n * 8)
 
-    def test_compiled_block_holds_four_arrays(self, monkeypatch, compiled):
-        # tx, rx, D and E: the compiled loop reads rx in place, so one block
-        # of the default rules peaks at about 4.5 block-sized arrays here
-        # (the rest is the ilms tail's steps), against 5.06 while the
-        # equalizer also held a reversed, zero-padded copy of rx.
-        rows, n = 64, 4096
-        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", rows * n)
-        cfg = tiny_config(n_symbols=n, n_seeds=rows)
-        run_experiment(tiny_config())
-        tracemalloc.start()
-        try:
-            run_experiment(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4.75 * rows * n * 8
+    @pytest.mark.parametrize("kernel", ["c", "numpy"])
+    def test_block_holds_four_arrays(self, monkeypatch, use_kernel, kernel):
+        # tx, rx and the equalizer's D and E: both loops read rx in place,
+        # each rule's rows are summed and freed before the next rule runs, and
+        # the block before the next block is drawn.  The rest, about 0.5
+        # here, is the ilms tail's steps.
+        use_kernel(kernel)
+        assert self._block_peak(monkeypatch) < 4.75
+
+    @pytest.mark.parametrize("kernel", ["c", "numpy"])
+    def test_whole_tail_steps_take_one_array(self, monkeypatch, use_kernel, kernel):
+        # At --tail-frac 1 the ilms steps span the whole block: built in one
+        # array, in place, they add one block-sized array, about 5.1 in all.
+        use_kernel(kernel)
+        assert self._block_peak(monkeypatch, tail_frac=1.0) < 5.5
 
     @pytest.mark.parametrize(
         "algos,jobs,block_rows",
