@@ -3,7 +3,7 @@
  * _kernel.py builds and loads it and holds the numpy twin of each.
  *
  * The loop runs the same operations as `_numpy_loop` and writes the same
- * buffers, reading the FF line as it does, but walks each row to the end
+ * buffers, reading both lines as it does, but walks each row to the end
  * before starting the next; rows are independent.  Each dot product is 0.0
  * plus every product added in tap order, as `_numpy_loop` and `dsp.dot` sum
  * it.  Built with -ffp-contract=off, so that every product is rounded before
@@ -17,28 +17,27 @@ typedef unsigned __int128 u128;
 
 void equalab_lockstep(int64_t rows, int64_t n, int64_t n_ff, int64_t n_fb,
                       const double *RX, const double *H, double *D, double *W, double *B, double *E,
-                      const double *refs, int64_t train,
-                      double mu, int ilms, double step_floor, double step_cap)
+                      int64_t train, double mu, int ilms, double step_floor, double step_cap)
 {
     for (int64_t s = 0; s < rows; s++) {
         const double *r = RX + s * n, *h = H + s * (2 * n_ff - 1) + n_ff - 1;
-        double *dl = D + s * (n + n_fb), *w = W + s * n_ff, *b = B + s * n_fb, *e_row = E + s * n;
+        double *dl = D + s * (n_fb + n) + n_fb, *w = W + s * n_ff, *b = B + s * n_fb, *e_row = E + s * n;
         double e_prev = 0.0;
         for (int64_t i = 0; i < n; i++) {
-            int64_t a = n - 1 - i;
             /* FF tap j reads x[-j], the sample of step i - j: in the row's
              * head, after its n_ff - 1 zeros, while the line reaches before
-             * the first sample, then in the row itself. */
-            const double *x = (i < n_ff - 1 ? h : r) + i, *f = dl + a + 1;
+             * the first sample, then in the row itself.  FB tap j reads
+             * f[-1 - j], the decision of step i - 1 - j, or a zero before. */
+            const double *x = (i < n_ff - 1 ? h : r) + i, *f = dl + i;
             double ff = 0.0, fb = 0.0;
             for (int64_t j = 0; j < n_ff; j++)
                 ff = ff + w[j] * x[-j];
             for (int64_t j = 0; j < n_fb; j++)
-                fb = fb + b[j] * f[j];
+                fb = fb + b[j] * f[-1 - j];
             double y = ff - fb;
             double d = copysign(1.0, y + 0.0);
-            double e = (i < train ? refs[i * rows + s] : d) - y;
-            dl[a] = d;
+            double e = (i < train ? e_row[i] : d) - y; /* e_row[i]: the reference */
+            dl[i] = d;
             e_row[i] = e;
             double step = mu;
             if (ilms) {
@@ -55,7 +54,7 @@ void equalab_lockstep(int64_t rows, int64_t n, int64_t n_ff, int64_t n_fb,
                 w[j] = w[j] + t;
             }
             for (int64_t j = 0; j < n_fb; j++) {
-                double t = g * f[j];
+                double t = g * f[-1 - j];
                 b[j] = b[j] - t;
             }
         }

@@ -2,8 +2,9 @@
 twin with the same bytes, and the one choice of the process between them.
 
 - `lockstep`, the loop of `dfe.equalize` over the buffers of
-  `dfe._lockstep`, which lays out the FF line for both, summing as `dsp.dot`
-  does: C walks each row to its end; twin `_numpy_loop` steps all at once.
+  `dfe._lockstep`, which lays out both lines and the training references
+  for both, summing as `dsp.dot` does: C walks each row to its end; twin
+  `_numpy_loop` steps all at once.
 - `uniform(seed, n)`, numpy's `Generator(PCG64(seed)).random(n)`: C
   expands the seed's 32-bit words as SeedSequence does and steps PCG64;
   twin `_numpy_uniform`, whose numpy.random loads OpenSSL (`secrets`,
@@ -72,17 +73,17 @@ def load() -> Kernel:
         kernel, draw, write = lib.equalab_lockstep, lib.equalab_uniform, lib.equalab_rows
     except (ImportError, AttributeError, OSError):
         return numpy()
-    kernel.argtypes = [_I64, _I64, _I64, _I64, *[_PTR] * 7, _I64, _F64, ctypes.c_int, _F64, _F64]
+    kernel.argtypes = [_I64, _I64, _I64, _I64, *[_PTR] * 6, _I64, _F64, ctypes.c_int, _F64, _F64]
     kernel.restype = None
 
-    def lockstep(rx, H, D, W, B, E, refs, mu, ilms, floor, cap):
-        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (rx, H, D, W, B, E, refs)):
+    def lockstep(rx, H, D, W, B, E, train, mu, ilms, floor, cap):
+        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (rx, H, D, W, B, E)):
             raise ValueError("the compiled loop needs C-contiguous float64 buffers")
         rows, n = E.shape
         kernel(
             rows, n, W.shape[1], B.shape[1],
             rx.ctypes.data, H.ctypes.data, D.ctypes.data, W.ctypes.data, B.ctypes.data, E.ctypes.data,
-            refs.ctypes.data, len(refs), mu, ilms, floor, cap,
+            train, mu, ilms, floor, cap,
         )
 
     draw.argtypes = [_PTR, _I64, _I64, _PTR]
@@ -123,38 +124,39 @@ def numpy() -> Kernel:
 # The numpy twins.
 
 
-def _numpy_loop(rx, H, D, W, B, E, refs, mu, ilms, floor, cap) -> None:
+def _numpy_loop(rx, H, D, W, B, E, train, mu, ilms, floor, cap) -> None:
     """Step every row of the buffers of `dfe._lockstep` through all N
-    iterations, one iteration of all rows at a time.  `refs` is (train, S);
-    `cap` is inf when the step has no cap."""
-    n, n_ff = rx.shape[1], W.shape[1]
-    # Per step i: the newest-first FF line, the n_ff samples up to sample i
-    # reversed (a window of H for the first n_ff - 1 steps, then of rx), the
-    # FB line D[:, n-i : n-i+n_fb], the decision column and the error column.
+    iterations, one iteration of all rows at a time.  E's first `train`
+    columns hold the training references; `cap` is inf when the step has
+    no cap."""
+    n, n_ff, n_fb = rx.shape[1], W.shape[1], B.shape[1]
+
+    def lines(a, width, count):  # the first `count` windows of `width` columns, newest first, step-major
+        return sliding_window_view(a, width, axis=1)[:, :count, ::-1].swapaxes(0, 1)
+
+    # Per step i: the FF line, the n_ff samples up to sample i (a window of
+    # H for the first n_ff - 1 steps, then of rx); the FB line, the n_fb
+    # columns of D before column n_fb + i; that column; E's column i.
     # Iterating these views beats slicing.
     steps = zip(
-        itertools.chain(
-            sliding_window_view(H, n_ff, axis=1)[:, : n_ff - 1, ::-1].swapaxes(0, 1),
-            sliding_window_view(rx, n_ff, axis=1)[:, :, ::-1].swapaxes(0, 1) if n >= n_ff else (),
-        ),
-        sliding_window_view(D, B.shape[1], axis=1)[:, n:0:-1].swapaxes(0, 1),
-        D.T[n - 1 :: -1],
+        itertools.chain(lines(H, n_ff, n_ff - 1), lines(rx, n_ff, n) if n >= n_ff else ()),
+        lines(D, n_fb, n),
+        D.T[n_fb:],
         E.T,
     )
-    refs = iter(refs)
     # Each filter's products after a zero column: a row's running sum ends in 0.0 + w[0]*x[0] + ...
-    ff, fb = np.zeros((len(W), W.shape[1] + 1)), np.zeros((len(B), B.shape[1] + 1))
+    ff, fb = np.zeros((len(W), n_ff + 1)), np.zeros((len(B), n_fb + 1))
     e_prev = np.zeros(len(E))
     mu, floor, cap = (np.full(len(E), v) for v in (mu, floor, cap))  # converted once, not every step
     # A diverging row turns to inf/nan and stays so; `run_experiment` reports it.
     with np.errstate(all="ignore"):
-        for x, f, d_out, e_out in steps:
+        for i, (x, f, d_out, e_out) in enumerate(steps):
             np.multiply(W, x, out=ff[:, 1:])
             np.multiply(B, f, out=fb[:, 1:])
             y = np.add.accumulate(ff, axis=1)[:, -1] - np.add.accumulate(fb, axis=1)[:, -1]
             # quantize(): +1 for y >= 0.  Adding +0.0 turns -0.0 into +0.0.
             d = np.copysign(1.0, y + 0.0, out=d_out)
-            e = np.subtract(next(refs, d), y, out=e_out)  # the preamble, then decisions
+            e = np.subtract(e_out if i < train else d, y, out=e_out)  # the preamble, then decisions
             if ilms:
                 step = np.minimum(mu * np.maximum(np.abs(e - e_prev), floor), cap)
                 e_prev = e

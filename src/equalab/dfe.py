@@ -200,7 +200,8 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     The steps run in the loop that `_kernel.load` chose; `KERNEL` names it.
 
     Returns the loop's buffers (errors, decisions, ff_weights, fb_weights):
-    the signed errors and decisions, (S, N), and each row's final taps.  A
+    the signed errors and decisions, (S, N), in time order (the decisions a
+    view of the loop's FB buffer), and each row's final taps.  A
     diverging row comes back non-finite from the step where `dfe_step`
     raises; InputError is for bad input only: the shape, an empty batch, a
     non-finite sample (its first row and iteration) or a training reference.
@@ -218,7 +219,7 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     from . import _kernel  # here: a process that only imports equalab never loads it
 
     D, W, B, E = _lockstep(_kernel.load().lockstep, rx, cfg, transmitted)
-    return E, D[:, rx.shape[1] - 1 :: -1], W, B  # a view: time runs backwards in D
+    return E, D[:, cfg.n_fb :], W, B  # a view: D's first n_fb columns are the FB line's zeros
 
 
 def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):
@@ -230,24 +231,42 @@ def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):
     rows, n = rx.shape
     delay = cfg.delay
     train = min(cfg.training_len, n)  # 0 in decision-directed mode
-    refs = _training_references(transmitted, rows, train, delay) if train else np.empty((0, rows))
+    E = np.empty((rows, n))
+    if train:  # the references of the first `train` steps: PAD_SYMBOL, then tx[:, :train - delay]
+        if transmitted is None:
+            raise InputError("trained mode requires the transmitted symbols")
+        tx = np.asarray(transmitted, dtype=np.float64)
+        if tx.ndim != 2 or tx.shape[0] != rows:
+            raise InputError("transmitted batch must have one row per received row")
+        if tx.shape[1] + delay < train:
+            raise InputError("transmitted sequence too short for the training preamble")
+        preamble = E[:, :train]
+        preamble[:, :delay] = PAD_SYMBOL
+        preamble[:, delay:] = tx[:, : max(train - delay, 0)]
+        bad = (preamble != 1.0) & (preamble != -1.0)
+        if bad.any():
+            row, i = (int(k) for k in np.argwhere(bad)[0])
+            raise InputError(
+                f"training reference must be +1 or -1, got {preamble[row, i]!r} at iteration {i}", row=row
+            )
     cap = math.inf if cfg.step_cap is None else cfg.step_cap
 
-    # The FF line at step i is rx[:, i], rx[:, i-1], ..., then 0.0 before
-    # the first sample, whose products are still formed: both loops read it
-    # in the head H (n_ff - 1 zeros, then each row's first n_ff samples)
-    # while it reaches before the first sample, then in `rx`.  Decision i is
-    # written to D[:, n-1-i], so the newest-first FB line at step i is the
-    # window D[:, n-i : n-i+n_fb] and nothing is ever shifted.
+    # Both lines are read newest first, backwards from step i, and nothing
+    # is ever shifted.  The FF line is rx[:, i], rx[:, i-1], ..., then 0.0
+    # before the first sample, whose products are still formed: both loops
+    # read it in the head H (n_ff - 1 zeros, then each row's first n_ff
+    # samples) while it reaches before the first sample, then in `rx`.  D is
+    # n_fb zeros, then decision i in column n_fb + i, so the FB line at step
+    # i ends at column n_fb + i - 1.  E's first `train` columns hold the
+    # references, each replaced by its error once the loop has read it.
     H = np.zeros((rows, 2 * cfg.n_ff - 1))
     H[:, cfg.n_ff - 1 :][:, :n] = rx[:, : cfg.n_ff]
-    D = np.zeros((rows, n + cfg.n_fb))
+    D = np.zeros((rows, cfg.n_fb + n))
     W = np.zeros((rows, cfg.n_ff))
     if cfg.center_spike:
         W[:, delay] = 1.0
     B = np.zeros((rows, cfg.n_fb))
-    E = np.empty((rows, n))
-    loop(rx, H, D, W, B, E, refs, cfg.mu, cfg.algo == ALGO_ILMS, cfg.step_floor, cap)
+    loop(rx, H, D, W, B, E, train, cfg.mu, cfg.algo == ALGO_ILMS, cfg.step_floor, cap)
     return D, W, B, E
 
 
@@ -259,25 +278,3 @@ def __getattr__(name):
         return _kernel.load().name
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-def _training_references(transmitted, rows: int, train: int, delay: int) -> np.ndarray:
-    """The reference symbols of the first `train` iterations, (train, rows)."""
-    import numpy as np
-
-    if transmitted is None:
-        raise InputError("trained mode requires the transmitted symbols")
-    tx = np.asarray(transmitted, dtype=np.float64)
-    if tx.ndim != 2 or tx.shape[0] != rows:
-        raise InputError("transmitted batch must have one row per received row")
-    if tx.shape[1] + delay < train:
-        raise InputError("transmitted sequence too short for the training preamble")
-    refs = np.full((train, rows), PAD_SYMBOL)
-    refs[delay:] = tx[:, : max(train - delay, 0)].T
-    bad = (refs != 1.0) & (refs != -1.0)
-    if bad.any():
-        row, i = (int(k) for k in np.argwhere(bad.T)[0])
-        raise InputError(
-            f"training reference must be +1 or -1, got {refs[i, row]!r} at iteration {i}",
-            row=row,
-        )
-    return refs

@@ -207,7 +207,7 @@ def effective_steps(errors: np.ndarray, cfg: DfeConfig) -> np.ndarray:
     if cfg.algo == ALGO_LMS:
         return np.full(errors.shape, cfg.mu)
     steps = np.empty(errors.shape)  # e(n) - e(n-1) in one array; every later ufunc works in place
-    steps[..., 0] = errors[..., 0]
+    steps[..., :1] = errors[..., :1]
     np.subtract(errors[..., 1:], errors[..., :-1], out=steps[..., 1:])
     np.multiply(np.maximum(np.abs(steps, out=steps), cfg.step_floor, out=steps), cfg.mu, out=steps)
     return steps if cfg.step_cap is None else np.minimum(steps, cfg.step_cap, out=steps)
@@ -226,8 +226,9 @@ def _settled_steps(errors: np.ndarray, cfg: DfeConfig, tail_frac: float):
 
 # Most rows x symbols one `equalize` call steps at once; a run steps its
 # blocks one after another in this process.  The bound is on memory: on
-# either kernel a block holds four float64 arrays of that shape at once (tx,
-# rx and the equalizer's decisions and errors; both loops read rx in place),
+# either kernel and in either mode a block holds four float64 arrays of that
+# shape at once (tx, rx and the equalizer's decisions and errors; both loops
+# read rx in place, and a training preamble is written into the errors),
 # since each rule's rows are summed and freed before the next rule runs,
 # plus `ilms`'s steps over the tail, one array at most (`--tail-frac 1`).
 # tracemalloc's peak for one 2^20-element block (64 seeds x 16384 symbols,

@@ -68,8 +68,8 @@ def apply_channel(tx, impulse, noise_variance: float = 0.0, noise_seed: int = 0)
         raise InputError(f"transmitted sequence must be 1-D, got shape {x.shape}")
     if x.size == 0:
         raise InputError("transmitted sequence is empty")
-    if not noise_variance >= 0:
-        raise ConfigurationError("must be >= 0", field="noise_variance")
+    if not 0 <= noise_variance < math.inf:
+        raise ConfigurationError("must be finite and >= 0", field="noise_variance")
     _seed(noise_seed)  # also when no noise is drawn
     y = np.zeros(x.size)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -540,15 +540,15 @@ class TestKernelChoice:
     @pytest.mark.parametrize("bad", ["float32", "non-contiguous"])
     def test_compiled_loop_rejects_other_buffers(self, compiled, bad):
         # The kernel reads raw C-ordered float64 memory: any other buffer of
-        # rx, H, D, W, B, E or refs is refused before the C code runs.
+        # rx, H, D, W, B or E is refused before the C code runs.
         rows, n, n_ff, n_fb, train = 2, 20, 5, 3, 4
-        shapes = [(rows, n), (rows, 2 * n_ff - 1), (rows, n + n_fb), (rows, n_ff), (rows, n_fb), (rows, n), (train, rows)]
+        shapes = [(rows, n), (rows, 2 * n_ff - 1), (rows, n_fb + n), (rows, n_ff), (rows, n_fb), (rows, n)]
         for k, (r, c) in enumerate(shapes):
             bufs = [np.ones(shape) for shape in shapes]
             bufs[k] = np.ones((r, c), np.float32) if bad == "float32" else np.ones((r, 2 * c))[:, ::2]
             before = [b.tobytes() for b in bufs]
             with pytest.raises(ValueError, match="C-contiguous float64"):
-                compiled.lockstep(*bufs, 0.01, True, 0.0, math.inf)
+                compiled.lockstep(*bufs, train, 0.01, True, 0.0, math.inf)
             assert [b.tobytes() for b in bufs] == before
 
     def test_cached_library_loads_without_a_compiler(self, monkeypatch, fresh_load, compiled):

@@ -38,6 +38,7 @@ from equalab.experiment import (
     RunRecord,
     SeedTable,
     draw,
+    effective_steps,
     emit_curves_csv,
     emit_summary,
     run_experiment,
@@ -334,9 +335,11 @@ class TestRunExperiment:
         # tx, rx and the equalizer's D and E: both loops read rx in place,
         # each rule's rows are summed and freed before the next rule runs, and
         # the block before the next block is drawn.  The rest, about 0.5
-        # here, is the ilms tail's steps.
+        # here, is the ilms tail's steps.  A training preamble over the
+        # whole block is written into E itself.
         use_kernel(kernel)
         assert self._block_peak(monkeypatch) < 4.75
+        assert self._block_peak(monkeypatch, mode="trained", training_len=4096) < 4.75
 
     @pytest.mark.parametrize("kernel", ["c", "numpy"])
     def test_whole_tail_steps_take_one_array(self, monkeypatch, use_kernel, kernel):
@@ -344,6 +347,12 @@ class TestRunExperiment:
         # array, in place, they add one block-sized array, about 5.1 in all.
         use_kernel(kernel)
         assert self._block_peak(monkeypatch, tail_frac=1.0) < 5.5
+
+    def test_effective_steps_of_no_iterations(self):
+        # No iterations take no steps under either rule, not an IndexError.
+        cfg = tiny_config()
+        for algo in ("lms", "ilms"):
+            assert effective_steps(np.empty((2, 0)), cfg.dfe_config(algo)).shape == (2, 0)
 
     @pytest.mark.parametrize(
         "algos,jobs,block_rows",

@@ -69,7 +69,7 @@ class TestChannelModel:
                 apply_channel(np.ones(4), impulse)
 
     def test_rejects_negative_variance(self):
-        for variance in (-1.0, np.nan):
+        for variance in (-1.0, np.nan, np.inf):
             with pytest.raises(ConfigurationError) as exc:
                 apply_channel(np.ones(4), [1.0], noise_variance=variance)
             assert exc.value.field == "noise_variance"
