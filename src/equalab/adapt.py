@@ -9,12 +9,12 @@ error settles.  `dfe.dfe_step` applies the update to both equalizer filters.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from . import _Numpy
 from .errors import ConfigurationError
 
-if TYPE_CHECKING:
-    import numpy as np
+np = _Numpy(__name__)
 
 
 class AdaptParams(NamedTuple):

@@ -144,9 +144,17 @@ def read_config_file(path: str) -> dict:
     return overrides
 
 
+def _stdout():
+    """`sys.stdout`, or the OSError of a write to a closed descriptor: Python
+    sets `sys.stdout` to None when it starts with file descriptor 1 closed."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):  # argparse's own writer drops an OSError
-        (file or sys.stdout).write(self.format_help())
+        (file or _stdout()).write(self.format_help())
 
     def parse_known_args(self, args=None, namespace=None):
         # Each parser refuses what it does not know, so `run --bogus` shows
@@ -288,7 +296,7 @@ def _run(config: ExperimentConfig) -> int:
         emit_curves_csv(record, config.out_curves)
         emit_summary(record, config.out_summary)
         _print_report(record)
-        sys.stdout.flush()
+        _stdout().flush()
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
@@ -309,8 +317,9 @@ def entry() -> int:
     freezes: `main` also runs in long processes, where frozen cyclic garbage
     would never be freed.
 
-    A stdout that cannot take the help text or the report gives exit 1 and
-    one error line, as an output file that cannot be written does.
+    A stdout that cannot take the help text or the report, full or closed,
+    gives exit 1 and one error line, as an output file that cannot be
+    written does.
     """
     code = None
     try:
@@ -325,14 +334,15 @@ def entry() -> int:
                 code = _run(config)
         except SystemExit as exc:  # argparse's, after --help or a usage error
             code = exc.code
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError as exc:
         if code != 1:  # else `_run` has reported that its report failed
             print(f"error: cannot write output: {exc}", file=sys.stderr)
         code = 1
         # Drop what stdout still holds, or the interpreter's own flush at
         # exit fails again and exits 120.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     return code
 
 

@@ -6,8 +6,8 @@ the result y is quantized to +/-1, and the error e = reference - y drives
 the weight update.  In decision-directed mode the reference is the quantizer
 output itself; a training preamble can use the true (delayed) transmitted
 symbols instead.  Because the feedback output is subtracted, the feedback
-filter's gradient regressor is the negated decision history; this module is
-the only one that knows that sign.
+filter's gradient regressor is the negated decision history: `dfe_step`
+negates it, and both loops of `_kernel` subtract the update instead.
 
 State is an explicit value: each `dfe_step` returns a fresh `DfeState` plus
 a `StepTrace` of what happened, so runs are replayable and side-effect free.
@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from . import _Numpy
 from .adapt import effective_step, lms_update
 from .dsp import delay_line, dot, shift_in
 from .errors import ConfigurationError, InputError, require_integer, require_real
 
-if TYPE_CHECKING:
-    import numpy as np
+np = _Numpy(__name__)
 
 # The two adaptation rules: fixed-step LMS and error-difference-scaled LMS.
 ALGO_LMS = "lms"
@@ -94,11 +94,9 @@ class DfeConfig:
             not 0 < self.step_cap < math.inf or self.step_cap < self.mu * self.step_floor
         ):
             raise ConfigurationError("must be finite, > 0 and >= mu * step_floor", field="step_cap")
-        if not isinstance(self.center_spike, bool):  # "false" would be truthy
-            import numpy as np
-
-            if not isinstance(self.center_spike, np.bool_):
-                raise ConfigurationError(f"must be a bool, got {self.center_spike!r}", field="center_spike")
+        # A bool or numpy's bool_ ("false" would be truthy); numpy is read only for another type.
+        if not isinstance(self.center_spike, bool) and not isinstance(self.center_spike, np.bool_):
+            raise ConfigurationError(f"must be a bool, got {self.center_spike!r}", field="center_spike")
         if self.center_spike and not self.delay < self.n_ff:
             raise ConfigurationError(
                 "center-spike initialization needs decision_delay < n_ff", field="decision_delay"
@@ -139,8 +137,6 @@ class StepTrace(NamedTuple):
 
 def initial_state(cfg: DfeConfig) -> DfeState:
     """Fresh state: zero weights and lines, optional unit spike at the delay tap."""
-    import numpy as np
-
     ff = np.zeros(cfg.n_ff, dtype=np.float64)
     if cfg.center_spike:
         ff[cfg.delay] = 1.0
@@ -206,8 +202,6 @@ def equalize(received, cfg: DfeConfig, transmitted=None):
     raises; InputError is for bad input only: the shape, an empty batch, a
     non-finite sample (its first row and iteration) or a training reference.
     """
-    import numpy as np
-
     rx = np.asarray(received, dtype=np.float64, order="C")  # a copy only if not C-ordered yet
     if rx.ndim != 2:
         raise InputError("received batch must be 2-D: one row per run")
@@ -226,8 +220,6 @@ def _lockstep(loop, rx: np.ndarray, cfg: DfeConfig, transmitted):
     """Run `loop` over (S, N) `rx`, which it only reads, and the buffers of
     `equalize`, set up here; return those: D, W, B and E (the errors, not
     yet squared)."""
-    import numpy as np
-
     rows, n = rx.shape
     delay = cfg.delay
     train = min(cfg.training_len, n)  # 0 in decision-directed mode

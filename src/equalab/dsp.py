@@ -1,4 +1,5 @@
-"""Streaming FIR primitives shared by the channel model and the equalizer filters.
+"""FIR primitives: `taps` checks the channel's coefficients, and the others
+run the filters of the equalizer's executable specification, `dfe.dfe_step`.
 
 All samples are float64.  A delay line holds the most recent samples
 newest-first, is zero-filled at start-up, and always has the same length as
@@ -8,19 +9,16 @@ the tap vector it feeds.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
+from . import _Numpy
 from .errors import ConfigurationError, InputError
 
-if TYPE_CHECKING:
-    import numpy as np
+np = _Numpy(__name__)
 
 
 def taps(coeffs) -> np.ndarray:
     """Validate a coefficient vector: 1-D, non-empty, real numbers, all finite.
     Returns a float64 copy."""
-    import numpy as np
-
     try:
         w = np.array(coeffs)
     except ValueError:  # a ragged nesting
@@ -37,8 +35,6 @@ def taps(coeffs) -> np.ndarray:
 
 def delay_line(capacity: int) -> np.ndarray:
     """Zero-filled delay line for a filter with `capacity` taps."""
-    import numpy as np
-
     if capacity < 0:
         raise ConfigurationError("delay line capacity must be >= 0")
     return np.zeros(capacity, dtype=np.float64)
@@ -46,8 +42,6 @@ def delay_line(capacity: int) -> np.ndarray:
 
 def shift_in(line: np.ndarray, sample: float) -> np.ndarray:
     """Return a new line with `sample` in the newest slot; the oldest is dropped."""
-    import numpy as np
-
     if not math.isfinite(sample):
         raise InputError(f"non-finite sample: {sample!r}")
     if line.size == 0:

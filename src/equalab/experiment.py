@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from . import __version__
+from . import _Numpy, __version__
 from .dfe import ALGO_ILMS, ALGO_LMS, MODE_DECISION_DIRECTED, DfeConfig, equalize
 from .dsp import taps
 from .errors import ConfigurationError, InputError, require_integer, require_real
 from .metrics import LearningCurve, ber, learning_curve, speedup
 from .txrx import apply_channel, generate_bpsk
 
-if TYPE_CHECKING:
-    import numpy as np
+np = _Numpy(__name__)
 
 # Noise streams are decoupled from symbol streams by a fixed seed offset so
 # either can be held fixed independently.  Echoed in every summary.
@@ -178,8 +177,6 @@ class RunRecord(NamedTuple):
     @property
     def ber(self) -> dict[str, float]:
         """Each rule's mean BER over its seeds."""
-        import numpy as np
-
         return {algo: float(np.mean(table.ber)) for algo, table in self.seeds.items()}
 
 
@@ -187,8 +184,6 @@ def draw(config: ExperimentConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
     """The input of `seeds` in a run of `config`: (tx, rx), the symbols and
     the received samples, each (len(seeds), n_symbols).  Seed s draws its
     symbols from s and its noise from s + NOISE_SEED_OFFSET."""
-    import numpy as np
-
     tx = np.empty((len(seeds), config.n_symbols))
     rx = np.empty_like(tx)
     for k, s in enumerate(seeds):
@@ -202,8 +197,6 @@ def effective_steps(errors: np.ndarray, cfg: DfeConfig) -> np.ndarray:
     (rows, N) that `equalize` returns: mu for `lms`; for `ilms`
     mu * max(|e(n) - e(n-1)|, step_floor) with e(-1) = 0, capped at
     step_cap, as `adapt.effective_step` computes it."""
-    import numpy as np
-
     if cfg.algo == ALGO_LMS:
         return np.full(errors.shape, cfg.mu)
     steps = np.empty(errors.shape)  # e(n) - e(n-1) in one array; every later ufunc works in place
@@ -254,8 +247,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     the first failed run in the order seed, then algorithm, whatever the
     split.  `config.jobs` changes nothing.
     """
-    import numpy as np
-
     seeds, n, skip = config.seeds, config.n_symbols, config.ber_skip
     sums = {algo: np.zeros(n) for algo in config.algos}
     shapes = (len(seeds),), (len(seeds), config.n_ff), (len(seeds), config.n_fb), (len(seeds),)
@@ -305,8 +296,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
 def _first_non_finite(a: np.ndarray, what: str) -> dict[int, str]:
     """{row: "`what` at iteration i"} for each row of `a` whose first non-finite entry is i."""
-    import numpy as np
-
     rows = () if np.isfinite(a).all() else ~np.isfinite(a)
     return {row: f"{what} at iteration {int(bad.argmax())}" for row, bad in enumerate(rows) if bad.any()}
 
@@ -320,8 +309,6 @@ def emit_curves_csv(record: RunRecord, path) -> None:
     format(x, ".17g"), which round-trip float64 exactly, written by the
     writer that `_kernel.load` chose.
     """
-    import numpy as np
-
     from . import _kernel  # here: a process that only imports equalab never loads it
 
     rows = _kernel.load().rows

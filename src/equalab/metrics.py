@@ -9,12 +9,12 @@ run.  Both parameters are echoed in every summary so results are comparable.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from . import _Numpy
 from .errors import InputError, as_integer
 
-if TYPE_CHECKING:
-    import numpy as np
+np = _Numpy(__name__)
 
 
 class LearningCurve(NamedTuple):
@@ -33,8 +33,6 @@ class LearningCurve(NamedTuple):
 
 def _vector(values, name: str) -> np.ndarray:
     """`values` as a 1-D float64 array, else an InputError naming it."""
-    import numpy as np
-
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1:
         raise InputError(f"{name} must be 1-D, got shape {x.shape}")
@@ -43,8 +41,6 @@ def _vector(values, name: str) -> np.ndarray:
 
 def smooth(sq_errors, window: int) -> np.ndarray:
     """Forward moving average: out[i] = (0.0 + sq_errors[i] + ... + sq_errors[i+window-1]) / window."""
-    import numpy as np
-
     x = _vector(sq_errors, "learning curve")
     window = as_integer(window, "smoothing window")
     if window < 1:
@@ -59,8 +55,6 @@ def smooth(sq_errors, window: int) -> np.ndarray:
 
 def steady_state_mse(sq_errors, tail_fraction: float) -> float:
     """Mean of the final ceil(tail_fraction * len) squared errors."""
-    import numpy as np
-
     x = _vector(sq_errors, "learning curve")
     if x.size == 0:
         raise InputError("empty learning curve")
@@ -73,8 +67,6 @@ def steady_state_mse(sq_errors, tail_fraction: float) -> float:
 def convergence_iteration(smoothed, steady_state_mse: float, window: int, ratio: float) -> int | None:
     """First index whose next `window` smoothed points all sit at or below
     ratio * steady_state_mse; None if no such span exists."""
-    import numpy as np
-
     w = as_integer(window, "confirmation span")
     if w < 1:
         raise InputError("confirmation span must be >= 1")
@@ -103,8 +95,6 @@ def speedup(conv_lms: int | None, conv_ilms: int | None) -> float | None:
 
 def ber(decisions, transmitted, delay: int, skip: int) -> float:
     """Fraction of indices n >= skip where decisions[n] != transmitted[n - delay]."""
-    import numpy as np
-
     d = _vector(decisions, "decisions")
     t = _vector(transmitted, "transmitted sequence")
     delay, skip = as_integer(delay, "delay"), as_integer(skip, "skip")

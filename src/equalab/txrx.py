@@ -10,19 +10,16 @@ recipe that other implementations can match statistically.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
+from . import _Numpy
 from .dsp import taps
 from .errors import ConfigurationError, InputError, as_integer
 
-if TYPE_CHECKING:
-    import numpy as np
+np = _Numpy(__name__)
 
 
 def generate_bpsk(n: int, seed: int) -> np.ndarray:
     """n equiprobable +/-1 symbols from a PCG64 stream seeded with `seed`."""
-    import numpy as np
-
     n = as_integer(n, "symbol count")
     if n < 1:
         raise InputError("symbol count must be >= 1")
@@ -31,8 +28,6 @@ def generate_bpsk(n: int, seed: int) -> np.ndarray:
 
 def gaussian(n: int, variance: float, seed: int) -> np.ndarray:
     """n zero-mean Gaussian deviates with the given variance, Box-Muller over PCG64."""
-    import numpy as np
-
     n = as_integer(n, "sample count")
     if n < 0:
         raise InputError("sample count must be >= 0")
@@ -61,8 +56,6 @@ def apply_channel(tx, impulse, noise_variance: float = 0.0, noise_seed: int = 0)
     `impulse` non-empty and finite.  A sum that overflows gives an infinite
     sample, without a warning: `equalize` refuses it by name.
     """
-    import numpy as np
-
     x = np.asarray(tx, dtype=np.float64)
     if x.ndim != 1:
         raise InputError(f"transmitted sequence must be 1-D, got shape {x.shape}")

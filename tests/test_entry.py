@@ -5,6 +5,7 @@ and its error lines."""
 import ast
 import gc
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -144,3 +145,27 @@ def test_unwritable_help_exits_1_naming_it(child_env, unbuffered):
         )
     assert proc.returncode == 1
     assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="no sh here")
+@pytest.mark.parametrize(
+    "argv, rc, err",
+    [
+        (FAST, 1, "error: cannot write output: [Errno 9] Bad file descriptor\n"),
+        (["run", "--help"], 1, "error: cannot write output: [Errno 9] Bad file descriptor\n"),
+        (["run", "--mu", "-1"], 2, "error: mu: must be finite and > 0\n"),
+    ],
+    ids=["run", "help", "bad-value"],
+)
+def test_closed_stdout_exits_naming_it(tmp_path, child_env, argv, rc, err):
+    # With file descriptor 1 closed, Python sets sys.stdout to None: the
+    # report's flush and the help text failed with an AttributeError, and
+    # the entry's last flush turned a refused setting's exit 2 into 1.
+    proc = subprocess.run(
+        [shutil.which("sh"), "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "equalab.cli", *argv],
+        cwd=tmp_path, stderr=subprocess.PIPE, text=True, env=child_env,
+    )
+    assert proc.returncode == rc
+    assert proc.stderr == err
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == (["curves.csv", "summary.txt"] if argv is FAST else [])

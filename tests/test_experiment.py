@@ -589,6 +589,28 @@ def test_set_up_loads_neither_the_kernel_nor_the_draws(tmp_path, child_env):
     assert out.stdout.strip() == "[False, False, False] False"
 
 
+def test_each_array_module_binds_one_lazy_numpy(child_env):
+    """Each module that makes or reads arrays binds `np` once, to a stand-in
+    that imports numpy on its first attribute read and then rebinds `np` to
+    numpy: importing equalab loads no numpy, and a run leaves numpy itself
+    in each module that used it (`adapt` names it only in annotations)."""
+    code = (
+        "import sys\n"
+        "import equalab\n"
+        "from equalab import adapt, dfe, dsp, experiment, metrics, txrx\n"
+        "modules = (adapt, dfe, dsp, experiment, metrics, txrx)\n"
+        "print('numpy' in sys.modules, all(type(m.np) is equalab._Numpy for m in modules))\n"
+        "experiment.run_experiment(experiment.ExperimentConfig(n_symbols=300, n_seeds=2, window=10))\n"
+        "import numpy\n"
+        "print([m.__name__ for m in modules if m.np is numpy])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True)
+    assert out.stdout.splitlines() == [
+        "False True",
+        "['equalab.dfe', 'equalab.dsp', 'equalab.experiment', 'equalab.metrics', 'equalab.txrx']",
+    ]
+
+
 def test_only_kernel_knows_the_twins():
     """`_kernel` is the one module that knows a second implementation of the
     hot operations: every other module reads its `load` and nothing else of

@@ -64,7 +64,8 @@ class TestChannelModel:
     """The channel arguments of `apply_channel`: impulse, noise variance and seed."""
 
     def test_rejects_empty_impulse(self):
-        for impulse in ([], [1.0, np.nan], [[1.0]], "0.5,0.3", (1j,)):  # also non-finite, not 1-D, no numbers
+        # also non-finite, not 1-D, no numbers, ragged
+        for impulse in ([], [1.0, np.nan], [[1.0]], "0.5,0.3", (1j,), [[0.5], [0.3, 0.1]]):
             with pytest.raises(ConfigurationError):
                 apply_channel(np.ones(4), impulse)
 
