@@ -193,8 +193,8 @@ def draw(config: ExperimentConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
 
 
 def effective_steps(errors: np.ndarray, cfg: DfeConfig) -> np.ndarray:
-    """The step each iteration of `cfg`'s rule took, from the signed errors
-    (rows, N) that `equalize` returns: mu for `lms`; for `ilms`
+    """The step each iteration of `cfg`'s rule took, from signed errors that
+    `equalize` returns, (rows, N) or one row: mu for `lms`; for `ilms`
     mu * max(|e(n) - e(n-1)|, step_floor) with e(-1) = 0, capped at
     step_cap, as `adapt.effective_step` computes it."""
     if cfg.algo == ALGO_LMS:
@@ -206,29 +206,19 @@ def effective_steps(errors: np.ndarray, cfg: DfeConfig) -> np.ndarray:
     return steps if cfg.step_cap is None else np.minimum(steps, cfg.step_cap, out=steps)
 
 
-def _settled_steps(errors: np.ndarray, cfg: DfeConfig, tail_frac: float):
-    """Each row's mean step over its final ceil(tail_frac * N) iterations,
-    the tail that `steady_state_mse` reads; mu for `lms`.  Only the tail and
-    the error before it are read."""
-    if cfg.algo == ALGO_LMS:
-        return cfg.mu
-    n = errors.shape[1]
-    k = math.ceil(tail_frac * n)
-    return effective_steps(errors[:, max(n - k - 1, 0) :], cfg)[:, -k:].mean(axis=1)
-
-
 # Most rows x symbols one `equalize` call steps at once; a run steps its
 # blocks one after another in this process.  The bound is on memory: on
-# either kernel and in either mode a block holds four float64 arrays of that
-# shape at once (tx, rx and the equalizer's decisions and errors; both loops
-# read rx in place, and a training preamble is written into the errors),
-# since each rule's rows are summed and freed before the next rule runs,
-# plus `ilms`'s steps over the tail, one array at most (`--tail-frac 1`).
-# tracemalloc's peak for one 2^20-element block (64 seeds x 16384 symbols,
-# both rules) is 33.9 MiB on both kernels, 40.3 MiB at `--tail-frac 1`.  The
-# compiled kernel costs the same per row and step whatever the block; the
-# numpy fallback pays its per-step overhead once per block, so larger blocks
-# make it faster.  Runs longer than this step one seed at a time.
+# either kernel, in either mode and whatever the tail, a block holds four
+# float64 arrays of that shape at once (tx, rx and the equalizer's decisions
+# and errors; both loops read rx in place, and a training preamble is
+# written into the errors), since each seed is scored a row at a time and
+# each rule's rows are freed before the next rule runs.  tracemalloc's peak
+# for one 2^20-element block (64 seeds x 16384 symbols, both rules) is
+# 32.5 MiB on both kernels, at `--tail-frac 1` too, and 33.3 MiB trained
+# over the whole block.  The compiled kernel costs the same per row and step
+# whatever the block; the numpy fallback pays its per-step overhead once per
+# block, so larger blocks make it faster.  Runs longer than this step one
+# seed at a time.
 _BLOCK_ELEMENTS = 2**20
 
 
@@ -237,17 +227,19 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     The seeds run in this process in contiguous blocks of at most
     `_BLOCK_ELEMENTS` samples (rows x symbols), each with its own `draw`.
-    Each rule's rows are added to zeros one at a time in seed
-    order, as np.mean(axis=0) adds them, so the sum over the seed count has
-    the bytes of the mean of all rows at once, whatever the split, without
-    keeping them; each seed's BER, final taps and settled step (read from
-    its signed errors) fill its row of the rule's `SeedTable`.  A run fails
-    at its first non-finite sample, else at its first non-finite error, else
-    at its first squared error that overflows; the InputError raised names
-    the first failed run in the order seed, then algorithm, whatever the
-    split.  `config.jobs` changes nothing.
+    Each seed is scored in one pass over its row of each rule: its squared
+    errors are added to the rule's sum in seed order, as np.mean(axis=0)
+    adds them, so the sum over the seed count has the bytes of the mean of
+    all rows at once, whatever the split, without keeping them; its BER,
+    final taps and settled step (read from its signed errors) fill its row
+    of the rule's `SeedTable`.  A run fails at its first non-finite sample,
+    else at its first non-finite error, else at its first squared error
+    that overflows; the InputError raised names the first failed run in the
+    order seed, then algorithm, whatever the split.  `config.jobs` changes
+    nothing.
     """
     seeds, n, skip = config.seeds, config.n_symbols, config.ber_skip
+    tail = math.ceil(config.tail_frac * n)  # the iterations that `steady_state_mse` reads
     sums = {algo: np.zeros(n) for algo in config.algos}
     shapes = (len(seeds),), (len(seeds), config.n_ff), (len(seeds), config.n_fb), (len(seeds),)
     tables = {algo: SeedTable(*map(np.empty, shapes)) for algo in config.algos}
@@ -255,30 +247,30 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     for lo in range(0, len(seeds), rows):
         block = seeds[lo : lo + rows]
         tx, rx = draw(config, block)
-        # A row fails at its first non-finite sample (under the first rule, as
-        # `equalize` raises; later rows never run), else at its first non-finite
-        # error, where the quantizer input y is (e = reference - y), else at
-        # its first overflowing square.
-        faults = _first_non_finite(rx, "non-finite sample")
-        failures = [(row, 0, config.algos[0], why) for row, why in faults.items()]
-        ok = min(faults, default=len(block))
+        # Only the first row with a non-finite sample fails (under the first
+        # rule, as `equalize` raises); later rows never run.
+        ok = next((row for row, r in enumerate(rx) if not np.isfinite(r).all()), len(block))
+        failures = []
+        if ok < len(block):
+            failures.append((ok, 0, config.algos[0], _first_non_finite(rx[ok], "non-finite sample")))
         for k, algo in enumerate(config.algos if ok else ()):
-            cfg = config.dfe_config(algo)
+            cfg, table = config.dfe_config(algo), tables[algo]
             errors, decisions, ff, fb = equalize(rx[:ok], cfg, tx[:ok])
-            faults = _first_non_finite(errors, "non-finite quantizer input")
-            with np.errstate(over="ignore", invalid="ignore"):  # a failed run's steps are not kept
-                settled = _settled_steps(errors, cfg, config.tail_frac)
-                sq = np.multiply(errors, errors, out=errors)
-            faults = {**_first_non_finite(sq, "squared error overflows"), **faults}
-            failures += [(row, k, algo, why) for row, why in faults.items()]
-            if not faults:
-                for i in range(len(sq)):  # no view of sq outlives this loop
-                    sums[algo] += sq[i]
-                table = tables[algo]
-                table.ber[lo : lo + ok] = [ber(d, t, cfg.delay, skip) for d, t in zip(decisions, tx)]
-                table.ff_weights[lo : lo + ok], table.fb_weights[lo : lo + ok] = ff, fb
-                table.settled_step[lo : lo + ok] = settled
-            del errors, sq, decisions  # decisions views the feedback buffer: free both before the next rule
+            table.ff_weights[lo : lo + ok], table.fb_weights[lo : lo + ok] = ff, fb
+            with np.errstate(over="ignore", invalid="ignore"):  # a failed run's numbers are not kept
+                for i, (e, d, t) in enumerate(zip(errors, decisions, tx)):
+                    sq = e * e
+                    if not np.isfinite(sq).all():  # a finite square implies a finite error
+                        # The quantizer input y is non-finite where e = reference - y is.
+                        why = _first_non_finite(e, "non-finite quantizer input")
+                        failures.append((i, k, algo, why or _first_non_finite(sq, "squared error overflows")))
+                    sums[algo] += sq
+                    table.ber[lo + i] = ber(d, t, cfg.delay, skip)
+                    # The steps over the tail read the tail and the error before it.
+                    table.settled_step[lo + i] = (
+                        cfg.mu if cfg.algo == ALGO_LMS else effective_steps(e[-tail - 1 :], cfg)[-tail:].mean()
+                    )
+            del errors, decisions, e, d, t, sq  # d and t view the feedback buffer and tx: free all
         del tx, rx  # free the block before the next one is drawn
         if failures:
             row, _, algo, why = min(failures, key=lambda f: f[:2])
@@ -294,10 +286,10 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     return RunRecord(config=config, curves=curves, seeds=tables, speedup=ratio)
 
 
-def _first_non_finite(a: np.ndarray, what: str) -> dict[int, str]:
-    """{row: "`what` at iteration i"} for each row of `a` whose first non-finite entry is i."""
-    rows = () if np.isfinite(a).all() else ~np.isfinite(a)
-    return {row: f"{what} at iteration {int(bad.argmax())}" for row, bad in enumerate(rows) if bad.any()}
+def _first_non_finite(a: np.ndarray, what: str) -> str | None:
+    """"`what` at iteration i" for the row `a` whose first non-finite entry is i; None if it has none."""
+    bad = ~np.isfinite(a)
+    return f"{what} at iteration {int(bad.argmax())}" if bad.any() else None
 
 
 def emit_curves_csv(record: RunRecord, path) -> None:

@@ -73,9 +73,8 @@ def convergence_iteration(smoothed, steady_state_mse: float, window: int, ratio:
     if not ratio > 0:
         raise InputError("convergence ratio must be > 0")
     below = _vector(smoothed, "smoothed curve") <= ratio * steady_state_mse
-    if below.size < w:
-        return None
-    # Points at or below in each window of w: differences of a running count.
+    # Points at or below in each window of w: differences of a running count
+    # (none when the span does not fit).
     count = np.concatenate(([0], np.cumsum(below, dtype=np.int64)))
     hits = np.nonzero(count[w:] - count[:-w] == w)[0]
     return int(hits[0]) if hits.size else None

@@ -333,20 +333,21 @@ class TestRunExperiment:
     @pytest.mark.parametrize("kernel", ["c", "numpy"])
     def test_block_holds_four_arrays(self, monkeypatch, use_kernel, kernel):
         # tx, rx and the equalizer's D and E: both loops read rx in place,
-        # each rule's rows are summed and freed before the next rule runs, and
-        # the block before the next block is drawn.  The rest, about 0.5
-        # here, is the ilms tail's steps.  A training preamble over the
-        # whole block is written into E itself.
+        # each seed is scored a row at a time, each rule's rows are freed
+        # before the next rule runs, and the block before the next block is
+        # drawn; about 4.2 in all.  A training preamble over the whole block
+        # is written into E itself.
         use_kernel(kernel)
         assert self._block_peak(monkeypatch) < 4.75
         assert self._block_peak(monkeypatch, mode="trained", training_len=4096) < 4.75
 
     @pytest.mark.parametrize("kernel", ["c", "numpy"])
     def test_whole_tail_steps_take_one_array(self, monkeypatch, use_kernel, kernel):
-        # At --tail-frac 1 the ilms steps span the whole block: built in one
-        # array, in place, they add one block-sized array, about 5.1 in all.
+        # At --tail-frac 1 the ilms steps span each whole row: built a row at
+        # a time, they add one row, not a block, to the four arrays (about
+        # 4.2 in all).
         use_kernel(kernel)
-        assert self._block_peak(monkeypatch, tail_frac=1.0) < 5.5
+        assert self._block_peak(monkeypatch, tail_frac=1.0) < 4.75
 
     def test_effective_steps_of_no_iterations(self):
         # No iterations take no steps under either rule, not an IndexError.
@@ -462,8 +463,13 @@ class TestSeedTable:
 
     @pytest.mark.parametrize(
         "mode",
-        [{}, {"mode": "trained", "training_len": 150}, {"step_floor": 0.1, "step_cap": 0.005}],
-        ids=["dd", "trained", "floor-cap"],
+        [
+            {},
+            {"mode": "trained", "training_len": 150},
+            {"step_floor": 0.1, "step_cap": 0.005},
+            {"tail_frac": 1.0},  # the steps over the tail start at the first error
+        ],
+        ids=["dd", "trained", "floor-cap", "whole-tail"],
     )
     def test_rows_are_the_seeds_run_alone(self, mode):
         cfg = tiny_config(n_symbols=300, n_seeds=3, **mode)

@@ -135,6 +135,7 @@ class TestConvergenceIteration:
             ([True, True, False, True], 2),  # a hit at 0
             ([False] * 6, 2),  # no hit
             ([True] * 2, 3),  # the span does not fit
+            ([True] * 2, 5),  # nor with room to spare
         ],
     )
     def test_running_count_matches_convolution_at_the_edges(self, below, w):
