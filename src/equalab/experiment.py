@@ -18,7 +18,7 @@ from . import _Numpy, __version__
 from .dfe import ALGO_ILMS, ALGO_LMS, MODE_DECISION_DIRECTED, DfeConfig, equalize
 from .dsp import taps
 from .errors import ConfigurationError, InputError, require_integer, require_real
-from .metrics import LearningCurve, ber, learning_curve, speedup
+from .metrics import LearningCurve, ber, learning_curve, speedup, steady_state_mse
 from .txrx import apply_channel, generate_bpsk
 
 np = _Numpy(__name__)
@@ -196,14 +196,11 @@ def effective_steps(errors: np.ndarray, cfg: DfeConfig) -> np.ndarray:
     """The step each iteration of `cfg`'s rule took, from signed errors that
     `equalize` returns, (rows, N) or one row: mu for `lms`; for `ilms`
     mu * max(|e(n) - e(n-1)|, step_floor) with e(-1) = 0, capped at
-    step_cap, as `adapt.effective_step` computes it."""
+    step_cap, the formula both loops step with."""
     if cfg.algo == ALGO_LMS:
         return np.full(errors.shape, cfg.mu)
-    steps = np.empty(errors.shape)  # e(n) - e(n-1) in one array; every later ufunc works in place
-    steps[..., :1] = errors[..., :1]
-    np.subtract(errors[..., 1:], errors[..., :-1], out=steps[..., 1:])
-    np.multiply(np.maximum(np.abs(steps, out=steps), cfg.step_floor, out=steps), cfg.mu, out=steps)
-    return steps if cfg.step_cap is None else np.minimum(steps, cfg.step_cap, out=steps)
+    steps = cfg.mu * np.maximum(np.abs(np.diff(errors, prepend=0.0)), cfg.step_floor)
+    return steps if cfg.step_cap is None else np.minimum(steps, cfg.step_cap)
 
 
 # Most rows x symbols one `equalize` call steps at once; a run steps its
@@ -239,7 +236,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     nothing.
     """
     seeds, n, skip = config.seeds, config.n_symbols, config.ber_skip
-    tail = math.ceil(config.tail_frac * n)  # the iterations that `steady_state_mse` reads
     sums = {algo: np.zeros(n) for algo in config.algos}
     shapes = (len(seeds),), (len(seeds), config.n_ff), (len(seeds), config.n_fb), (len(seeds),)
     tables = {algo: SeedTable(*map(np.empty, shapes)) for algo in config.algos}
@@ -266,9 +262,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                         failures.append((i, k, algo, why or _first_non_finite(sq, "squared error overflows")))
                     sums[algo] += sq
                     table.ber[lo + i] = ber(d, t, cfg.delay, skip)
-                    # The steps over the tail read the tail and the error before it.
                     table.settled_step[lo + i] = (
-                        cfg.mu if cfg.algo == ALGO_LMS else effective_steps(e[-tail - 1 :], cfg)[-tail:].mean()
+                        cfg.mu if algo == ALGO_LMS else steady_state_mse(effective_steps(e, cfg), config.tail_frac)
                     )
             del errors, decisions, e, d, t, sq  # d and t view the feedback buffer and tx: free all
         del tx, rx  # free the block before the next one is drawn

@@ -54,7 +54,7 @@ def smooth(sq_errors, window: int) -> np.ndarray:
 
 
 def steady_state_mse(sq_errors, tail_fraction: float) -> float:
-    """Mean of the final ceil(tail_fraction * len) squared errors."""
+    """Mean of a curve's final ceil(tail_fraction * len) values; of a run's steps, its settled step."""
     x = _vector(sq_errors, "learning curve")
     if x.size == 0:
         raise InputError("empty learning curve")

@@ -30,7 +30,7 @@ from equalab import (
     steady_state_mse,
 )
 from equalab import _kernel, cli, experiment
-from equalab.adapt import AdaptParams
+from equalab.adapt import AdaptParams, effective_step
 from equalab.dfe import StepTrace, initial_state
 from equalab.experiment import (
     NOISE_SEED_OFFSET,
@@ -316,9 +316,9 @@ class TestRunExperiment:
 
     @staticmethod
     def _block_peak(monkeypatch, **kw):
-        """tracemalloc's peak over a run of two 32 x 4096 blocks of the
+        """tracemalloc's peak over a run of two 32 x 2048 blocks of the
         default rules, in block-sized float64 arrays."""
-        rows, n = 32, 4096
+        rows, n = 32, 2048
         monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", rows * n)
         cfg = tiny_config(n_symbols=n, n_seeds=2 * rows, **kw)
         run_experiment(tiny_config())  # the kernel is loaded before tracing
@@ -339,13 +339,13 @@ class TestRunExperiment:
         # is written into E itself.
         use_kernel(kernel)
         assert self._block_peak(monkeypatch) < 4.75
-        assert self._block_peak(monkeypatch, mode="trained", training_len=4096) < 4.75
+        assert self._block_peak(monkeypatch, mode="trained", training_len=2048) < 4.75
 
     @pytest.mark.parametrize("kernel", ["c", "numpy"])
     def test_whole_tail_steps_take_one_array(self, monkeypatch, use_kernel, kernel):
-        # At --tail-frac 1 the ilms steps span each whole row: built a row at
-        # a time, they add one row, not a block, to the four arrays (about
-        # 4.2 in all).
+        # Every tail steps its whole row, one row at a time: at --tail-frac 1
+        # as at any other, the ilms steps add one row, not a block, to the
+        # four arrays (about 4.2 in all).
         use_kernel(kernel)
         assert self._block_peak(monkeypatch, tail_frac=1.0) < 4.75
 
@@ -354,6 +354,20 @@ class TestRunExperiment:
         cfg = tiny_config()
         for algo in ("lms", "ilms"):
             assert effective_steps(np.empty((2, 0)), cfg.dfe_config(algo)).shape == (2, 0)
+
+    def test_effective_steps_are_the_spec_rule(self):
+        # Element by element what `adapt.effective_step` gives with e(-1) = 0:
+        # on a signed zero first, a stalled step (equal errors), and NaN and
+        # infinities passing through the floor and the cap.
+        row = np.array([-0.0, 0.3, 0.3, np.nan, 1.0, np.inf, np.inf, -np.inf, 2.0, -0.5, 1e308, -1e308])
+        values = row.tolist()
+        for floor, cap in [(0.0, None), (0.01, 0.03), (0.5, None), (0.0, 1e-3)]:
+            cfg = tiny_config(algos=("ilms",), step_floor=floor, step_cap=cap).dfe_config("ilms")
+            params = AdaptParams(cfg.mu, cfg.step_floor, cfg.step_cap)
+            with np.errstate(all="ignore"):
+                want = np.array([effective_step(params, e, p) for e, p in zip(values, [0.0, *values[:-1]])])
+                assert effective_steps(row, cfg).tobytes() == want.tobytes(), (floor, cap)
+                assert effective_steps(np.stack([row, row]), cfg).tobytes() == np.stack([want, want]).tobytes()
 
     @pytest.mark.parametrize(
         "algos,jobs,block_rows",
