@@ -47,7 +47,6 @@ from .dfe import (
     DfeConfig,
     equalize,
 )
-from .dsp import taps
 from .errors import ConfigurationError, InputError
 from .experiment import (
     ExperimentConfig,
@@ -66,4 +65,4 @@ from .metrics import (
     speedup,
     steady_state_mse,
 )
-from .txrx import apply_channel, gaussian, generate_bpsk
+from .txrx import apply_channel, gaussian, generate_bpsk, taps

@@ -12,6 +12,7 @@ import argparse
 import errno
 import gc
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -153,6 +154,11 @@ def _stdout():
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value may start with a negative number: argparse's own matcher reads `-0.5,0.9` as an option.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def print_help(self, file=None):  # argparse's own writer drops an OSError
         (file or _stdout()).write(self.format_help())
 

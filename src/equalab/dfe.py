@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import _Numpy
 from .adapt import effective_step, lms_update
-from .dsp import delay_line, dot, shift_in
+from .dsp import dot, shift_in
 from .errors import ConfigurationError, InputError, require_integer, require_real
 
 np = _Numpy(__name__)
@@ -137,10 +137,10 @@ class StepTrace(NamedTuple):
 
 def initial_state(cfg: DfeConfig) -> DfeState:
     """Fresh state: zero weights and lines, optional unit spike at the delay tap."""
-    ff = np.zeros(cfg.n_ff, dtype=np.float64)
+    ff = np.zeros(cfg.n_ff)
     if cfg.center_spike:
         ff[cfg.delay] = 1.0
-    return DfeState(ff, np.zeros(cfg.n_fb, dtype=np.float64), delay_line(cfg.n_ff), delay_line(cfg.n_fb))
+    return DfeState(ff, np.zeros(cfg.n_fb), np.zeros(cfg.n_ff), np.zeros(cfg.n_fb))
 
 
 def quantize(y: float) -> float:

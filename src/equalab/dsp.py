@@ -1,9 +1,7 @@
-"""FIR primitives: `taps` checks the channel's coefficients, and the others
-run the filters of the equalizer's executable specification, `dfe.dfe_step`.
-
-All samples are float64.  A delay line holds the most recent samples
-newest-first, is zero-filled at start-up, and always has the same length as
-the tap vector it feeds.
+"""The FIR primitives of the equalizer's executable specification, `dfe.dfe_step`,
+and nothing else: a run calls neither.  All samples are float64.  A delay line
+holds the most recent samples newest-first, zeros at start-up, and always has
+the length of the tap vector it feeds.
 """
 
 from __future__ import annotations
@@ -14,30 +12,6 @@ from . import _Numpy
 from .errors import ConfigurationError, InputError
 
 np = _Numpy(__name__)
-
-
-def taps(coeffs) -> np.ndarray:
-    """Validate a coefficient vector: 1-D, non-empty, real numbers, all finite.
-    Returns a float64 copy."""
-    try:
-        w = np.array(coeffs)
-    except ValueError:  # a ragged nesting
-        w = np.array(None)
-    if w.dtype.kind not in "biuf":  # else numpy parses "0.5" and refuses 1j with a bare TypeError
-        raise ConfigurationError(f"tap weights must be real numbers, got {coeffs!r}")
-    w = w.astype(np.float64, copy=False)
-    if w.ndim != 1 or w.size < 1:
-        raise ConfigurationError("tap weights must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(w)):
-        raise ConfigurationError("tap weights must be finite")
-    return w
-
-
-def delay_line(capacity: int) -> np.ndarray:
-    """Zero-filled delay line for a filter with `capacity` taps."""
-    if capacity < 0:
-        raise ConfigurationError("delay line capacity must be >= 0")
-    return np.zeros(capacity, dtype=np.float64)
 
 
 def shift_in(line: np.ndarray, sample: float) -> np.ndarray:

@@ -16,10 +16,9 @@ from typing import NamedTuple
 
 from . import _Numpy, __version__
 from .dfe import ALGO_ILMS, ALGO_LMS, MODE_DECISION_DIRECTED, DfeConfig, equalize
-from .dsp import taps
 from .errors import ConfigurationError, InputError, require_integer, require_real
 from .metrics import LearningCurve, ber, learning_curve, speedup, steady_state_mse
-from .txrx import apply_channel, generate_bpsk
+from .txrx import apply_channel, generate_bpsk, taps
 
 np = _Numpy(__name__)
 

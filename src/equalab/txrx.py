@@ -1,4 +1,5 @@
-"""Transmit side and channel: BPSK source, FIR distortion, additive Gaussian noise.
+"""Transmit side and channel: BPSK source, FIR distortion, additive Gaussian
+noise, and `taps`, the check of the channel's coefficients.
 
 All randomness is drawn from seeded PCG64 streams: the uniforms of numpy's
 `Generator(PCG64(seed)).random(n)`, byte for byte, from the draws that
@@ -12,10 +13,26 @@ from __future__ import annotations
 import math
 
 from . import _Numpy
-from .dsp import taps
 from .errors import ConfigurationError, InputError, as_integer
 
 np = _Numpy(__name__)
+
+
+def taps(coeffs) -> np.ndarray:
+    """Validate a coefficient vector: 1-D, non-empty, real numbers, all finite.
+    Returns a float64 copy."""
+    try:
+        w = np.array(coeffs)
+    except ValueError:  # a ragged nesting
+        w = np.array(None)
+    if w.dtype.kind not in "biuf":  # else numpy parses "0.5" and refuses 1j with a bare TypeError
+        raise ConfigurationError(f"tap weights must be real numbers, got {coeffs!r}")
+    w = w.astype(np.float64, copy=False)
+    if w.ndim != 1 or w.size < 1:
+        raise ConfigurationError("tap weights must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(w)):
+        raise ConfigurationError("tap weights must be finite")
+    return w
 
 
 def generate_bpsk(n: int, seed: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import pytest
 from equalab import DfeConfig, experiment, generate_bpsk, smooth, speedup, steady_state_mse, taps
 from equalab.adapt import AdaptParams, effective_step, lms_update
 from equalab.dfe import DfeState, dfe_step
-from equalab.dsp import delay_line, dot, shift_in
+from equalab.dsp import dot, shift_in
 from equalab.metrics import ber, convergence_iteration
 from equalab.experiment import (
     ExperimentConfig,
@@ -101,7 +101,7 @@ def test_criterion_3_fir_oracle_equivalence():
         N = int(rng.integers(1, 257))
         w = taps(rng.normal(size=L))
         x = rng.normal(size=N)
-        line = delay_line(L)
+        line = np.zeros(L)
         streamed = np.empty(N)
         for i in range(N):
             line = shift_in(line, x[i])

@@ -89,7 +89,7 @@ class TestConfigErrors:
         assert code == 2
         assert "mu" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [["--bogus"], ["--bogus=1"], ["stray"]])
+    @pytest.mark.parametrize("extra", [["--bogus"], ["--bogus=1"], ["stray"], ["-x"]])
     def test_unknown_argument_exits_2_with_runs_usage(self, tmp_path, capsys, extra):
         with pytest.raises(SystemExit) as exc:
             run_cli(tmp_path, *extra)
@@ -616,6 +616,18 @@ def test_spaces_around_list_entries_are_valid(tmp_path):
     for config in (flags, parse_config("--config", str(cfg))):
         assert config.channel == (0.84, 0.543)
         assert config.algos == ("ilms", "lms")
+
+
+def test_a_list_value_may_start_with_a_minus(tmp_path):
+    """argparse reads `-0.5,0.9` as an option unless told that it is a value:
+    the flag, the `--flag=` form and the file line give one config."""
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text("channel = -0.5, 0.9\n")
+    forms = ("--channel", "-0.5,0.9"), ("--channel=-0.5,0.9",), ("--config", str(cfg))
+    configs = [parse_config(*argv) for argv in forms]
+    assert configs[0].channel == (-0.5, 0.9) and configs.count(configs[0]) == 3
+    assert parse_config("--channel", "-.5,1").channel == (-0.5, 1.0)
+    assert run_cli(tmp_path, "--channel", "-0.5,0.9")[0] == 0
 
 
 def _readme():

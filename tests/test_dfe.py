@@ -14,7 +14,6 @@ import pytest
 from equalab import ConfigurationError, DfeConfig, InputError, equalize, gaussian, generate_bpsk, taps
 from equalab import _kernel, dfe
 from equalab.dfe import MODE_TRAINED, DfeState, dfe_step, initial_state, quantize
-from equalab.dsp import delay_line
 from equalab.experiment import ExperimentConfig, draw, effective_steps
 from spec_loop import run_spec, step_through
 
@@ -118,12 +117,12 @@ class TestCombiner:
         assert trace.combiner_out == 0.0
 
     def test_no_feedback_is_plain_ff(self):
-        st = DfeState(taps([0.5, 0.25]), np.zeros(0), delay_line(2), delay_line(0))
+        st = DfeState(taps([0.5, 0.25]), np.zeros(0), np.zeros(2), np.zeros(0))
         trace, _ = dfe_step(st, 2.0, None, cfg_dd())
         assert trace.combiner_out == 1.0  # 0.5*2 + 0.25*0
 
     def test_hand_ff_minus_fb(self):
-        st = DfeState(taps([1.0]), taps([0.5, 0.0]), delay_line(1), np.array([1.0, -1.0]))
+        st = DfeState(taps([1.0]), taps([0.5, 0.0]), np.zeros(1), np.array([1.0, -1.0]))
         trace, nxt = dfe_step(st, 1.0, None, cfg_dd(n_ff=1, n_fb=2))
         assert trace.combiner_out == 0.5
         assert nxt.ff_line.tolist() == [1.0]
@@ -138,12 +137,12 @@ class TestFormError:
 
     def test_hand_values(self):
         cfg = cfg_dd(n_ff=1)
-        st = DfeState(taps([1.0]), np.zeros(0), delay_line(1), delay_line(0))
+        st = DfeState(taps([1.0]), np.zeros(0), np.zeros(1), np.zeros(0))
         assert dfe_step(st, 0.6, None, cfg)[0].error == pytest.approx(0.4, abs=1e-15)
         assert dfe_step(st, 1.0, None, cfg)[0].error == 0.0
 
     def test_decision_directed_sign(self):
-        st = DfeState(taps([1.0]), np.zeros(0), delay_line(1), delay_line(0))
+        st = DfeState(taps([1.0]), np.zeros(0), np.zeros(1), np.zeros(0))
         trace, _ = dfe_step(st, -0.2, None, cfg_dd(n_ff=1))
         assert trace.decision == -1.0
         assert trace.error == pytest.approx(-0.8, abs=1e-15)
@@ -163,14 +162,14 @@ class TestDfeStep:
         # FF line becomes [1, -1] after shifting in 1; zero weights give y=0,
         # decision +1, e=1, so conventional LMS lands on [0.1, -0.1].
         cfg = cfg_dd()
-        st = DfeState(np.zeros(2), np.zeros(0), np.array([-1.0, 9.0]), delay_line(0))
+        st = DfeState(np.zeros(2), np.zeros(0), np.array([-1.0, 9.0]), np.zeros(0))
         trace, nxt = dfe_step(st, 1.0, None, cfg)
         assert trace.error == 1.0
         assert nxt.ff_weights.tolist() == [0.1, -0.1]
 
     def test_improved_unit_difference_coincides(self):
         cfg = cfg_dd(algo="ilms")
-        st = DfeState(np.zeros(2), np.zeros(0), np.array([-1.0, 9.0]), delay_line(0))
+        st = DfeState(np.zeros(2), np.zeros(0), np.array([-1.0, 9.0]), np.zeros(0))
         trace, nxt = dfe_step(st, 1.0, None, cfg)
         assert trace.effective_step == 0.1
         assert nxt.ff_weights.tolist() == [0.1, -0.1]
@@ -199,7 +198,7 @@ class TestDfeStep:
     def test_perfect_decision_is_fixed_point(self):
         for algo in ("lms", "ilms"):
             cfg = cfg_dd(n_ff=1, n_fb=0, algo=algo)
-            st = DfeState(taps([1.0]), np.zeros(0), delay_line(1), delay_line(0), prev_error=0.3)
+            st = DfeState(taps([1.0]), np.zeros(0), np.zeros(1), np.zeros(0), prev_error=0.3)
             trace, nxt = dfe_step(st, 1.0, None, cfg)
             assert trace.combiner_out == 1.0 and trace.error == 0.0
             assert nxt.ff_weights.tobytes() == st.ff_weights.tobytes()

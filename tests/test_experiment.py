@@ -23,6 +23,7 @@ from equalab import (
     LearningCurve,
     apply_channel,
     ber,
+    convergence_iteration,
     equalize,
     generate_bpsk,
     learning_curve,
@@ -265,6 +266,15 @@ class TestRunExperiment:
         rec = run_experiment(tiny_config(algos=("lms",)))
         assert set(rec.curves) == {"lms"}
         assert rec.speedup is None
+
+    @pytest.mark.parametrize("tail", [{}, {"tail_frac": 1.0}], ids=["default-tail", "whole-tail"])
+    def test_convergence_is_a_crossing_of_one_level(self, tail):
+        """A curve's convergence index is where its smoothed curve first stays
+        a window at or below the level conv_ratio * steady_state_mse."""
+        cfg = tiny_config(**tail)
+        for curve in run_experiment(cfg).curves.values():
+            level = cfg.conv_ratio * curve.steady_state_mse
+            assert convergence_iteration(curve.smoothed, level, cfg.window, 1.0) == curve.convergence_iter
 
     def test_deterministic_rerun(self):
         a = run_experiment(tiny_config())
@@ -613,7 +623,8 @@ def test_each_array_module_binds_one_lazy_numpy(child_env):
     """Each module that makes or reads arrays binds `np` once, to a stand-in
     that imports numpy on its first attribute read and then rebinds `np` to
     numpy: importing equalab loads no numpy, and a run leaves numpy itself
-    in each module that used it (`adapt` names it only in annotations)."""
+    in each module that used it (`adapt` and `dsp` hold only the spec, which
+    a run never calls)."""
     code = (
         "import sys\n"
         "import equalab\n"
@@ -627,7 +638,7 @@ def test_each_array_module_binds_one_lazy_numpy(child_env):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True)
     assert out.stdout.splitlines() == [
         "False True",
-        "['equalab.dfe', 'equalab.dsp', 'equalab.experiment', 'equalab.metrics', 'equalab.txrx']",
+        "['equalab.dfe', 'equalab.experiment', 'equalab.metrics', 'equalab.txrx']",
     ]
 
 
@@ -661,6 +672,24 @@ def test_only_kernel_knows_the_twins():
                 assert node.attr == "load", f"{path.name} reads _kernel.{node.attr}"
                 readers.add(path.stem)
     assert readers == {"dfe", "experiment", "txrx"}
+
+
+def test_only_dfe_imports_the_spec_primitives():
+    """`adapt` and `dsp` hold only the primitives that `dfe.dfe_step` is
+    built from: no other module imports them, in any form."""
+    importers = set()
+    for path in sorted(Path(experiment.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("equalab")):
+                module = (node.module or "").removeprefix("equalab").lstrip(".").partition(".")[0]
+                imported = {module} if module else {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                imported = {a.name.split(".")[1] for a in node.names if a.name.startswith("equalab.")}
+            else:
+                continue
+            if imported & {"adapt", "dsp"}:
+                importers.add(path.stem)
+    assert importers == {"dfe"}
 
 
 def test_only_self_checking_records_are_dataclasses():
@@ -730,25 +759,24 @@ def test_a_run_loads_the_kernel_once(child_env):
 
 # The scalar spec: `dfe_step`, the primitives it is built from and the record of its step settings.
 _SPEC = (
-    "dfe_step", "initial_state", "quantize", "shift_in", "dot", "delay_line", "lms_update", "effective_step",
-    "AdaptParams",
+    "dfe_step", "initial_state", "quantize", "shift_in", "dot", "lms_update", "effective_step", "AdaptParams",
 )
 
 
 # Where the scalar spec is defined, module by module.
 _SPEC_HOMES = {
     "dfe": ("dfe_step", "DfeState", "StepTrace", "initial_state", "quantize"),
-    "dsp": ("delay_line", "shift_in", "dot"),
+    "dsp": ("shift_in", "dot"),
     "adapt": ("lms_update", "effective_step", "AdaptParams"),
 }
 
 
 def test_the_spec_is_no_part_of_the_package_api():
-    """`import equalab` gives the run's API and none of the spec's 11 names;
+    """`import equalab` gives the run's API and none of the spec's 10 names;
     each imports from the module that defines it, as `perfbench/layers.py`
     reads it, and `DfeConfig` keeps no copy of its step settings."""
     spec = {name for names in _SPEC_HOMES.values() for name in names}
-    assert len(spec) == 11 and spec >= set(_SPEC)
+    assert len(spec) == 10 and spec >= set(_SPEC)
     assert not spec & set(vars(equalab))
     for home, names in _SPEC_HOMES.items():
         module = importlib.import_module(f"equalab.{home}")
