@@ -64,15 +64,13 @@ def steady_state_mse(sq_errors, tail_fraction: float) -> float:
     return float(np.mean(x[x.size - k :]))
 
 
-def convergence_iteration(smoothed, steady_state_mse: float, window: int, ratio: float) -> int | None:
-    """First index whose next `window` smoothed points all sit at or below
-    ratio * steady_state_mse; None if no such span exists."""
-    w = as_integer(window, "confirmation span")
+def convergence_iteration(smoothed, level: float, span: int) -> int | None:
+    """First index whose next `span` smoothed points all sit at or below
+    `level`; None if no such span exists."""
+    w = as_integer(span, "confirmation span")
     if w < 1:
         raise InputError("confirmation span must be >= 1")
-    if not ratio > 0:
-        raise InputError("convergence ratio must be > 0")
-    below = _vector(smoothed, "smoothed curve") <= ratio * steady_state_mse
+    below = _vector(smoothed, "smoothed curve") <= level
     # Points at or below in each window of w: differences of a running count
     # (none when the span does not fit).
     count = np.concatenate(([0], np.cumsum(below, dtype=np.int64)))
@@ -111,8 +109,10 @@ def ber(decisions, transmitted, delay: int, skip: int) -> float:
 
 
 def learning_curve(sq_errors, window: int, ratio: float, tail_fraction: float) -> LearningCurve:
-    """Assemble a LearningCurve: smooth, measure steady state, find convergence."""
+    """Assemble a LearningCurve; convergence is the first crossing of `ratio` * steady state held for `window` points."""
     x = _vector(sq_errors, "learning curve")
     smoothed = smooth(x, window)
     steady = steady_state_mse(x, tail_fraction)
-    return LearningCurve(x, smoothed, steady, convergence_iteration(smoothed, steady, window, ratio))
+    if not ratio > 0:
+        raise InputError("convergence ratio must be > 0")
+    return LearningCurve(x, smoothed, steady, convergence_iteration(smoothed, ratio * steady, window))

@@ -195,8 +195,8 @@ def test_criterion_8_metrics_unit_examples():
     assert np.array_equal(smooth(np.full(6, 2.5), 3), np.full(4, 2.5))
     assert smooth(np.array([4.0, 0.0, 2.0]), 2).tolist() == [2.0, 1.0]
     # convergence scan
-    assert convergence_iteration(np.array([9.0, 9.0, 1.0, 1.0, 1.0, 1.0]), 1.0, 2, 1.1) == 2
-    assert convergence_iteration(np.array([5.0, 6.0, 7.0, 8.0]), 1.0, 2, 1.5) is None
+    assert convergence_iteration(np.array([9.0, 9.0, 1.0, 1.0, 1.0, 1.0]), 1.1, 2) == 2
+    assert convergence_iteration(np.array([5.0, 6.0, 7.0, 8.0]), 1.5, 2) is None
     # steady state
     assert steady_state_mse(np.full(8, 3.25), 0.25) == 3.25
     assert steady_state_mse(np.array([4.0, 0.0, 2.0, 2.0]), 1.0) == 2.0

@@ -7,25 +7,6 @@ from equalab import ConfigurationError, InputError, taps
 from equalab.dsp import dot, shift_in
 
 
-class TestTaps:
-    def test_copies_and_validates(self):
-        src = [0.5, -0.25]
-        w = taps(src)
-        assert w.dtype == np.float64
-        src[0] = 99.0
-        assert w[0] == 0.5
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            taps([])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ConfigurationError):
-            taps([1.0, np.nan])
-        with pytest.raises(ConfigurationError):
-            taps([np.inf])
-
-
 class TestDot:
     def test_identity_tap(self):
         assert dot(taps([1, 0, 0]), np.array([0.5, 9.0, -3.0])) == 0.5

@@ -274,7 +274,7 @@ class TestRunExperiment:
         cfg = tiny_config(**tail)
         for curve in run_experiment(cfg).curves.values():
             level = cfg.conv_ratio * curve.steady_state_mse
-            assert convergence_iteration(curve.smoothed, level, cfg.window, 1.0) == curve.convergence_iter
+            assert convergence_iteration(curve.smoothed, level, cfg.window) == curve.convergence_iter
 
     def test_deterministic_rerun(self):
         a = run_experiment(tiny_config())

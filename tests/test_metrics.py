@@ -1,5 +1,6 @@
 """Metric tests: smoothing, steady state, convergence detection, speedup, BER."""
 
+import inspect
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from equalab import (
     convergence_iteration,
     gaussian,
     learning_curve,
+    metrics,
     smooth,
     speedup,
     steady_state_mse,
@@ -87,19 +89,19 @@ class TestSteadyStateMse:
 class TestConvergenceIteration:
     def test_monotone_curve_crosses_at_known_index(self):
         smoothed = np.array([8.0, 4.0, 2.0, 1.2, 1.1, 1.0, 1.0, 1.0])
-        assert convergence_iteration(smoothed, 1.0, 2, 1.3) == 3
+        assert convergence_iteration(smoothed, 1.3, 2) == 3
 
     def test_diverging_curve_never_converges(self):
-        assert convergence_iteration([5.0, 6.0, 7.0, 8.0], 1.0, 2, 1.5) is None
+        assert convergence_iteration([5.0, 6.0, 7.0, 8.0], 1.5, 2) is None
 
     def test_hand_scan(self):
-        assert convergence_iteration([9.0, 9.0, 1.0, 1.0, 1.0, 1.0], 1.0, 2, 1.1) == 2
+        assert convergence_iteration([9.0, 9.0, 1.0, 1.0, 1.0, 1.0], 1.1, 2) == 2
 
     def test_confirmation_span_must_fit(self):
-        assert convergence_iteration([9.0, 9.0, 9.0, 1.0], 1.0, 2, 1.1) is None
+        assert convergence_iteration([9.0, 9.0, 9.0, 1.0], 1.1, 2) is None
 
     def test_transient_dip_is_rejected(self):
-        assert convergence_iteration([9.0, 1.0, 9.0, 1.0, 1.0, 1.0], 1.0, 3, 1.1) == 3
+        assert convergence_iteration([9.0, 1.0, 9.0, 1.0, 1.0, 1.0], 1.1, 3) == 3
 
     def test_monotone_in_ratio(self):
         rng = np.random.default_rng(2)
@@ -108,14 +110,26 @@ class TestConvergenceIteration:
             steady = float(vals[-8:].mean())
             last = None
             for rho in (1.1, 1.5, 2.0, 4.0):
-                idx = convergence_iteration(vals, steady, 4, rho)
+                idx = convergence_iteration(vals, rho * steady, 4)
                 if last is not None and idx is not None and last[1] is not None:
                     assert idx <= last[1]
                 last = (rho, idx)
 
-    def test_rejects_bad_ratio(self):
-        with pytest.raises(InputError):
-            convergence_iteration([1.0, 1.0], 1.0, 1, 0.0)
+    def test_takes_one_level_and_a_span(self):
+        """The level is one number, and no parameter of a metrics function
+        shadows a function of the module."""
+        assert list(inspect.signature(convergence_iteration).parameters) == ["smoothed", "level", "span"]
+        functions = {name for name, f in vars(metrics).items() if inspect.isfunction(f)}
+        for name in functions:
+            assert not functions & set(inspect.signature(getattr(metrics, name)).parameters), name
+
+    @pytest.mark.parametrize(
+        "level, expected",
+        [(math.nan, None), (math.inf, 0), (-math.inf, None), (1.0, 2), (0.999, None)],
+        ids=["nan", "inf", "minus-inf", "equal-counts", "just-below"],
+    )
+    def test_level_edges(self, level, expected):
+        assert convergence_iteration([3.0, 2.0, 1.0, 1.0], level, 2) == expected
 
     @staticmethod
     def convolved(below, w):
@@ -140,7 +154,7 @@ class TestConvergenceIteration:
     )
     def test_running_count_matches_convolution_at_the_edges(self, below, w):
         below = np.array(below)
-        assert convergence_iteration(np.where(below, 0.0, 2.0), 1.0, w, 1.0) == self.convolved(below, w)
+        assert convergence_iteration(np.where(below, 0.0, 2.0), 1.0, w) == self.convolved(below, w)
 
     def test_running_count_matches_convolution_on_random_curves(self):
         rng = np.random.default_rng(18)
@@ -148,7 +162,7 @@ class TestConvergenceIteration:
             n = int(rng.integers(1, 400))
             w = int(rng.integers(1, n + 1))
             below = rng.random(n) < rng.choice([0.5, 0.9, 0.99, 1.0])
-            assert convergence_iteration(np.where(below, 0.0, 2.0), 1.0, w, 1.0) == self.convolved(below, w)
+            assert convergence_iteration(np.where(below, 0.0, 2.0), 1.0, w) == self.convolved(below, w)
 
 
 class TestSpeedup:
@@ -204,9 +218,19 @@ class TestLearningCurve:
         assert curve.sq_errors.tobytes() == sq.tobytes()
         assert curve.smoothed.tobytes() == smooth(sq, 20).tobytes()
         assert curve.steady_state_mse == steady_state_mse(sq, 0.2)
-        assert curve.convergence_iter == convergence_iteration(curve.smoothed, curve.steady_state_mse, 20, 1.5)
+        assert curve.convergence_iter == convergence_iteration(curve.smoothed, 1.5 * curve.steady_state_mse, 20)
         assert curve.convergence_iter is not None
         assert curve.convergence_iter < sq.size
+
+    def test_rejects_bad_ratio(self):
+        for ratio in (0.0, math.nan):
+            with pytest.raises(InputError, match="^convergence ratio must be > 0$"):
+                learning_curve([1.0, 1.0], 1, ratio, 1.0)
+        # The window and the tail fraction are checked before the ratio.
+        with pytest.raises(InputError, match="^smoothing window must be >= 1$"):
+            learning_curve([1.0, 1.0], 0, 0.0, 1.0)
+        with pytest.raises(InputError, match=r"^tail fraction must be in \(0, 1\]$"):
+            learning_curve([1.0, 1.0], 1, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -216,7 +240,7 @@ class TestLearningCurve:
         pytest.param(lambda: smooth(np.ones((2, 5)), 2), id="smooth-2d"),
         pytest.param(lambda: smooth(3.0, 1), id="smooth-scalar"),
         pytest.param(lambda: steady_state_mse(np.ones((2, 5)), 0.5), id="steady-2d"),
-        pytest.param(lambda: convergence_iteration(np.ones((2, 5)), 1.0, 2, 1.5), id="convergence-2d"),
+        pytest.param(lambda: convergence_iteration(np.ones((2, 5)), 1.5, 2), id="convergence-2d"),
         pytest.param(lambda: ber(np.ones((2, 5)), np.ones((2, 5)), 0, 1), id="ber-2d"),
         pytest.param(lambda: ber(np.ones(10), np.ones((2, 5)), 0, 1), id="ber-2d-transmitted"),
         pytest.param(lambda: learning_curve(np.ones((2, 5)), 2, 1.5, 0.2), id="learning-curve-2d"),
@@ -226,8 +250,8 @@ class TestLearningCurve:
         pytest.param(lambda: ber(np.ones(10), np.ones(10), 1.0, 2), id="ber-float-delay"),
         pytest.param(lambda: ber(np.ones(10), np.ones(10), 0, 2.0), id="ber-float-skip"),
         # a confirmation span that is no positive integer
-        pytest.param(lambda: convergence_iteration(np.ones(4), 1.0, 0, 1.5), id="convergence-span-0"),
-        pytest.param(lambda: convergence_iteration(np.ones(4), 1.0, 2.0, 1.5), id="convergence-float-span"),
+        pytest.param(lambda: convergence_iteration(np.ones(4), 1.5, 0), id="convergence-span-0"),
+        pytest.param(lambda: convergence_iteration(np.ones(4), 1.5, 2.0), id="convergence-float-span"),
         # a bad seed where no deviate is drawn
         pytest.param(lambda: gaussian(4, 0.0, -1), id="gaussian-variance-0-negative-seed"),
         pytest.param(lambda: gaussian(4, 0.0, "x"), id="gaussian-variance-0-text-seed"),

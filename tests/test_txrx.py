@@ -14,8 +14,28 @@ from equalab import (
     apply_channel,
     gaussian,
     generate_bpsk,
+    taps,
     txrx,
 )
+
+
+class TestTaps:
+    def test_copies_and_validates(self):
+        src = [0.5, -0.25]
+        w = taps(src)
+        assert w.dtype == np.float64
+        src[0] = 99.0
+        assert w[0] == 0.5
+
+    def test_rejects_empty(self):
+        with pytest.raises(ConfigurationError):
+            taps([])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ConfigurationError):
+            taps([1.0, np.nan])
+        with pytest.raises(ConfigurationError):
+            taps([np.inf])
 
 
 class TestGenerateBpsk:
