@@ -161,22 +161,24 @@ class SeedTable(NamedTuple):
 
 
 class RunRecord(NamedTuple):
-    """Everything needed to reproduce and re-derive one experiment's outputs.
-
-    `seeds` holds each rule's `SeedTable`; `speedup` is
-    convergence_iter(lms) / convergence_iter(ilms), None unless both rules
-    ran and converged.
-    """
+    """Everything needed to reproduce and re-derive one experiment's outputs:
+    its config, each rule's ensemble curve and each rule's `SeedTable`."""
 
     config: ExperimentConfig
     curves: dict[str, LearningCurve]
     seeds: dict[str, SeedTable]
-    speedup: float | None
 
     @property
     def ber(self) -> dict[str, float]:
         """Each rule's mean BER over its seeds."""
         return {algo: float(np.mean(table.ber)) for algo, table in self.seeds.items()}
+
+    @property
+    def speedup(self) -> float | None:
+        """convergence_iter(lms) / convergence_iter(ilms); None unless both
+        rules ran and each converged at an iteration above 0."""
+        conv = [self.curves[algo].convergence_iter for algo in (ALGO_LMS, ALGO_ILMS) if algo in self.curves]
+        return speedup(*conv) if len(conv) == 2 else None
 
 
 def draw(config: ExperimentConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -274,10 +276,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         algo: learning_curve(sums[algo] / len(seeds), config.window, config.conv_ratio, config.tail_frac)
         for algo in config.algos
     }
-    ratio = None
-    if ALGO_LMS in curves and ALGO_ILMS in curves:
-        ratio = speedup(curves[ALGO_LMS].convergence_iter, curves[ALGO_ILMS].convergence_iter)
-    return RunRecord(config=config, curves=curves, seeds=tables, speedup=ratio)
+    return RunRecord(config=config, curves=curves, seeds=tables)
 
 
 def _first_non_finite(a: np.ndarray, what: str) -> str | None:
@@ -320,8 +319,8 @@ def emit_summary(record: RunRecord, path) -> None:
     """Write the flat key=value summary: full config echo, seeds, statistics.
 
     Every field that influences the numbers is echoed (jobs is not: it
-    changes nothing about a run).  The speedup line is omitted when it is
-    undefined (an algorithm missing or unconverged).
+    changes nothing about a run).  The speedup line is omitted when
+    `record.speedup` is None: a rule missing, unconverged, or converged at 0.
     """
     cfg = record.config
     lines = [

@@ -28,6 +28,7 @@ from equalab import (
     generate_bpsk,
     learning_curve,
     smooth,
+    speedup,
     steady_state_mse,
 )
 from equalab import _kernel, cli, experiment
@@ -266,6 +267,23 @@ class TestRunExperiment:
         rec = run_experiment(tiny_config(algos=("lms",)))
         assert set(rec.curves) == {"lms"}
         assert rec.speedup is None
+
+    def test_record_stores_no_speedup(self):
+        assert RunRecord._fields == ("config", "curves", "seeds")
+        with pytest.raises(ValueError):
+            RunRecord(tiny_config(), {}, {})._replace(speedup=2.0)
+
+    def test_no_speedup_without_an_ilms_curve(self):
+        rec = run_experiment(tiny_config())
+        assert rec.speedup is not None
+        assert rec._replace(curves={"lms": rec.curves["lms"]}).speedup is None
+
+    def test_speedup_is_read_from_the_curves(self):
+        """A record rebuilt from its three fields has the run's speedup: the
+        ratio of its two curves' convergence iterations."""
+        rec = run_experiment(tiny_config())
+        conv = rec.curves["lms"].convergence_iter, rec.curves["ilms"].convergence_iter
+        assert RunRecord(rec.config, rec.curves, rec.seeds).speedup == rec.speedup == speedup(*conv)
 
     @pytest.mark.parametrize("tail", [{}, {"tail_frac": 1.0}], ids=["default-tail", "whole-tail"])
     def test_convergence_is_a_crossing_of_one_level(self, tail):
@@ -723,7 +741,7 @@ _RECORDS = {
     "StepTrace": lambda: StepTrace(0, 0.5, 1.0, 0.5, 0.01),
     "LearningCurve": lambda: learning_curve(np.ones(10), 2, 1.5, 0.5),
     "SeedTable": lambda: _seed_table(2, ExperimentConfig()),
-    "RunRecord": lambda: RunRecord(ExperimentConfig(), {}, {"lms": _seed_table(2, ExperimentConfig())}, None),
+    "RunRecord": lambda: RunRecord(ExperimentConfig(), {}, {"lms": _seed_table(2, ExperimentConfig())}),
     "Setting": lambda: cli.SETTINGS[0],
     "Kernel": _kernel.numpy,
 }
@@ -947,7 +965,7 @@ class TestEmission:
         values = np.array([*edges, *(-x for x in edges), *_powers_of_ten(-41, 19)])
         # A reversed view: both writers take any float64 array of a curve.
         curve = LearningCurve(values, values[::-1][:-3], float(values[-1]), None)
-        rec = RunRecord(tiny_config(), {"lms": curve}, {"lms": _seed_table(4, tiny_config())}, None)
+        rec = RunRecord(tiny_config(), {"lms": curve}, {"lms": _seed_table(4, tiny_config())})
         path = tmp_path / "curves.csv"
         emit_curves_csv(rec, path)
         raw = path.read_bytes()
@@ -1019,6 +1037,13 @@ class TestEmission:
 
     def test_speedup_line_absent_without_both_algorithms(self, tmp_path):
         rec = run_experiment(tiny_config(algos=("lms",)))
+        path = tmp_path / "summary.txt"
+        emit_summary(rec, path)
+        assert "speedup" not in path.read_text()
+
+    def test_speedup_line_absent_when_both_converge_at_iteration_0(self, tmp_path):
+        rec = run_experiment(tiny_config(conv_ratio=1e308))
+        assert rec.curves["lms"].convergence_iter == rec.curves["ilms"].convergence_iter == 0
         path = tmp_path / "summary.txt"
         emit_summary(rec, path)
         assert "speedup" not in path.read_text()

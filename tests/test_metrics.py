@@ -179,6 +179,7 @@ class TestSpeedup:
         assert speedup(None, 100) is None
         assert speedup(100, None) is None
         assert speedup(0, 100) is None
+        assert speedup(100, 0) is None
 
 
 class TestBer:
