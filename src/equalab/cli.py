@@ -295,8 +295,8 @@ def _run(config: ExperimentConfig) -> int:
     """Run the checked `config`, write its outputs and report: its exit code."""
     try:
         record = run_experiment(config)
-    except InputError as exc:
-        print(f"error: run failed: {exc}", file=sys.stderr)
+    except (InputError, MemoryError) as exc:  # numpy's MemoryError names the allocation; Python's is empty
+        print(f"error: run failed: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     try:
         emit_curves_csv(record, config.out_curves)

@@ -19,7 +19,6 @@ of independent runs in lockstep and reproduces `dfe_step` bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _Numpy
@@ -41,16 +40,7 @@ MODE_TRAINED = "trained"
 PAD_SYMBOL = 1.0
 
 
-@dataclass(frozen=True, slots=True)
-class DfeConfig:
-    """Static equalizer configuration, stored as plain Python values.
-
-    `decision_delay` is the lag of the reference symbol relative to the
-    current received sample; None selects the FF half-length (see `delay`).
-    `training_len` must be 0 in decision-directed mode.  `step_floor` and
-    `step_cap` (0 and None: off) bound the `ilms` step; see `effective_step`.
-    """
-
+class _DfeFields(NamedTuple):
     n_ff: int
     n_fb: int
     mu: float
@@ -62,11 +52,25 @@ class DfeConfig:
     step_cap: float | None = None
     center_spike: bool = False
 
-    def __post_init__(self):
+
+class DfeConfig(_DfeFields):
+    """Static equalizer configuration, checked and stored as plain Python values.
+
+    `decision_delay` is the lag of the reference symbol relative to the
+    current received sample; None selects the FF half-length (see `delay`).
+    `training_len` must be 0 in decision-directed mode.  `step_floor` and
+    `step_cap` (0 and None: off) bound the `ilms` step; see `effective_step`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        values = super().__new__(cls, *args, **kwargs)._asdict()  # the arguments by field, unchecked
         for name in ("n_ff", "n_fb", "training_len"):
-            object.__setattr__(self, name, require_integer(getattr(self, name), name))
-        for name in ("mu", "step_floor", *(() if self.step_cap is None else ["step_cap"])):
-            object.__setattr__(self, name, require_real(getattr(self, name), name))
+            values[name] = require_integer(values[name], name)
+        for name in ("mu", "step_floor", *(() if values["step_cap"] is None else ["step_cap"])):
+            values[name] = require_real(values[name], name)
+        self = super().__new__(cls, **values)
         if self.n_ff < 1:
             raise ConfigurationError("must be >= 1", field="n_ff")
         if self.n_fb < 0:
@@ -83,8 +87,8 @@ class DfeConfig:
         if self.mode == MODE_DECISION_DIRECTED and self.training_len != 0:
             raise ConfigurationError("must be 0 in decision-directed mode", field="training_len")
         if self.decision_delay is not None:
-            object.__setattr__(self, "decision_delay", require_integer(self.decision_delay, "decision_delay"))
-            if self.decision_delay < 0:
+            values["decision_delay"] = require_integer(self.decision_delay, "decision_delay")
+            if values["decision_delay"] < 0:
                 raise ConfigurationError("must be >= 0", field="decision_delay")
         if not 0 < self.mu < math.inf:
             raise ConfigurationError("must be finite and > 0", field="mu")
@@ -97,12 +101,18 @@ class DfeConfig:
         # A bool or numpy's bool_ ("false" would be truthy); numpy is read only for another type.
         if not isinstance(self.center_spike, bool) and not isinstance(self.center_spike, np.bool_):
             raise ConfigurationError(f"must be a bool, got {self.center_spike!r}", field="center_spike")
+        for name, plain in (("algo", str), ("mode", str), ("center_spike", bool)):  # numpy's str_ and bool_
+            values[name] = plain(values[name])
+        self = super().__new__(cls, **values)
         if self.center_spike and not self.delay < self.n_ff:
             raise ConfigurationError(
                 "center-spike initialization needs decision_delay < n_ff", field="decision_delay"
             )
-        for name, plain in (("algo", str), ("mode", str), ("center_spike", bool)):  # numpy's str_ and bool_
-            object.__setattr__(self, name, plain(getattr(self, name)))
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # through `__new__`, so that `_replace` and `copy.replace` check too
+        return cls(*iterable)
 
     @property
     def delay(self) -> int:

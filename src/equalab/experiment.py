@@ -10,7 +10,6 @@ byte-deterministic for a given config and whatever the block split.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import NamedTuple
 
@@ -33,19 +32,20 @@ NOISE_SEED_OFFSET = 10**9
 # channel with a center-spike start.
 DEFAULT_CHANNEL = (0.84, 0.543)
 
+# The largest count of each field, named as its error names it.  numpy shapes
+# no array of more than 2^63 - 1 bytes.  A run's largest arrays are its curves
+# CSV buffer, at most 76 bytes a symbol, and its per-seed tap tables, 8 bytes
+# a seed and tap; 2^56 * 76 and (2^30 - 1)^2 * 8 are both below 2^63.
+_MAX_COUNTS = (
+    ("n_symbols", "n_symbols", 2**56), ("n_seeds", "seeds", 2**30 - 1),
+    ("n_ff", "n_ff", 2**30 - 1), ("n_fb", "n_fb", 2**30 - 1),
+)
+
 # The equalizer settings: the fields of each rule's DfeConfig, under the same names.
-_EQUALIZER = tuple(f.name for f in dataclasses.fields(DfeConfig) if f.name != "algo")
+_EQUALIZER = tuple(name for name in DfeConfig._fields if name != "algo")
 
 
-@dataclasses.dataclass(frozen=True)
-class ExperimentConfig:
-    """Every knob of one experiment; defaults are the standard desk-scale setup.
-
-    Settings are stored as plain Python values.  `snr_db` None means a
-    zero-noise channel.  The seeds are `n_seeds` consecutive integers from
-    `base_seed`.  `jobs` is checked (>= 1) and otherwise unused.
-    """
-
+class _ExperimentFields(NamedTuple):
     n_symbols: int = 5000
     channel: tuple[float, ...] = DEFAULT_CHANNEL
     snr_db: float | None = 20.0
@@ -68,15 +68,28 @@ class ExperimentConfig:
     out_curves: str = "curves.csv"
     out_summary: str = "summary.txt"
 
-    def __post_init__(self):
+
+class ExperimentConfig(_ExperimentFields):
+    """Every knob of one experiment; defaults are the standard desk-scale setup.
+
+    Settings are stored as plain Python values.  `snr_db` None means a
+    zero-noise channel.  The seeds are `n_seeds` consecutive integers from
+    `base_seed`.  `jobs` is checked (>= 1) and otherwise unused.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        values = super().__new__(cls, *args, **kwargs)._asdict()  # the arguments by field, unchecked
         # A numpy count wraps or overflows in the run; float32 changes the tail and the noise.
         for name, field in (
             ("n_symbols", "n_symbols"), ("n_seeds", "seeds"), ("base_seed", "base_seed"),
             ("window", "window"), ("jobs", "jobs"),
         ):
-            object.__setattr__(self, name, require_integer(getattr(self, name), field))
-        for name in ("conv_ratio", "tail_frac", *(() if self.snr_db is None else ["snr_db"])):
-            object.__setattr__(self, name, require_real(getattr(self, name), name))
+            values[name] = require_integer(values[name], field)
+        for name in ("conv_ratio", "tail_frac", *(() if values["snr_db"] is None else ["snr_db"])):
+            values[name] = require_real(values[name], name)
+        self = super().__new__(cls, **values)
         if self.n_symbols < 1:
             raise ConfigurationError("must be >= 1", field="n_symbols")
         if isinstance(self.algos, str):  # else "lms" would be read as the rules 'l', 'm' and 's'
@@ -110,20 +123,29 @@ class ExperimentConfig:
         channel = self.channel
         if not (type(channel) is tuple and channel and all(type(c) is float and math.isfinite(c) for c in channel)):
             try:
-                object.__setattr__(self, "channel", tuple(taps(channel).tolist()))
+                values["channel"] = tuple(taps(channel).tolist())
             except ConfigurationError as exc:
                 raise ConfigurationError(str(exc), field="channel") from None
         for a in self.algos:  # the rule and equalizer fields are DfeConfig's to check
             checked = self.dfe_config(a)
         for name in _EQUALIZER:  # as DfeConfig stored them
-            object.__setattr__(self, name, getattr(checked, name))
-        object.__setattr__(self, "algos", tuple(map(str, self.algos)))
+            values[name] = getattr(checked, name)
+        values["algos"] = tuple(map(str, self.algos))
+        self = super().__new__(cls, **values)
+        for name, field, bound in _MAX_COUNTS:
+            if getattr(self, name) > bound:
+                raise ConfigurationError(f"must be <= {bound} so that the run's arrays can be shaped", field=field)
         skip = self.ber_skip
         if skip >= self.n_symbols:
             raise ConfigurationError(
                 f"must be > ber_skip {skip} so that BER scores at least one symbol",
                 field="n_symbols",
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # through `__new__`, so that `_replace` and `copy.replace` check too
+        return cls(*iterable)
 
     @property
     def noise_variance(self) -> float:

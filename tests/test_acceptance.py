@@ -10,7 +10,6 @@ claim is tested against that matched `lms` run.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,7 +57,7 @@ def test_criterion_1_convergence_speed_ordering(default_run):
     # faster rule with a higher floor.  The claim is tested against lms run
     # at the step ilms settles to, which reaches the same floor.
     mu_matched = float(np.mean(record.seeds["ilms"].settled_step))
-    matched = run_experiment(replace(config, mu=mu_matched, algos=("lms",))).curves["lms"]
+    matched = run_experiment(config._replace(mu=mu_matched, algos=("lms",))).curves["lms"]
     floor_lms = matched.steady_state_mse
     floor_ilms = record.curves["ilms"].steady_state_mse
     conv_matched = matched.convergence_iter
@@ -231,7 +230,7 @@ def test_criterion_9_raised_cosine_speedup():
     t0 = time.perf_counter()
     record = run_experiment(config)
     mu_matched = float(np.mean(record.seeds["ilms"].settled_step))
-    matched = run_experiment(replace(config, mu=mu_matched, algos=("lms",))).curves["lms"]
+    matched = run_experiment(config._replace(mu=mu_matched, algos=("lms",))).curves["lms"]
     elapsed = time.perf_counter() - t0
     ilms = record.curves["ilms"]
     floor_ratio = matched.steady_state_mse / ilms.steady_state_mse

@@ -2,7 +2,6 @@
 
 import os
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -537,6 +536,59 @@ class TestRunTooShortForBer:
         assert not curves.exists() and not summary.exists()
 
 
+_NUMPY_OUT_OF_MEMORY = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+
+class TestOversizedRuns:
+    """A count too large for the run's arrays to be shaped is refused before
+    the run, and a run that numpy or Python cannot allocate exits 3; each
+    used to end in a traceback and exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv,field,bound",
+        [
+            (["--n-symbols", str(10**20)], "n_symbols", 2**56),  # numpy's "Maximum allowed dimension exceeded"
+            (["--n-symbols", str(2**56 + 1)], "n_symbols", 2**56),
+            (["--n-symbols", str(10**400)], "n_symbols", 2**56),  # its 80% tail overflowed a float
+            (["--seeds", str(10**19), "--n-symbols", "100", "--window", "5"], "seeds", 2**30 - 1),
+            (["--seeds", str(2**30)], "seeds", 2**30 - 1),
+            (["--fb", str(10**19), "--n-symbols", "100", "--window", "5", "--seeds", "1"], "n_fb", 2**30 - 1),
+            (["--ff", str(2**30), "--delay", "0", "--center-spike", "false"], "n_ff", 2**30 - 1),
+        ],
+        ids=["symbols-1e20", "symbols-bound", "symbols-1e400", "seeds-1e19", "seeds-bound", "fb-1e19", "ff-bound"],
+    )
+    def test_a_count_too_large_to_shape_is_refused(self, argv, field, bound):
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(*argv)
+        assert str(exc.value) == f"{field}: must be <= {bound} so that the run's arrays can be shaped"
+
+    def test_counts_at_their_bounds_are_accepted(self):
+        bound = str(2**30 - 1)
+        cfg = parse_config(
+            "--n-symbols", str(2**56), "--seeds", bound, "--ff", bound, "--fb", bound,
+            "--delay", "0", "--center-spike", "false",
+        )
+        assert (cfg.n_symbols, cfg.n_seeds, cfg.n_ff, cfg.n_fb) == (2**56, *(2**30 - 1,) * 3)
+
+    @pytest.mark.parametrize(
+        "message,line",
+        [
+            (_NUMPY_OUT_OF_MEMORY, _NUMPY_OUT_OF_MEMORY),  # numpy's, for --n-symbols 1000000000000 --seeds 1
+            ("", "out of memory"),  # Python's own has no message
+        ],
+        ids=["numpy", "python"],
+    )
+    def test_a_run_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, message, line):
+        def out_of_memory(config):
+            raise MemoryError(*([message] if message else []))
+
+        monkeypatch.setattr(cli, "run_experiment", out_of_memory)
+        code, curves, summary = run_cli(tmp_path, "--n-symbols", "1000000000000", "--seeds", "1")
+        assert code == 3
+        assert capsys.readouterr().err == f"error: run failed: {line}\n"
+        assert not curves.exists() and not summary.exists()
+
+
 class TestBooleanFlags:
     @pytest.mark.parametrize(
         "argv,expected",
@@ -645,7 +697,7 @@ def test_settings_table_is_the_whole_config_surface():
     # One row per ExperimentConfig field, each with a flag ...
     columns = [s.field for s in SETTINGS]
     assert len(set(columns)) == len(columns)
-    assert set(columns) == {f.name for f in fields(experiment.ExperimentConfig)}
+    assert set(columns) == set(experiment.ExperimentConfig._fields)
     assert all(s.flag and s.flag.startswith("--") for s in SETTINGS)
     # ... and the README's key paragraph names no key that is not a row.
     paragraph = next(p for p in _readme().split("\n\n") if p.startswith("Config files are"))

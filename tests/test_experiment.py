@@ -1,11 +1,13 @@
 """Harness tests: config validation, aggregation, CSV/summary emission contracts."""
 
+import argparse
 import ast
-import dataclasses
+import copy
 import hashlib
 import importlib
 import math
 import os
+import pickle
 import platform
 import subprocess
 import sys
@@ -251,6 +253,55 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(n_symbols=6, window=1)
         assert cfg.ber_skip == 5
         assert cfg.n_symbols - cfg.ber_skip == 1
+
+
+# A config of each kind with settings off their defaults.
+_CONFIGS = {
+    "dfe": DfeConfig(7, 2, 0.01, algo="ilms", mode="trained", training_len=50, step_cap=0.5),
+    "experiment": ExperimentConfig(n_seeds=3, channel=[1.0, 0.5], snr_db=None, algos=("ilms",)),
+}
+
+
+class TestCheckedConfigs:
+    """The two configs are NamedTuples that check their fields in `__new__`.
+    `_make` goes through `__new__`, so `_replace` checks too, as
+    `dataclasses.replace` did when they were dataclasses."""
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: DfeConfig(11, 5, 0.02)._replace(mu=-1), "mu: must be finite and > 0"),
+            (lambda: ExperimentConfig()._replace(window=0), "window: must be in [1, n_symbols]"),
+            (
+                lambda: ExperimentConfig._make({**ExperimentConfig()._asdict(), "jobs": 0}.values()),
+                "jobs: must be >= 1",
+            ),
+            (lambda: DfeConfig._make((3, 1, 0.01, "rls")), "algo: unknown algorithm 'rls' (choose from lms,ilms)"),
+        ],
+        ids=["dfe-replace", "experiment-replace", "experiment-make", "dfe-make"],
+    )
+    def test_replace_and_make_check(self, make, message):
+        with pytest.raises(ConfigurationError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", _CONFIGS)
+    def test_replace_stores_plain_values(self, name):
+        assert type(_CONFIGS[name]._replace(n_ff=np.int64(7)).n_ff) is int
+
+    @pytest.mark.parametrize("name", _CONFIGS)
+    def test_pickle_round_trip(self, name):
+        config = _CONFIGS[name]
+        back = pickle.loads(pickle.dumps(config))
+        assert type(back) is type(config) and back == config == tuple(config) and hash(back) == hash(config)
+
+    @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+    @pytest.mark.parametrize("name", _CONFIGS)
+    def test_copy_replace_checks(self, name):
+        config = _CONFIGS[name]
+        assert copy.replace(config, mu=0.5) == config._replace(mu=0.5)
+        with pytest.raises(ConfigurationError, match="^mu: must be finite and > 0$"):
+            copy.replace(config, mu=-1)
 
 
 class TestRunExperiment:
@@ -618,23 +669,27 @@ def test_set_up_loads_neither_the_kernel_nor_the_draws(tmp_path, child_env):
     """Importing `equalab.cli` and building a config (what the benchmark's
     `setup_s` times), from flags or from a config file, loads neither numpy
     nor `_kernel`, which holds the draws' seed expansion: only a run does.
-    A bare `import equalab` does not load numpy either."""
+    A bare `import equalab` does not load numpy either.  Nor does the set-up
+    add `dataclasses` or `inspect`, which it imports, to the modules that
+    the interpreter had loaded before `import equalab`."""
     config = tmp_path / "run.cfg"
     config.write_text("seeds = 4\nmode = trained\nchannel = 1, 0.5, -0.2\n", encoding="utf-8")
     code = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "import equalab\n"
         "numpy = ['numpy' in sys.modules]\n"
         "from equalab.cli import build_parser, config_from_args\n"
         "for argv in (['run', '--seeds', '4', '--mode', 'trained'], ['run', '--config', sys.argv[1]]):\n"
         "    config_from_args(build_parser().parse_args(argv))\n"
         "    numpy.append('numpy' in sys.modules)\n"
-        "print(numpy, 'equalab._kernel' in sys.modules)\n"
+        "added = set(sys.modules) - before\n"
+        "print(numpy, 'equalab._kernel' in sys.modules, sorted(added & {'dataclasses', 'inspect'}))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(config)], capture_output=True, text=True, env=child_env, check=True
     )
-    assert out.stdout.strip() == "[False, False, False] False"
+    assert out.stdout.strip() == "[False, False, False] False []"
 
 
 def test_each_array_module_binds_one_lazy_numpy(child_env):
@@ -710,23 +765,6 @@ def test_only_dfe_imports_the_spec_primitives():
     assert importers == {"dfe"}
 
 
-def test_only_self_checking_records_are_dataclasses():
-    """A record that checks its own fields in `__post_init__` is a frozen
-    dataclass; every other record is a NamedTuple."""
-    decorated, checking = set(), set()
-    for path in sorted(Path(experiment.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for d in node.decorator_list:
-                d = d.func if isinstance(d, ast.Call) else d
-                if (d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)) == "dataclass":
-                    decorated.add(node.name)
-            if any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for f in node.body):
-                checking.add(node.name)
-    assert decorated == checking == {"DfeConfig", "ExperimentConfig"}
-
-
 def _seed_table(n_seeds, config) -> SeedTable:
     """A table of `n_seeds` zero rows, shaped for `config`'s taps."""
     shapes = (n_seeds,), (n_seeds, config.n_ff), (n_seeds, config.n_fb), (n_seeds,)
@@ -751,13 +789,34 @@ _RECORDS = {
 def test_records_are_immutable(name):
     record = _RECORDS[name]()
     assert type(record).__name__ == name
-    if isinstance(record, tuple):
-        names = record._fields
-    else:
-        names = [f.name for f in dataclasses.fields(record)]
-    for field in names:
+    for field in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+
+
+def test_every_record_is_a_named_tuple():
+    """One kind of record: no module imports `dataclasses`, every class of
+    the package but its errors, its argument parser and its numpy stand-in
+    is a NamedTuple, the public ones are the records above, and exactly the
+    records that check their own fields define `__new__` and `_make`."""
+    records, checking = set(), {}  # checking: record name -> which of `__new__` and `_make` it defines
+    for path in sorted(Path(experiment.__file__).parent.glob("*.py")):
+        module = importlib.import_module("equalab" if path.stem == "__init__" else f"equalab.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                assert "dataclasses" not in {m.partition(".")[0] for m in modules}, path.name
+            elif isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)
+                if issubclass(cls, (Exception, argparse.ArgumentParser)) or cls is equalab._Numpy:
+                    continue
+                assert issubclass(cls, tuple) and hasattr(cls, "_fields"), node.name  # a NamedTuple
+                records.add(node.name)
+                defined = {f.name for f in node.body if isinstance(f, ast.FunctionDef)} & {"__new__", "_make"}
+                if defined:
+                    checking[node.name] = defined
+    assert {name for name in records if not name.startswith("_")} == set(_RECORDS)
+    assert checking == {name: {"__new__", "_make"} for name in ("DfeConfig", "ExperimentConfig")}
 
 
 def test_a_run_loads_the_kernel_once(child_env):
@@ -806,7 +865,7 @@ def test_the_spec_is_no_part_of_the_package_api():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.attr in spec
     }
     assert len(read) == 7 and all(name in _SPEC_HOMES[home] for home, name in read)
-    assert "params" not in {f.name for f in dataclasses.fields(DfeConfig)}
+    assert "params" not in DfeConfig._fields
 
 
 @pytest.mark.parametrize("loop", ["chosen", "numpy"])
